@@ -60,7 +60,8 @@ printUsage(std::ostream &os, const char *tool, const char *what)
        << "options:\n"
        << "  --scale X    workload size multiplier (default 1.0)\n"
        << "  --iters N    iteration override (0 = app default)\n"
-       << "  --procs N    simulated node count (default 16)\n"
+       << "  --procs N    simulated node count, 1-" << maxNodes
+       << " (default 16)\n"
        << "  --seed N     run-level seed (default 42)\n"
        << "  --topology T interconnect topology: " << topoKindNames()
        << "\n"
@@ -167,7 +168,16 @@ parseArgs(int argc, char **argv, const char *tool, const char *what)
             a.ec.iterations =
                 static_cast<unsigned>(std::atoi(value(i)));
         } else if (!std::strcmp(arg, "--procs")) {
-            a.ec.numProcs = static_cast<unsigned>(std::atoi(value(i)));
+            const char *s = value(i);
+            char *end = nullptr;
+            const unsigned long n = std::strtoul(s, &end, 10);
+            if (*s == '-' || end == s || *end != '\0' || n < 1 ||
+                n > maxNodes) {
+                std::cerr << tool << ": --procs must be 1-" << maxNodes
+                          << ", got '" << s << "'\n";
+                std::exit(2);
+            }
+            a.ec.numProcs = static_cast<unsigned>(n);
         } else if (!std::strcmp(arg, "--seed")) {
             a.ec.seed = std::strtoull(value(i), nullptr, 10);
         } else if (!std::strcmp(arg, "--topology")) {

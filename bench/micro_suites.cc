@@ -182,8 +182,7 @@ netRoute()
  * hot ingress NI on the default crossbar, so the whole run is one
  * long busy period at that node. This was the worst case for the
  * retired two-stage path (every message paid an arrival event plus a
- * delivery event, and the fusion guard never opened under the
- * backlog); the per-destination drain batches all the arrival
+ * delivery event); the per-destination drain batches all the arrival
  * bookkeeping into the delivery dispatches it queued behind. Items
  * are messages delivered.
  */

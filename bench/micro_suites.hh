@@ -45,8 +45,9 @@ double itemsPerSec(const std::vector<BenchResult> &rs,
  * workload (one deterministic compiled run). The transport-efficiency
  * headline BENCH_core.json tracks: the retired two-stage NI path held
  * this at ~2.5; the batched event layer (per-destination drain,
- * local-delivery flush, per-home directory due-queues) brought it to
- * ~1.47, and check_bench_core.py fails any record above 1.6.
+ * local-delivery flush, per-home directory due-queues) holds it at
+ * ~1.65. check_bench_core.py fails any record above 1.6, a ceiling
+ * set when a fast path ran work ahead of the clock (~1.47).
  */
 double simEventsPerMessage();
 

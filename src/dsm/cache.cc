@@ -26,7 +26,7 @@ CacheCtrl::hitDone()
 {
     MemCompletion *done = hitDone_;
     hitDone_ = nullptr;
-    done->complete(false, eq_.curTick());
+    done->complete(false);
 }
 
 void
@@ -62,7 +62,7 @@ CacheCtrl::retryFired()
         stats_.retryDepth.sample(retryAttempts_);
         if (obs_) [[unlikely]]
             obs_->retryInstant("timeout retry", id_, mshr_.blk,
-                               retryAttempts_, eq_.curTick());
+                               retryAttempts_);
     }
     stats_.retries.inc();
     // Re-derive the request from the *current* line state (an Inval
@@ -74,12 +74,12 @@ CacheCtrl::retryFired()
                                  ? MsgType::Upgrade
                                  : MsgType::GetX)
                           : MsgType::GetS;
-    sendRequest(t, mshr_.blk, l, eq_.curTick());
-    eq_.schedule(eq_.curTick() + retryTimeout_, retryEvent_);
+    sendRequest(t, mshr_.blk, l);
+    eq_.scheduleAfter(retryTimeout_, retryEvent_);
 }
 
 void
-CacheCtrl::sendRequest(MsgType t, BlockId blk, const Line &l, Tick base)
+CacheCtrl::sendRequest(MsgType t, BlockId blk, const Line &l)
 {
     CohMsg m;
     m.type = t;
@@ -89,11 +89,11 @@ CacheCtrl::sendRequest(MsgType t, BlockId blk, const Line &l, Tick base)
     m.hadCopy = l.state != LineState::Invalid;
     m.copyWasSpec = l.spec;
     m.copyReferenced = l.referenced;
-    net_.sendAt(base, m);
+    net_.send(m);
 }
 
 Tick
-CacheCtrl::tryHit(BlockId blk, bool is_write, Tick now)
+CacheCtrl::tryHit(BlockId blk, bool is_write)
 {
     panic_if(mshr_.valid, "blocking processor accessed during a miss");
     Line &l = line(blk);
@@ -112,9 +112,9 @@ CacheCtrl::tryHit(BlockId blk, bool is_write, Tick now)
                 stats_.specServedFr.inc();
             else if (l.trig == SpecTrigger::Swi)
                 stats_.specServedSwi.inc();
-            stats_.specUseDist.sample(now - l.specPush);
+            stats_.specUseDist.sample(eq_.curTick() - l.specPush);
             if (obs_) [[unlikely]]
-                obs_->specInstant("spec use", id_, blk, now);
+                obs_->specInstant("spec use", id_, blk);
         }
     }
     // First touch of a remote-cache resident block (including every
@@ -127,8 +127,7 @@ CacheCtrl::tryHit(BlockId blk, bool is_write, Tick now)
 }
 
 void
-CacheCtrl::issueMiss(BlockId blk, bool is_write, MemCompletion &done,
-                     Tick base)
+CacheCtrl::issueMiss(BlockId blk, bool is_write, MemCompletion &done)
 {
     panic_if(mshr_.valid, "blocking processor issued a second miss");
     const Line &l = line(blk);
@@ -137,50 +136,49 @@ CacheCtrl::issueMiss(BlockId blk, bool is_write, MemCompletion &done,
     mshr_.write = is_write;
     mshr_.invalidated = false;
     mshr_.done = &done;
-    mshr_.issued = base;
+    mshr_.issued = eq_.curTick();
     if (!is_write) {
         stats_.demandReads.inc();
-        sendRequest(MsgType::GetS, blk, l, base);
+        sendRequest(MsgType::GetS, blk, l);
     } else {
         stats_.demandWrites.inc();
         sendRequest(l.state == LineState::Shared ? MsgType::Upgrade
                                                  : MsgType::GetX,
-                    blk, l, base);
+                    blk, l);
     }
     if (faultsEnabled_) {
         // Timeout-and-retry: if the home dies with this request (or
         // its reply) in flight, the message is dropped and only this
         // timer recovers the transaction.
         retryAfterNack_ = false;
-        eq_.schedule(base + retryTimeout_, retryEvent_);
+        eq_.scheduleAfter(retryTimeout_, retryEvent_);
     }
 }
 
 void
-CacheCtrl::accessAt(BlockId blk, bool is_write, MemCompletion &done,
-                    Tick base)
+CacheCtrl::accessBlock(BlockId blk, bool is_write, MemCompletion &done)
 {
-    if (const Tick lat = tryHit(blk, is_write, base)) {
+    if (const Tick lat = tryHit(blk, is_write)) {
         // Local completion through the cache's own timer (the
-        // processor's fused fast path schedules its own resume
-        // instead and never comes through here on a hit).
+        // processor schedules its own resume for hit-eligible ops
+        // instead and never comes through here on their hits).
         panic_if(hitEvent_.scheduled(),
                  "cache ", id_, ": overlapping hit completions");
         hitDone_ = &done;
-        eq_.schedule(base + lat, hitEvent_);
+        eq_.scheduleAfter(lat, hitEvent_);
         return;
     }
-    issueMiss(blk, is_write, done, base);
+    issueMiss(blk, is_write, done);
 }
 
 void
 CacheCtrl::access(Addr addr, bool is_write, MemCompletion &done)
 {
-    accessAt(map_.blockOf(addr), is_write, done, eq_.curTick());
+    accessBlock(map_.blockOf(addr), is_write, done);
 }
 
 void
-CacheCtrl::handle(const CohMsg &msg, Tick base)
+CacheCtrl::handle(const CohMsg &msg)
 {
     Line &l = line(msg.blk);
     switch (msg.type) {
@@ -207,7 +205,7 @@ CacheCtrl::handle(const CohMsg &msg, Tick base)
         l.spec = false;
         l.referenced = false;
         l.inProcCache = false;
-        net_.sendAt(base, ack);
+        net_.send(ack);
         return;
       }
       case MsgType::Recall: {
@@ -224,7 +222,7 @@ CacheCtrl::handle(const CohMsg &msg, Tick base)
         l.spec = false;
         l.referenced = false;
         l.inProcCache = false;
-        net_.sendAt(base, wb);
+        net_.send(wb);
         return;
       }
       case MsgType::SpecData: {
@@ -235,7 +233,7 @@ CacheCtrl::handle(const CohMsg &msg, Tick base)
             // protocol answer (paper Section 4.2).
             stats_.specDropped.inc();
             if (obs_) [[unlikely]]
-                obs_->specInstant("spec drop", id_, msg.blk, base);
+                obs_->specInstant("spec drop", id_, msg.blk);
             return;
         }
         l.state = LineState::Shared;
@@ -243,9 +241,9 @@ CacheCtrl::handle(const CohMsg &msg, Tick base)
         l.referenced = false;
         l.inProcCache = false;
         l.trig = msg.trigger;
-        l.specPush = base;
+        l.specPush = eq_.curTick();
         if (obs_) [[unlikely]]
-            obs_->specInstant("spec place", id_, msg.blk, base);
+            obs_->specInstant("spec place", id_, msg.blk);
         return;
       }
       case MsgType::Nack: {
@@ -262,13 +260,13 @@ CacheCtrl::handle(const CohMsg &msg, Tick base)
         stats_.retryDepth.sample(retryAttempts_);
         if (obs_) [[unlikely]]
             obs_->retryInstant("nack backoff", id_, mshr_.blk,
-                               retryAttempts_, base);
+                               retryAttempts_);
         if (retryEvent_.scheduled())
             eq_.deschedule(retryEvent_);
         retryAfterNack_ = true;
         const unsigned shift =
             retryAttempts_ < 6 ? retryAttempts_ : 6;
-        eq_.schedule(base + (nackBackoffBase << shift), retryEvent_);
+        eq_.scheduleAfter(nackBackoffBase << shift, retryEvent_);
         return;
       }
       case MsgType::RehomeSync:
@@ -319,13 +317,12 @@ CacheCtrl::handle(const CohMsg &msg, Tick base)
         // that is exactly the tail the lossy-link and fault axes
         // stretch and the mean hides.
         (mshr_.write ? stats_.writeMissLat : stats_.readMissLat)
-            .sample(base - mshr_.issued);
+            .sample(eq_.curTick() - mshr_.issued);
         if (obs_) [[unlikely]]
-            obs_->missSpan(id_, mshr_.blk, mshr_.write, mshr_.issued,
-                           base);
+            obs_->missSpan(id_, mshr_.blk, mshr_.write, mshr_.issued);
         MemCompletion *done = mshr_.done;
         mshr_ = Mshr{};
-        done->complete(msg.remoteWork, base);
+        done->complete(msg.remoteWork);
         return;
       }
       default:

@@ -47,25 +47,21 @@ enum class LineState : std::uint8_t
  * direct call through a function pointer -- no std::function, no
  * virtual dispatch.
  *
+ * The completion fires at the tick the access completes (curTick()).
+ *
  * @param remote true iff the access waited on inter-node coherence
  *        traffic (the paper's "request waiting time"); node-local
  *        service counts as computation.
- * @param base the tick the access logically completes at. Equal to
- *        curTick() when the completion is delivered by an event;
- *        ahead of the clock when it arrives through the fused
- *        fast path (whose guard makes the difference unobservable).
- *        Continuations must anchor their own timing on @p base, not
- *        on the clock.
  */
 class MemCompletion
 {
   public:
-    using Fn = void (*)(MemCompletion &self, bool remote, Tick base);
+    using Fn = void (*)(MemCompletion &self, bool remote);
 
     explicit constexpr MemCompletion(Fn fn) : fn_(fn) {}
 
-    /** Deliver the completion as of tick @p base. */
-    void complete(bool remote, Tick base) { fn_(*this, remote, base); }
+    /** Deliver the completion now. */
+    void complete(bool remote) { fn_(*this, remote); }
 
   private:
     Fn fn_;
@@ -123,41 +119,29 @@ class CacheCtrl
     void access(Addr addr, bool is_write, MemCompletion &done);
 
     /**
-     * access() by precompiled block id with an explicit issue tick
-     * @p base >= curTick() (the fused-run virtual time). Node-local
-     * hits complete through the cache's own timer as in access().
+     * access() by precompiled block id. Node-local hits complete
+     * through the cache's own timer as in access().
      */
-    void accessAt(BlockId blk, bool is_write, MemCompletion &done,
-                  Tick base);
+    void accessBlock(BlockId blk, bool is_write, MemCompletion &done);
 
     /**
-     * Fast-path hit probe: if the access can be served node-locally,
-     * book the hit (statistics, reference/residency bits) and return
-     * its latency; the *completion is the caller's to schedule*. On a
+     * Hit probe: if the access can be served node-locally, book the
+     * hit (statistics, reference/residency bits) and return its
+     * latency; the *completion is the caller's to schedule*. On a
      * miss, return 0 with no side effects beyond creating the line.
-     * This is how the processor's fused fast path absorbs a hit into
-     * its own step event instead of bouncing through hitEvent_.
+     * The processor absorbs a hit-eligible op's hit into its own step
+     * event this way instead of bouncing through hitEvent_.
      */
-    Tick tryHit(BlockId blk, bool is_write, Tick now);
+    Tick tryHit(BlockId blk, bool is_write);
 
     /**
      * Issue the demand transaction for an access that tryHit()
-     * declined, injecting the request at tick @p base. @p done fires
-     * at fill time.
+     * declined. @p done fires at fill time.
      */
-    void issueMiss(BlockId blk, bool is_write, MemCompletion &done,
-                   Tick base);
+    void issueMiss(BlockId blk, bool is_write, MemCompletion &done);
 
     /** Network-side handler for Inval/Recall/data/SpecData messages. */
-    void handle(const CohMsg &msg) { handle(msg, eq_.curTick()); }
-
-    /**
-     * handle() as of tick @p base >= curTick(): the fused delivery
-     * fast path hands messages over ahead of the clock (legal only
-     * while nothing else can fire first); every send and completion
-     * this triggers is anchored on @p base.
-     */
-    void handle(const CohMsg &msg, Tick base);
+    void handle(const CohMsg &msg);
 
     /** Statistics. */
     const CacheStats &stats() const { return stats_; }
@@ -297,8 +281,8 @@ class CacheCtrl
     /** Retry timer expired with the miss still outstanding. */
     void retryFired();
 
-    /** Issue a request message to the block's home at @p base. */
-    void sendRequest(MsgType t, BlockId blk, const Line &l, Tick base);
+    /** Issue a request message to the block's home. */
+    void sendRequest(MsgType t, BlockId blk, const Line &l);
 
     /** Deterministic backoff base after a Nack. */
     static constexpr Tick nackBackoffBase = 64;

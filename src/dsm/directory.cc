@@ -87,24 +87,6 @@ Directory::specObserve(BlockId blk, SymKind kind, NodeId src)
 }
 
 void
-Directory::sendAt(Tick when, CohMsg msg)
-{
-    if (canRunAt(when)) {
-        // Fused fast path: nothing can fire before @p when, so
-        // injecting now with @p when as the base is indistinguishable
-        // from bouncing through a pooled Send event -- including the
-        // jitter draw order, since no other send can interleave. The
-        // network only ever *schedules* from a send (never delivers
-        // inline), so this cannot run ahead of the caller's
-        // remaining work.
-        eq_.noteFused(when);
-        net_.sendAt(when, msg);
-        return;
-    }
-    scheduleKind(ActKind::Send, when, msg);
-}
-
-void
 Directory::flushFired()
 {
     // Pop-and-dispatch every action due on this tick; (due, seq)
@@ -118,7 +100,7 @@ Directory::flushFired()
     while (dueHead_ < dueQ_.size() && dueQ_[dueHead_].due <= now) {
         const DueAction a = dueQ_[dueHead_];
         ++dueHead_;
-        dispatch(a.kind, a.msg, now);
+        dispatch(a.kind, a.msg);
     }
     if (dueHead_ == dueQ_.size()) {
         dueQ_.clear(); // keeps capacity
@@ -135,25 +117,25 @@ Directory::flushFired()
 }
 
 void
-Directory::dispatch(ActKind kind, const CohMsg &msg, Tick base)
+Directory::dispatch(ActKind kind, const CohMsg &msg)
 {
     switch (kind) {
       case ActKind::Send:
         net_.send(msg);
         return;
       case ActKind::ReadReply:
-        readReplyFired(msg.blk, msg.dst, base);
+        readReplyFired(msg.blk, msg.dst);
         return;
       case ActKind::Grant:
-        grantExcl(entry(msg.blk), msg.blk, base);
+        grantExcl(entry(msg.blk), msg.blk);
         return;
       case ActKind::WbGetS:
-        wbGetSFired(msg.blk, base);
+        wbGetSFired(msg.blk);
         return;
       case ActKind::SwiComplete: {
         const BlockId blk = msg.blk;
-        completeSwi(entry(blk), blk, base);
-        drain(blk, base);
+        completeSwi(entry(blk), blk);
+        drain(blk);
         return;
       }
     }
@@ -161,7 +143,7 @@ Directory::dispatch(ActKind kind, const CohMsg &msg, Tick base)
 }
 
 void
-Directory::readReplyFired(BlockId blk, NodeId reader, Tick base)
+Directory::readReplyFired(BlockId blk, NodeId reader)
 {
     Entry &e = entry(blk);
     --e.repliesInFlight;
@@ -171,35 +153,35 @@ Directory::readReplyFired(BlockId blk, NodeId reader, Tick base)
     reply.dst = reader;
     reply.blk = blk;
     reply.remoteWork = reader != id_;
-    net_.sendAt(base, reply);
+    net_.send(reply);
     if (obs_) [[unlikely]]
-        obs_->dirInstant("read reply", id_, blk, base);
+        obs_->dirInstant("read reply", id_, blk);
     if (specEnabled())
-        frCheck(e, blk, reader, base);
-    drain(blk, base);
+        frCheck(e, blk, reader);
+    drain(blk);
 }
 
 void
-Directory::wbGetSFired(BlockId blk, Tick base)
+Directory::wbGetSFired(BlockId blk)
 {
     Entry &e = entry(blk);
     e.state = DirState::Shared;
     e.sharers.add(e.curReq);
-    replicate(e, blk, base);
+    replicate(e, blk);
     CohMsg reply;
     reply.type = MsgType::DataShared;
     reply.src = id_;
     reply.dst = e.curReq;
     reply.blk = blk;
     reply.remoteWork = true;
-    net_.sendAt(base, reply);
+    net_.send(reply);
     if (specEnabled())
-        frCheck(e, blk, e.curReq, base);
-    drain(blk, base);
+        frCheck(e, blk, e.curReq);
+    drain(blk);
 }
 
 void
-Directory::handle(const CohMsg &msg, Tick base)
+Directory::handle(const CohMsg &msg)
 {
     panic_if(map_.homeOf(msg.blk) != id_,
              "message routed to wrong home: ", msg.toString());
@@ -228,16 +210,16 @@ Directory::handle(const CohMsg &msg, Tick base)
             cold(e).deferred.push_back(msg);
             return;
         }
-        processRequest(e, msg, base);
+        processRequest(e, msg);
         return;
       }
       case MsgType::InvAck:
         observe(msg);
-        onInvAck(e, msg, base);
+        onInvAck(e, msg);
         return;
       case MsgType::WriteBack:
         observe(msg);
-        onWriteBack(e, msg, base);
+        onWriteBack(e, msg);
         return;
       default:
         panic("directory received unexpected ", msg.toString());
@@ -245,22 +227,21 @@ Directory::handle(const CohMsg &msg, Tick base)
 }
 
 void
-Directory::processRequest(Entry &e, const CohMsg &msg, Tick base)
+Directory::processRequest(Entry &e, const CohMsg &msg)
 {
     switch (msg.type) {
       case MsgType::GetS:
-        onGetS(e, msg, base);
+        onGetS(e, msg);
         return;
       case MsgType::GetX:
-        onWrite(e, msg, false, base);
+        onWrite(e, msg, false);
         return;
       case MsgType::Upgrade:
         // An upgrade whose copy was invalidated in flight is handled
         // as a full write request (the requester needs data again).
         onWrite(e, msg,
                 e.state == DirState::Shared &&
-                    e.sharers.contains(msg.src),
-                base);
+                    e.sharers.contains(msg.src));
         return;
       default:
         panic("processRequest on ", msg.toString());
@@ -268,10 +249,11 @@ Directory::processRequest(Entry &e, const CohMsg &msg, Tick base)
 }
 
 void
-Directory::onGetS(Entry &e, const CohMsg &msg, Tick base)
+Directory::onGetS(Entry &e, const CohMsg &msg)
 {
     const BlockId blk = msg.blk;
     const NodeId src = msg.src;
+    const Tick now = eq_.curTick();
     specObserve(blk, SymKind::Read, src);
 
     switch (e.state) {
@@ -282,13 +264,9 @@ Directory::onGetS(Entry &e, const CohMsg &msg, Tick base)
         // data reply is outstanding.
         e.state = DirState::Shared;
         e.sharers.add(src);
-        replicate(e, blk, base);
+        replicate(e, blk);
         ++e.repliesInFlight;
-        const Tick fire = base + cfg_.dirLookup + cfg_.memAccess;
-        if (fuseAt(e, fire)) {
-            readReplyFired(blk, src, fire);
-            return;
-        }
+        const Tick fire = now + cfg_.dirLookup + cfg_.memAccess;
         CohMsg m;
         m.blk = blk;
         m.dst = src;
@@ -307,7 +285,7 @@ Directory::onGetS(Entry &e, const CohMsg &msg, Tick base)
         recall.src = id_;
         recall.dst = e.owner;
         recall.blk = blk;
-        sendAt(base + cfg_.dirLookup, recall);
+        sendAt(now + cfg_.dirLookup, recall);
         return;
       }
       default:
@@ -316,11 +294,11 @@ Directory::onGetS(Entry &e, const CohMsg &msg, Tick base)
 }
 
 void
-Directory::onWrite(Entry &e, const CohMsg &msg, bool upgrade_grant,
-                   Tick base)
+Directory::onWrite(Entry &e, const CohMsg &msg, bool upgrade_grant)
 {
     const BlockId blk = msg.blk;
     const NodeId src = msg.src;
+    const Tick now = eq_.curTick();
     // The VMSP observes this write at grant time (see specObserve's
     // declaration); remember how the requester encoded it.
     e.curWriteSym = msg.type == MsgType::Upgrade ? SymKind::Upgrade
@@ -337,11 +315,8 @@ Directory::onWrite(Entry &e, const CohMsg &msg, bool upgrade_grant,
         e.curReq = src;
         e.curUpgradeGrant = false;
         e.curRemote = src != id_;
-        const Tick fire = base + cfg_.dirLookup + cfg_.memAccess;
-        if (fuseAt(e, fire))
-            grantExcl(e, blk, fire);
-        else
-            scheduleKind(ActKind::Grant, fire, blkMsg(blk));
+        scheduleKind(ActKind::Grant,
+                     now + cfg_.dirLookup + cfg_.memAccess, blkMsg(blk));
         return;
       }
       case DirState::Shared: {
@@ -356,12 +331,9 @@ Directory::onWrite(Entry &e, const CohMsg &msg, bool upgrade_grant,
             // Sole sharer upgrading, or stale sharer list: grant
             // directly (memory access only if data must be sent).
             e.state = DirState::BusyService;
-            const Tick fire = base + cfg_.dirLookup +
+            const Tick fire = now + cfg_.dirLookup +
                               (upgrade_grant ? 0 : cfg_.memAccess);
-            if (fuseAt(e, fire))
-                grantExcl(e, blk, fire);
-            else
-                scheduleKind(ActKind::Grant, fire, blkMsg(blk));
+            scheduleKind(ActKind::Grant, fire, blkMsg(blk));
             return;
         }
         e.state = DirState::BusyInval;
@@ -375,7 +347,7 @@ Directory::onWrite(Entry &e, const CohMsg &msg, bool upgrade_grant,
             inv.src = id_;
             inv.dst = o;
             inv.blk = blk;
-            sendAt(base + cfg_.dirLookup, inv);
+            sendAt(now + cfg_.dirLookup, inv);
         }
         return;
       }
@@ -393,7 +365,7 @@ Directory::onWrite(Entry &e, const CohMsg &msg, bool upgrade_grant,
         recall.src = id_;
         recall.dst = e.owner;
         recall.blk = blk;
-        sendAt(base + cfg_.dirLookup, recall);
+        sendAt(now + cfg_.dirLookup, recall);
         return;
       }
       default:
@@ -402,7 +374,7 @@ Directory::onWrite(Entry &e, const CohMsg &msg, bool upgrade_grant,
 }
 
 void
-Directory::onInvAck(Entry &e, const CohMsg &msg, Tick base)
+Directory::onInvAck(Entry &e, const CohMsg &msg)
 {
     panic_if(e.state != DirState::BusyInval,
              "InvAck outside invalidation: ", msg.toString());
@@ -413,56 +385,38 @@ Directory::onInvAck(Entry &e, const CohMsg &msg, Tick base)
         e.cold->ackWait.remove(msg.src);
     if (--e.pendingAcks == 0) {
         e.state = DirState::BusyService;
-        const Tick fire = base + cfg_.dirLookup;
-        if (fuseAt(e, fire))
-            grantExcl(e, msg.blk, fire);
-        else
-            scheduleKind(ActKind::Grant, fire, blkMsg(msg.blk));
+        scheduleKind(ActKind::Grant, eq_.curTick() + cfg_.dirLookup,
+                     blkMsg(msg.blk));
     }
 }
 
 void
-Directory::onWriteBack(Entry &e, const CohMsg &msg, Tick base)
+Directory::onWriteBack(Entry &e, const CohMsg &msg)
 {
     panic_if(e.state != DirState::BusyRecall,
              "WriteBack outside recall: ", msg.toString());
-    absorbWriteBack(e, msg.blk, base);
+    absorbWriteBack(e, msg.blk);
 }
 
 void
-Directory::absorbWriteBack(Entry &e, BlockId blk, Tick base)
+Directory::absorbWriteBack(Entry &e, BlockId blk)
 {
     e.owner = invalidNode;
     e.state = DirState::BusyService;
+    const Tick now = eq_.curTick();
 
     if (e.curIsSwi) {
-        const Tick fire = base + cfg_.memAccess;
-        if (fuseAt(e, fire)) {
-            completeSwi(e, blk, fire);
-            drain(blk, fire);
-            return;
-        }
-        scheduleKind(ActKind::SwiComplete, fire, blkMsg(blk));
+        scheduleKind(ActKind::SwiComplete, now + cfg_.memAccess,
+                     blkMsg(blk));
         return;
     }
-
-    const Tick fire = base + cfg_.memAccess + cfg_.dirLookup;
-    if (e.curType == MsgType::GetS) {
-        if (fuseAt(e, fire))
-            wbGetSFired(blk, fire);
-        else
-            scheduleKind(ActKind::WbGetS, fire, blkMsg(blk));
-        return;
-    }
-
-    if (fuseAt(e, fire))
-        grantExcl(e, blk, fire);
-    else
-        scheduleKind(ActKind::Grant, fire, blkMsg(blk));
+    scheduleKind(e.curType == MsgType::GetS ? ActKind::WbGetS
+                                            : ActKind::Grant,
+                 now + cfg_.memAccess + cfg_.dirLookup, blkMsg(blk));
 }
 
 void
-Directory::grantExcl(Entry &e, BlockId blk, Tick base)
+Directory::grantExcl(Entry &e, BlockId blk)
 {
     const NodeId w = e.curReq;
     if (faults_ && (faults_->dead(w) ||
@@ -476,8 +430,8 @@ Directory::grantExcl(Entry &e, BlockId blk, Tick base)
         e.state = DirState::Idle;
         e.owner = invalidNode;
         e.sharers.clear();
-        replicate(e, blk, base);
-        drain(blk, base);
+        replicate(e, blk);
+        drain(blk);
         return;
     }
     const bool upgrade = e.curUpgradeGrant;
@@ -488,7 +442,7 @@ Directory::grantExcl(Entry &e, BlockId blk, Tick base)
     e.state = DirState::Excl;
     e.owner = w;
     e.sharers.clear();
-    replicate(e, blk, base);
+    replicate(e, blk);
 
     CohMsg reply;
     reply.type = upgrade ? MsgType::UpgradeAck : MsgType::DataExcl;
@@ -496,16 +450,16 @@ Directory::grantExcl(Entry &e, BlockId blk, Tick base)
     reply.dst = w;
     reply.blk = blk;
     reply.remoteWork = e.curRemote;
-    net_.sendAt(base, reply);
+    net_.send(reply);
     if (obs_) [[unlikely]]
-        obs_->dirInstant("grant", id_, blk, base);
+        obs_->dirInstant("grant", id_, blk);
 
-    writeCompleted(blk, w, base);
-    drain(blk, base);
+    writeCompleted(blk, w);
+    drain(blk);
 }
 
 void
-Directory::drain(BlockId blk, Tick base)
+Directory::drain(BlockId blk)
 {
     // The entry reference must be re-fetched each iteration:
     // processing can insert new entries (never for this block, but
@@ -521,14 +475,14 @@ Directory::drain(BlockId blk, Tick base)
         }
         CohMsg m = c->deferred.front();
         c->deferred.pop_front();
-        processRequest(e, m, base);
+        processRequest(e, m);
     }
 }
 
 // --- Speculation -----------------------------------------------------
 
 void
-Directory::writeCompleted(BlockId blk, NodeId writer, Tick base)
+Directory::writeCompleted(BlockId blk, NodeId writer)
 {
     Entry &e = entry(blk);
 
@@ -561,11 +515,11 @@ Directory::writeCompleted(BlockId blk, NodeId writer, Tick base)
     if (!specEnabled() || mode_ != SpecMode::SwiFirstRead)
         return;
     if (auto prev = swiTable_.recordWrite(writer, blk))
-        trySwi(*prev, writer, base);
+        trySwi(*prev, writer);
 }
 
 void
-Directory::trySwi(BlockId blk, NodeId writer, Tick base)
+Directory::trySwi(BlockId blk, NodeId writer)
 {
     auto it = entries_.find(blk);
     if (it == entries_.end())
@@ -588,7 +542,7 @@ Directory::trySwi(BlockId blk, NodeId writer, Tick base)
     e.curReq = writer;
     ColdEntry &c = cold(e);
     c.swiExOwner = writer; // premature checks start at launch
-    c.swiLaunch = base;
+    c.swiLaunch = eq_.curTick();
     c.swiWriteKey = *wk;
     c.swiWriteKeyValid = true;
     c.swiVerdictPending = false;
@@ -601,21 +555,21 @@ Directory::trySwi(BlockId blk, NodeId writer, Tick base)
     recall.dst = writer;
     recall.blk = blk;
     recall.speculative = true;
-    sendAt(base + cfg_.dirLookup, recall);
+    sendAt(c.swiLaunch + cfg_.dirLookup, recall);
 }
 
 void
-Directory::completeSwi(Entry &e, BlockId blk, Tick base)
+Directory::completeSwi(Entry &e, BlockId blk)
 {
     specStats_.swiCompleted.inc();
     e.curIsSwi = false;
     e.state = DirState::Idle;
     ColdEntry &c = cold(e);
     c.swiEpoch = true; // swiExOwner was set at launch
-    specStats_.swiLat.sample(base - c.swiLaunch);
+    specStats_.swiLat.sample(eq_.curTick() - c.swiLaunch);
     if (obs_) [[unlikely]]
-        obs_->swiSpan(id_, blk, c.swiLaunch, base);
-    replicate(e, blk, base); // pushSpec refines this if readers exist
+        obs_->swiSpan(id_, blk, c.swiLaunch);
+    replicate(e, blk); // pushSpec refines this if readers exist
 
     // Trigger the predicted read sequence (Section 4.1): forward the
     // block to every predicted consumer.
@@ -626,11 +580,11 @@ Directory::completeSwi(Entry &e, BlockId blk, Tick base)
     if (!key)
         return;
     e.state = DirState::Shared;
-    pushSpec(e, blk, *readers, SpecTrigger::Swi, *key, base);
+    pushSpec(e, blk, *readers, SpecTrigger::Swi, *key);
 }
 
 void
-Directory::frCheck(Entry &e, BlockId blk, NodeId reader, Tick base)
+Directory::frCheck(Entry &e, BlockId blk, NodeId reader)
 {
     if (coldView(e).phaseTriggered)
         return;
@@ -645,12 +599,12 @@ Directory::frCheck(Entry &e, BlockId blk, NodeId reader, Tick base)
     rest.remove(reader);
     if (rest.empty())
         return;
-    pushSpec(e, blk, rest, SpecTrigger::FirstRead, *key, base);
+    pushSpec(e, blk, rest, SpecTrigger::FirstRead, *key);
 }
 
 void
 Directory::pushSpec(Entry &e, BlockId blk, NodeSet targets,
-                    SpecTrigger trig, const HistoryKey &key, Tick when)
+                    SpecTrigger trig, const HistoryKey &key)
 {
     if (faults_) {
         // Never speculate into a dead node: the push would be dropped
@@ -668,7 +622,7 @@ Directory::pushSpec(Entry &e, BlockId blk, NodeSet targets,
     c.misspecPenalized = false;
     c.specSent = c.specSent | targets;
     e.sharers = e.sharers | targets;
-    replicate(e, blk, when);
+    replicate(e, blk);
 
     for (NodeId t : targets) {
         if (trig == SpecTrigger::FirstRead)
@@ -681,7 +635,7 @@ Directory::pushSpec(Entry &e, BlockId blk, NodeSet targets,
         push.dst = t;
         push.blk = blk;
         push.trigger = trig;
-        sendAt(when, push);
+        net_.send(push);
     }
 }
 
@@ -799,12 +753,12 @@ Directory::verifyCopy(Entry &e, BlockId blk, const CohMsg &msg)
 // --- Fault layer -----------------------------------------------------
 
 void
-Directory::replicate(Entry &e, BlockId blk, Tick base)
+Directory::replicate(Entry &e, BlockId blk)
 {
     if (!faults_ || !faults_->replicating())
         return;
     faults_->noteShardDelta(blk, e.state == DirState::Excl, e.owner,
-                            e.sharers, base);
+                            e.sharers);
 }
 
 void
@@ -882,7 +836,7 @@ Directory::adopt(BlockId blk, NodeId holder, bool modified)
 }
 
 void
-Directory::pruneDead(NodeId v, Tick base)
+Directory::pruneDead(NodeId v)
 {
     for (auto &kv : entries_) {
         const BlockId blk = kv.first;
@@ -911,7 +865,7 @@ Directory::pruneDead(NodeId v, Tick base)
             if (e.owner == v) {
                 // The recall (or its writeback) is lost with the
                 // node; absorb the writeback locally as of now.
-                absorbWriteBack(e, blk, base);
+                absorbWriteBack(e, blk);
             }
             break;
           case DirState::BusyInval: {
@@ -922,7 +876,9 @@ Directory::pruneDead(NodeId v, Tick base)
                 c->ackWait.remove(v);
                 if (--e.pendingAcks == 0) {
                     e.state = DirState::BusyService;
-                    scheduleKind(ActKind::Grant, base + cfg_.dirLookup, blkMsg(blk));
+                    scheduleKind(ActKind::Grant,
+                                 eq_.curTick() + cfg_.dirLookup,
+                                 blkMsg(blk));
                 }
             }
             break;

@@ -94,15 +94,7 @@ class Directory
               SpecMode mode);
 
     /** Network-side handler for requests and acknowledgements. */
-    void handle(const CohMsg &msg) { handle(msg, eq_.curTick()); }
-
-    /**
-     * handle() as of tick @p base >= curTick(): the fused delivery
-     * fast path hands messages over ahead of the clock (legal only
-     * while nothing else can fire first); all service latencies and
-     * sends this triggers are anchored on @p base.
-     */
-    void handle(const CohMsg &msg, Tick base);
+    void handle(const CohMsg &msg);
 
     /** Protocol statistics. */
     const DirStats &stats() const { return stats_; }
@@ -153,14 +145,14 @@ class Directory
     void adopt(BlockId blk, NodeId holder, bool modified);
 
     /**
-     * Surviving-directory sweep after node @p v fail-stops at
-     * @p base: drop @p v's deferred requests, prune it from sharer
+     * Surviving-directory sweep after node @p v fail-stops (now):
+     * drop @p v's deferred requests, prune it from sharer
      * sets and speculation targets, release blocks it owned, absorb
      * the writeback of a recall it can no longer answer, and stop
      * waiting for its invalidation acks (completing the write
      * transaction if it was the last one).
      */
-    void pruneDead(NodeId v, Tick base);
+    void pruneDead(NodeId v);
 
     /**
      * Fail-back: drop every entry of geometric shard @p home that
@@ -305,7 +297,7 @@ class Directory
     void flushFired();
 
     /** Run one popped action with the clock at its due tick. */
-    void dispatch(ActKind kind, const CohMsg &msg, Tick base);
+    void dispatch(ActKind kind, const CohMsg &msg);
 
     /**
      * Shard replication hook, called whenever a transaction leaves
@@ -313,7 +305,7 @@ class Directory
      * fault layer (which batches the ShardSync traffic). Free when
      * FaultPlan::replicateShards is off -- one predictable branch.
      */
-    void replicate(Entry &e, BlockId blk, Tick base);
+    void replicate(Entry &e, BlockId blk);
 
     /**
      * Arm the flush event for @p t, keeping an already-armed earlier
@@ -363,47 +355,11 @@ class Directory
         return m;
     }
 
-    /**
-     * The directory-side fused fast path's guard: a deferred action
-     * whose fire tick is already known may run immediately -- with
-     * that tick as its timing base -- iff nothing else can fire at or
-     * before it (strictly, so an event scheduled earlier for the same
-     * tick keeps priority). Under the guard the action's side effects
-     * and its schedules/sends are observed by the rest of the machine
-     * exactly as from the pooled-event path, one event dispatch
-     * cheaper; when the guard fails the caller falls back to
-     * scheduleKind(), which is the pre-fusion behaviour tick for
-     * tick. The same argument as Processor::step()'s fused run.
-     */
-    bool
-    canRunAt(Tick when)
-    {
-        // Exact guard: a false decline costs a due-queue round trip
-        // and a flush dispatch, which dwarf one bitmap scan.
-        return eq_.canFuseBeforeExact(when);
-    }
-
-    /**
-     * Gate for running a deferred FSM action inline: the horizon
-     * guard (canRunAt) plus an empty deferral queue -- deferred
-     * requests are logically-earlier work invisible to the event
-     * queue, and an inline action must never run ahead of them.
-     * Notes the watermark on success.
-     */
-    bool
-    fuseAt(const Entry &e, Tick when)
-    {
-        if (e.hasDeferred() || !canRunAt(when))
-            return false;
-        eq_.noteFused(when);
-        return true;
-    }
-
     /** GetS service finished: send the data, trigger speculation. */
-    void readReplyFired(BlockId blk, NodeId reader, Tick base);
+    void readReplyFired(BlockId blk, NodeId reader);
 
     /** Writeback for a demand GetS absorbed: share to the requester. */
-    void wbGetSFired(BlockId blk, Tick base);
+    void wbGetSFired(BlockId blk);
 
     /**
      * Find-or-create the block's entry, memoizing the most recent
@@ -492,34 +448,34 @@ class Directory
      */
     void specObserve(BlockId blk, SymKind kind, NodeId src);
 
-    // The protocol handlers below take the tick they logically run at
-    // (@p base): the event queue's clock when invoked from a message
-    // delivery or a pooled event, or a future tick when reached
-    // through the fused fast path under canRunAt()'s guard. All their
-    // timing -- service latencies, message injection -- is relative
-    // to that base.
-    void processRequest(Entry &e, const CohMsg &msg, Tick base);
-    void onGetS(Entry &e, const CohMsg &msg, Tick base);
-    void onWrite(Entry &e, const CohMsg &msg, bool upgrade_grant,
-                 Tick base);
-    void onInvAck(Entry &e, const CohMsg &msg, Tick base);
-    void onWriteBack(Entry &e, const CohMsg &msg, Tick base);
+    // The protocol handlers below act at curTick(): all their timing
+    // -- service latencies, message injection -- is relative to it.
+    void processRequest(Entry &e, const CohMsg &msg);
+    void onGetS(Entry &e, const CohMsg &msg);
+    void onWrite(Entry &e, const CohMsg &msg, bool upgrade_grant);
+    void onInvAck(Entry &e, const CohMsg &msg);
+    void onWriteBack(Entry &e, const CohMsg &msg);
 
     /**
      * The state machinery of onWriteBack, minus the arrival checks:
      * also invoked by pruneDead() to absorb, at kill time, the
      * writeback a dead owner can no longer send.
      */
-    void absorbWriteBack(Entry &e, BlockId blk, Tick base);
+    void absorbWriteBack(Entry &e, BlockId blk);
 
     /** Grant exclusive ownership at the end of a write transaction. */
-    void grantExcl(Entry &e, BlockId blk, Tick base);
+    void grantExcl(Entry &e, BlockId blk);
 
     /** Process deferred requests until busy again or empty. */
-    void drain(BlockId blk, Tick base);
+    void drain(BlockId blk);
 
-    /** Send a message from this node at tick @p when. */
-    void sendAt(Tick when, CohMsg msg);
+    /** Send a message from this node at tick @p when (a deferred
+     * Send action in the due-queue). */
+    void
+    sendAt(Tick when, const CohMsg &msg)
+    {
+        scheduleKind(ActKind::Send, when, msg);
+    }
 
     // --- Speculation (Section 4) -------------------------------------
 
@@ -527,21 +483,21 @@ class Directory
     bool specEnabled() const { return mode_ != SpecMode::None && vmsp_; }
 
     /** SWI bookkeeping when a write transaction completes. */
-    void writeCompleted(BlockId blk, NodeId writer, Tick base);
+    void writeCompleted(BlockId blk, NodeId writer);
 
     /** Attempt a speculative write invalidation of @p blk owned by
      * @p writer (called when the writer moves on to another block). */
-    void trySwi(BlockId blk, NodeId writer, Tick base);
+    void trySwi(BlockId blk, NodeId writer);
 
     /** SWI recall finished: push predicted readers, open the epoch. */
-    void completeSwi(Entry &e, BlockId blk, Tick base);
+    void completeSwi(Entry &e, BlockId blk);
 
     /** First-Read trigger after serving a read for @p reader. */
-    void frCheck(Entry &e, BlockId blk, NodeId reader, Tick base);
+    void frCheck(Entry &e, BlockId blk, NodeId reader);
 
-    /** Push speculative copies to @p targets at tick @p when. */
+    /** Push speculative copies to @p targets now. */
     void pushSpec(Entry &e, BlockId blk, NodeSet targets,
-                  SpecTrigger trig, const HistoryKey &key, Tick when);
+                  SpecTrigger trig, const HistoryKey &key);
 
     /** Premature-SWI detection at request arrival (Section 4.1). */
     void prematureCheck(const CohMsg &msg);

@@ -60,7 +60,6 @@ FaultManager::FaultManager(EventQueue &eq, Network &net,
     }
     if (plan_.ckptInterval > 0)
         eq_.schedule(plan_.ckptInterval, ckptEvent_);
-    updateHorizon();
     outcome_.faulted = true;
 }
 
@@ -109,18 +108,6 @@ FaultManager::killsPending() const
 }
 
 void
-FaultManager::updateHorizon()
-{
-    Tick h = maxTick;
-    for (std::size_t i = 0; i < planEvents_.size(); ++i) {
-        const PlanEvent &pe = planEvents_[i];
-        if (pe.scheduled())
-            h = std::min(h, pe.when());
-    }
-    eq_.setFaultHorizon(h);
-}
-
-void
 FaultManager::planFired(PlanEvent &e)
 {
     switch (e.kind) {
@@ -134,11 +121,10 @@ FaultManager::planFired(PlanEvent &e)
         predLoss(e.node);
         break;
     }
-    updateHorizon();
 }
 
 void
-FaultManager::rehome(NodeId h, NodeId to, Tick now)
+FaultManager::rehome(NodeId h, NodeId to)
 {
     if (to == h && dead(h))
         return; // pathological explicit backup == dead victim
@@ -193,7 +179,7 @@ FaultManager::rehome(NodeId h, NodeId to, Tick now)
             m.src = sn;
             m.dst = to;
             m.blk = 0;
-            net_.sendAt(now, m);
+            net_.send(m);
         }
     }
 }
@@ -205,7 +191,7 @@ FaultManager::killNode(NodeId v)
     const Tick now = eq_.curTick();
     verbose("fault: kill node ", v, " at tick ", now);
     if (obs_) [[unlikely]]
-        obs_->faultInstant("kill", v, now);
+        obs_->faultInstant("kill", v);
 
     // Fail-stop: from this instant every message the node launched
     // before the crash is recognizably stale (epoch bump) and every
@@ -221,19 +207,19 @@ FaultManager::killNode(NodeId v)
     const NodeId b = backupFor(v);
     remap_[v] = b;
     if (obs_) [[unlikely]]
-        obs_->faultInstant("rehome", b, now);
+        obs_->faultInstant("rehome", b);
 
     // Every surviving directory prunes the dead node from its own
     // bookkeeping (sharer sets, pending acks, owned blocks).
     for (std::size_t d = 0; d < dirs_.size(); ++d) {
         const NodeId dn = static_cast<NodeId>(d);
         if (dn != v && !dead(dn))
-            dirs_[d]->pruneDead(v, now);
+            dirs_[d]->pruneDead(v);
     }
 
     // The backup installs the victim's shard (replicated mirror or
     // survivor sweep; see rehome()).
-    rehome(v, b, now);
+    rehome(v, b);
 
     // Cascading failure: every shard the victim was hosting as a
     // backup (its own failover() just dumped their entries) re-homes
@@ -247,7 +233,7 @@ FaultManager::killNode(NodeId v)
             continue;
         const NodeId next = successor(hn);
         remap_[h] = next;
-        rehome(hn, next, now);
+        rehome(hn, next);
     }
 
     // The victim's predictor state dies with it.
@@ -273,7 +259,7 @@ FaultManager::restartNode(NodeId v)
     const Tick now = eq_.curTick();
     verbose("fault: restart node ", v, " at tick ", now);
     if (obs_) [[unlikely]]
-        obs_->faultInstant("restart", v, now);
+        obs_->faultInstant("restart", v);
     deadSet_.remove(v);
 
     // Fail-back: the restarted victim re-adopts its original shard
@@ -291,10 +277,10 @@ FaultManager::restartNode(NodeId v)
         dirs_[host]->releaseShard(v);
         ++outcome_.failbacks;
         if (obs_) [[unlikely]]
-            obs_->faultInstant("failback", host, now);
+            obs_->faultInstant("failback", host);
     }
     remap_[v] = v;
-    rehome(v, v, now);
+    rehome(v, v);
 
     // Warm restart: the victim's own predictor warms up again from
     // the last checkpoint it replicated out before the crash.
@@ -302,7 +288,7 @@ FaultManager::restartNode(NodeId v)
         vmsps_[v]->mergeFrom(*ckpts_[v]);
 
     awaiting_.add(v);
-    procs_[v]->restart(now);
+    procs_[v]->restart();
     outcome_.restartTick = now;
     outcome_.opsAtRestart = totalOps();
 }
@@ -311,24 +297,25 @@ void
 FaultManager::predLoss(NodeId v)
 {
     if (obs_) [[unlikely]]
-        obs_->faultInstant("pred loss", v, eq_.curTick());
+        obs_->faultInstant("pred loss", v);
     for (PredictorBase *p : nodePreds_[v])
         p->reset();
     ++outcome_.predLosses;
 }
 
 void
-FaultManager::noteProgress(NodeId n, Tick t)
+FaultManager::noteProgress(NodeId n)
 {
     if (awaiting_.contains(n)) {
         awaiting_.remove(n);
-        outcome_.recoveredTick = std::max(outcome_.recoveredTick, t);
+        outcome_.recoveredTick =
+            std::max(outcome_.recoveredTick, eq_.curTick());
     }
 }
 
 void
 FaultManager::noteShardDelta(BlockId blk, bool excl, NodeId owner,
-                             NodeSet sharers, Tick base)
+                             NodeSet sharers)
 {
     const NodeId h = map_.geometricHomeOf(blk);
     MirrorEntry &me = mirror_[h][blk];
@@ -354,7 +341,7 @@ FaultManager::noteShardDelta(BlockId blk, bool excl, NodeId owner,
     m.src = src;
     m.dst = dst;
     m.blk = blk; // the delta that filled the batch
-    net_.sendAt(base, m);
+    net_.send(m);
 }
 
 void
@@ -388,7 +375,7 @@ FaultManager::checkpointFired()
             m.src = v;
             m.dst = b;
             m.blk = static_cast<BlockId>(k);
-            net_.sendAt(now, m);
+            net_.send(m);
         }
         outcome_.ckptMessages += burst;
     }

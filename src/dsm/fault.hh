@@ -270,8 +270,7 @@ class FaultManager
     /**
      * A directory transaction left @p blk in a new stable state:
      * mirror it, and every shardSyncBatch deltas ship one batched
-     * ShardSync message from the block's acting home to its backup
-     * as of tick @p base.
+     * ShardSync message from the block's acting home to its backup.
      *
      * @param excl true iff the block has an exclusive owner
      * @param owner the owner when @p excl
@@ -279,10 +278,10 @@ class FaultManager
      *        conservatively) when not @p excl
      */
     void noteShardDelta(BlockId blk, bool excl, NodeId owner,
-                        NodeSet sharers, Tick base);
+                        NodeSet sharers);
 
-    /** A restarted processor's first step() dispatch at tick @p t. */
-    void noteProgress(NodeId n, Tick t);
+    /** A restarted processor's first step() dispatch (now). */
+    void noteProgress(NodeId n);
 
     /** Outcome so far (final after the run drains). */
     const FaultOutcome &outcome() const { return outcome_; }
@@ -321,9 +320,6 @@ class FaultManager
     void predLoss(NodeId v);
     void checkpointFired();
 
-    /** Re-derive the fusion ceiling from still-pending plan events. */
-    void updateHorizon();
-
     /** The node adopting @p v's shard under this plan. */
     NodeId backupFor(NodeId v) const;
 
@@ -334,12 +330,12 @@ class FaultManager
     NodeId successor(NodeId from) const;
 
     /**
-     * Install geometric shard @p h's directory state at dirs_[to] as
-     * of tick @p now: from the replicated mirror when the plan
+     * Install geometric shard @p h's directory state at dirs_[to]
+     * now: from the replicated mirror when the plan
      * replicates shards, otherwise by sweeping the surviving caches
      * (one RehomeSync message per contributing node).
      */
-    void rehome(NodeId h, NodeId to, Tick now);
+    void rehome(NodeId h, NodeId to);
 
     /** Machine-wide executed-op total (phase-throughput sampling). */
     std::uint64_t totalOps() const;

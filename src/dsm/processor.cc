@@ -20,7 +20,7 @@ GlobalBarrier::removeWaiter(const Event &resume)
 }
 
 void
-GlobalBarrier::arrive(Event &resume, Tick base)
+GlobalBarrier::arrive(Event &resume)
 {
     waiting_.push_back(&resume);
     if (waiting_.size() < parties_)
@@ -29,129 +29,72 @@ GlobalBarrier::arrive(Event &resume, Tick base)
     // Scheduling in arrival order at the same tick preserves the
     // resume order (same-tick ties break by schedule order).
     for (Event *e : waiting_)
-        eq_.schedule(base + cost_, *e);
+        eq_.scheduleAfter(cost_, *e);
     waiting_.clear();
 }
 
-/**
- * Execute a fused run of compiled ops.
- *
- * The loop maintains a virtual time vt >= curTick(). The invariant
- * that makes executing an op at vt exact is: either vt == curTick()
- * (the op runs on the clock, as always), or vt is strictly below the
- * earliest pending event (the horizon). In the latter case no event
- * -- no message delivery, no invalidation, no other processor's step
- * -- can fire between the clock and vt, so every side effect the op
- * performs "early" (line-state mutation, statistics, the MSHR fill,
- * a request injected with base tick vt) is observed by the rest of
- * the machine exactly as if the op had run on the clock at vt, with
- * identical event sequence numbers. Whenever the next op's virtual
- * completion would reach the horizon, the processor schedules its
- * step event at vt instead -- which is precisely the pre-fusion
- * behaviour -- and the run ends.
- *
- * The horizon is computed at most once per invocation: the loop only
- * schedules or sends on its way out, so the pending set -- and hence
- * nextTick() -- cannot change while the run is in progress.
- */
 void
-Processor::step(Tick now)
+Processor::step()
 {
     panic_if(!started_, "processor ", id_, " started without a trace");
+    const Tick now = eq_.curTick();
     if (resumeNotify_) [[unlikely]] {
         // First dispatch after a restart: this is the node resuming
         // useful work, the endpoint of the time-to-recover metric.
         resumeNotify_ = false;
-        faults_->noteProgress(id_, now);
+        faults_->noteProgress(id_);
     }
-    Tick vt = now;
-    // Exact guard: a false decline here does not just take a slower
-    // path, it ends the whole fused run and costs a step-event round
-    // trip, so the scan is always worth it.
-    const auto advanceOk = [&](Tick to) {
-        return eq_.canFuseBeforeExact(to);
-    };
-
-    for (;;) {
-        if (pc_ == trace_.count) {
-            // The trace ends at vt, possibly ahead of the clock
-            // (fused run or fused completion): finish inline and let
-            // the watermark carry the end time -- scheduling a resync
-            // event here would only advance the clock to a tick
-            // endTick() already accounts for.
-            done_ = true;
-            stats_.finishTick = vt;
-            eq_.noteFused(vt);
-            if (obs_) [[unlikely]]
-                obs_->procInstant("trace done", id_, vt);
-            return;
-        }
-
-        const CompiledOp op = trace_.ops[pc_];
-        switch (op.kind()) {
-          case OpKind::Compute:
-            ++pc_;
-            ++stats_.ops;
-            vt += op.payload();
-            if (advanceOk(vt))
-                continue;
-            eq_.schedule(vt, stepEvent_);
-            return;
-
-          case OpKind::Read:
-          case OpKind::Write: {
-            const bool write = op.kind() == OpKind::Write;
-            const BlockId blk = op.payload();
-            ++pc_;
-            ++stats_.ops;
-            if (op.hitEligible()) {
-                if (const Tick lat = cache_.tryHit(blk, write, vt)) {
-                    stats_.memWait += lat;
-                    vt += lat;
-                    if (advanceOk(vt))
-                        continue;
-                    eq_.schedule(vt, stepEvent_);
-                    return;
-                }
-                access_.issued = vt;
-                cache_.issueMiss(blk, write, access_, vt);
-                return;
-            }
-            // Not annotated hit-eligible: first-ever touch of the
-            // block by this trace, which cannot be cache-resident
-            // (even speculative pushes only target past readers) --
-            // but stay exact rather than clever: the full access
-            // path re-checks and completes rare hits through the
-            // cache's own timer, bit-identically.
-            access_.issued = vt;
-            cache_.accessAt(blk, write, access_, vt);
-            return;
-          }
-
-          case OpKind::Barrier:
-            if (vt > now) {
-                // Arrival order is resume order: rejoin the clock
-                // before arriving.
-                eq_.schedule(vt, stepEvent_);
-                return;
-            }
-            ++pc_;
-            ++stats_.ops;
-            barrier_.arrive(stepEvent_, now);
-            return;
-        }
-        panic("unknown compiled op kind");
+    if (pc_ == trace_.count) {
+        done_ = true;
+        stats_.finishTick = now;
+        if (obs_) [[unlikely]]
+            obs_->procInstant("trace done", id_);
+        return;
     }
+
+    const CompiledOp op = trace_.ops[pc_++];
+    ++stats_.ops;
+    switch (op.kind()) {
+      case OpKind::Compute:
+        eq_.scheduleAfter(op.payload(), stepEvent_);
+        return;
+
+      case OpKind::Read:
+      case OpKind::Write: {
+        const bool write = op.kind() == OpKind::Write;
+        const BlockId blk = op.payload();
+        access_.issued = now;
+        if (!op.hitEligible()) {
+            // First-ever touch of the block by this trace, which
+            // cannot be cache-resident (even speculative pushes only
+            // target past readers) -- but stay exact rather than
+            // clever: the full access path re-checks and completes
+            // rare hits through the cache's own timer.
+            cache_.accessBlock(blk, write, access_);
+        } else if (const Tick lat = cache_.tryHit(blk, write)) {
+            stats_.memWait += lat;
+            eq_.scheduleAfter(lat, stepEvent_);
+        } else {
+            cache_.issueMiss(blk, write, access_);
+        }
+        return;
+      }
+
+      case OpKind::Barrier:
+        barrier_.arrive(stepEvent_);
+        return;
+    }
+    panic("unknown compiled op kind");
 }
 
 void
-Processor::accessDone(AccessRecord &r, bool remote, Tick base)
+Processor::accessDone(AccessRecord &r, bool remote)
 {
-    const Tick stall = base - r.issued;
+    const Tick stall = eq_.curTick() - r.issued;
     stats_.memWait += stall;
     if (remote)
         stats_.requestWait += stall;
-    step(base);
+    step();
 }
 
 void
@@ -168,7 +111,7 @@ Processor::kill()
         return;
     }
     if (stepEvent_.scheduled()) {
-        // Between ops (compute expiry, fused-hit resume, or a
+        // Between ops (compute expiry, hit resume, or a
         // released barrier's resume): remember when it would have
         // continued; no op is lost.
         resumeAt_ = stepEvent_.when();
@@ -184,14 +127,14 @@ Processor::kill()
 }
 
 void
-Processor::restart(Tick base)
+Processor::restart()
 {
     if (!started_ || done_)
         return;
     panic_if(stepEvent_.scheduled(),
              "processor ", id_, " restarted while running");
     resumeNotify_ = faults_ != nullptr;
-    eq_.schedule(std::max(base, resumeAt_), stepEvent_);
+    eq_.schedule(std::max(eq_.curTick(), resumeAt_), stepEvent_);
     resumeAt_ = 0;
 }
 

@@ -43,10 +43,10 @@ class GlobalBarrier
     }
 
     /**
-     * Arrive as of tick @p base; @p resume fires when all parties
-     * have arrived (@p base of the last arriver anchors the release).
+     * Arrive now; @p resume fires when all parties have arrived (the
+     * last arrival's tick anchors the release).
      */
-    void arrive(Event &resume, Tick base);
+    void arrive(Event &resume);
 
     /** Number of completed barrier episodes. */
     std::uint64_t episodes() const { return episodes_; }
@@ -90,16 +90,11 @@ struct ProcStats
  * the cache plus the issue tick), so a memory operation is issued and
  * completed without allocating or copying a callback.
  *
- * step() executes a *fused run* of local operations per invocation:
- * compute delays and (hit-eligible) cache hits advance a virtual time
- * ahead of the clock for as long as the event queue guarantees no
- * other event can fire first (EventQueue::nextTick(), strictly),
- * so a run of local ops costs one event dispatch instead of one per
- * op. The guard makes the fusion exact: any event at or before the
- * virtual time -- an invalidation killing a "hit", a message whose
- * jitter draw must stay ordered -- breaks the run, and the processor
- * falls back to scheduling its resume on the clock, which is the
- * pre-fusion behaviour tick for tick.
+ * step() executes exactly one op per dispatch, at curTick(): a
+ * compute delay or a (hit-eligible) cache hit schedules the step
+ * event at its completion tick, a miss hands the access to the cache
+ * (whose fill re-enters step()), and a barrier parks the step event
+ * at the barrier.
  */
 class Processor
 {
@@ -149,18 +144,18 @@ class Processor
     void kill();
 
     /**
-     * Resume execution at @p base >= the kill tick (or at the
-     * remembered resume tick if that lies later). The first step()
-     * dispatch afterwards reports progress to the fault layer.
+     * Resume execution now (or at the remembered resume tick if that
+     * lies later). The first step() dispatch afterwards reports
+     * progress to the fault layer.
      */
-    void restart(Tick base);
+    void restart();
 
   private:
     struct StepEvent final : public Event
     {
         explicit StepEvent(Processor *p) : proc(p) {}
 
-        void process() override { proc->step(proc->clockTick()); }
+        void process() override { proc->step(); }
 
         Processor *proc;
     };
@@ -177,24 +172,21 @@ class Processor
         {}
 
         static void
-        fired(MemCompletion &self, bool remote, Tick base)
+        fired(MemCompletion &self, bool remote)
         {
             auto &r = static_cast<AccessRecord &>(self);
-            r.proc->accessDone(r, remote, base);
+            r.proc->accessDone(r, remote);
         }
 
         Processor *proc;
         Tick issued = 0;
     };
 
-    /** Execute a fused run of ops as of tick @p now >= curTick(). */
-    void step(Tick now);
+    /** Execute the next op. */
+    void step();
 
-    /** The cache completed the outstanding access as of @p base. */
-    void accessDone(AccessRecord &r, bool remote, Tick base);
-
-    /** The event queue's clock (StepEvent dispatch anchor). */
-    Tick clockTick() const { return eq_.curTick(); }
+    /** The cache completed the outstanding access. */
+    void accessDone(AccessRecord &r, bool remote);
 
     NodeId id_;
     EventQueue &eq_;

@@ -25,7 +25,7 @@ DsmSystem::DsmSystem(const DsmConfig &cfg)
     : cfg_(cfg)
 {
     const unsigned n = cfg_.proto.numNodes;
-    fatal_if(n == 0 || n > 61, "node count ", n, " unsupported");
+    fatal_if(n == 0 || n > maxNodes, "node count ", n, " unsupported");
     fatal_if(cfg_.spec != SpecMode::None && cfg_.pred != PredKind::Vmsp,
              "read speculation requires the VMSP predictor");
 
@@ -170,7 +170,7 @@ DsmSystem::run(const CompiledWorkload &w)
             obsMgr_ ? ", instrumented" : "");
     const bool drained = eq_.run(cfg_.tickLimit);
     verbose("run ", drained ? "drained" : "hit the tick limit",
-            " at tick ", eq_.endTick(), ", ", net_->messagesSent(),
+            " at tick ", eq_.curTick(), ", ", net_->messagesSent(),
             " messages, ", eq_.executed(), " events");
 
     RunResult r;
@@ -195,7 +195,7 @@ DsmSystem::run(const CompiledWorkload &w)
             break;
         }
     }
-    r.execTicks = eq_.endTick();
+    r.execTicks = eq_.curTick();
     r.barrierEpisodes = barrier_->episodes();
     r.messages = net_->messagesSent();
     // Both counters are queue/network lifetime totals, so the ratio

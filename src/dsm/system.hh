@@ -190,6 +190,12 @@ struct RunResult
 };
 
 /**
+ * Largest supported machine: sharer sets are 64-bit NodeSets, and the
+ * node count is capped below that.
+ */
+inline constexpr unsigned maxNodes = 61;
+
+/**
  * One simulated CC-NUMA machine.
  *
  * Usage:

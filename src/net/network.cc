@@ -55,21 +55,20 @@ Network::ReadyRing::grow()
 }
 
 void
-Network::deliver(const CohMsg &msg, Tick base)
+Network::deliver(const CohMsg &msg)
 {
     // Before the fault screens: a message dropped or bounced below
     // still physically reached this NI, and the tracer's per-pair
     // pairing state must advance for every transmission it recorded
     // a send for.
     if (obs_) [[unlikely]]
-        obs_->msgDelivered(msg, base);
+        obs_->msgDelivered(msg);
     if (faults_) [[unlikely]] {
         // Epoch screen: a message stamped before its sender's crash
         // must not mutate post-recovery state. Dropping it here --
-        // the single delivery funnel for both the evented and the
-        // fused paths -- is what makes "all in-flight traffic of the
-        // victim is lost" an invariant rather than a per-handler
-        // case analysis.
+        // the single delivery funnel -- is what makes "all in-flight
+        // traffic of the victim is lost" an invariant rather than a
+        // per-handler case analysis.
         if (msg.srcEpoch != faults_->epoch(msg.src)) {
             faults_->noteStaleDropped();
             return;
@@ -87,7 +86,7 @@ Network::deliver(const CohMsg &msg, Tick base)
                 nack.src = msg.dst;
                 nack.dst = msg.src;
                 nack.blk = msg.blk;
-                sendAt(base, nack);
+                send(nack);
             } else {
                 faults_->noteDeadDropped();
             }
@@ -108,7 +107,7 @@ Network::deliver(const CohMsg &msg, Tick base)
                 nack.src = msg.dst;
                 nack.dst = msg.src;
                 nack.blk = msg.blk;
-                sendAt(base, nack);
+                send(nack);
             } else {
                 faults_->noteMisrouted();
             }
@@ -121,63 +120,33 @@ Network::deliver(const CohMsg &msg, Tick base)
         // acknowledgements go to the home directory, commands and
         // data responses to the cache controller.
         if (routesToDirectory(msg.type))
-            s.dir->handle(msg, base);
+            s.dir->handle(msg);
         else
-            s.cache->handle(msg, base);
+            s.cache->handle(msg);
         return;
     }
     s.fn(s.ctx, msg);
 }
 
 void
-Network::sendAt(Tick base, CohMsg msg)
-{
-    sendImpl(base, msg, 0);
-}
-
-void
-Network::sendImpl(Tick base, CohMsg msg, unsigned attempt)
+Network::sendImpl(CohMsg msg, unsigned attempt)
 {
     panic_if(msg.src >= cfg_.numNodes || msg.dst >= cfg_.numNodes,
              "send: bad endpoints in ", msg.toString());
     panic_if(!sinks_[msg.dst].attached(), "send: node ", msg.dst,
              " has no sink");
-    panic_if(base < eq_.curTick(), "sendAt: base tick in the past");
     if (faults_ && attempt == 0) [[unlikely]]
         msg.srcEpoch = faults_->epoch(msg.src);
     sent_.inc();
 
-    const Tick now = base;
+    const Tick now = eq_.curTick();
 
     if (msg.src == msg.dst) {
         // Local traffic (processor to its own home directory and
-        // back) crosses only the node's bus. Deliberately NOT fused:
-        // a sender may have logically-earlier work left after this
-        // call (a directory grant sends its reply before its SWI
-        // bookkeeping sends a recall), and an inline delivery here
-        // could run a whole downstream chain ahead of it. Deliveries
-        // only fuse where the caller stack is empty -- the drain
-        // dispatch.
-        const LocalPending p{now + 1, pushSeq_++, msg};
-        if (localQ_.size() > localHead_ && p.due < localQ_.back().due)
-            [[unlikely]] {
-            // Out-of-order push: an on-the-clock sender slipped under
-            // locals queued by a fused sender running ahead of it.
-            // Insert in (due, seq) order -- seq ties are impossible
-            // (pushSeq_ is unique and increasing), and equal dues
-            // sort the newcomer after, so scanning on strict due
-            // keeps the order stable.
-            auto it = localQ_.end();
-            const auto first = localQ_.begin() +
-                               static_cast<std::ptrdiff_t>(localHead_);
-            while (it != first && p.due < (it - 1)->due)
-                --it;
-            localQ_.insert(it, p);
-        } else {
-            localQ_.push_back(p);
-        }
+        // back) crosses only the node's bus.
+        localQ_.push_back(LocalPending{now + 1, msg});
         if (obs_) [[unlikely]]
-            obs_->msgSent(msg, now, now + 1);
+            obs_->msgSent(msg);
         armLocal(now + 1);
         return;
     }
@@ -195,10 +164,7 @@ Network::sendImpl(Tick base, CohMsg msg, unsigned attempt)
     // dedicated path (zero shared links, flat netLatency); a link
     // route walks its hops in order, the message head contending for
     // each link as it goes. Links, like the egress NI, reserve in
-    // *injection* order right here in sendAt -- on the clock or
-    // fused-ahead, the reservation sequence is the sendAt call
-    // sequence, which fusion never reorders (the fusion-exactness
-    // invariant), so link state evolves identically either way.
+    // *injection* order right here, at send time.
     const Topology::Route &rt = topo_.route(msg.src, msg.dst);
     Tick head = departure;
     if (rt.hops == 0) [[likely]] {
@@ -245,7 +211,7 @@ Network::sendImpl(Tick base, CohMsg msg, unsigned attempt)
     // exact firing order of the retired per-message arrival events --
     // and delivers; no per-message event is scheduled at all.
     if (obs_) [[unlikely]]
-        obs_->msgSent(msg, now, arrival);
+        obs_->msgSent(msg);
     pushIngress(msg.dst, arrival, msg);
 }
 
@@ -335,7 +301,7 @@ Network::retransmitFired(RetransmitEvent &ev)
     ev.nextFree = loss_->freeList;
     loss_->freeList = &ev;
     loss_->resends.inc();
-    sendImpl(eq_.curTick(), msg, attempt);
+    sendImpl(msg, attempt);
 }
 
 void
@@ -365,15 +331,13 @@ Network::pushIngress(NodeId dst, Tick arrival, const CohMsg &msg)
         // Optimistic single-slot reservation -- the dense-run common
         // case (the overwhelming share of arrivals find their
         // destination otherwise quiet). Reserve immediately, with no
-        // heap round trip and no event-horizon guard: the
-        // reservation arithmetic depends only on per-destination
-        // order, so it is exact unless a later send undercuts this
-        // arrival -- and the rollback above restores state
-        // bit-for-bit, so being wrong costs an unwind instead of
-        // every fast push costing a proof. Raw-sink destinations get
-        // the same treatment: the final reservation order is strict
-        // (arrival, seq) either way, so the cross-source jitter
-        // races tests drive through raw hooks are preserved.
+        // heap round trip: the reservation arithmetic depends only on
+        // per-destination order, so it is exact unless a later send
+        // undercuts this arrival (a backlogged egress NI plus jitter
+        // lets a later send arrive earlier) -- and the rollback above
+        // restores state bit-for-bit, so being wrong costs an unwind.
+        // The final reservation order is strict (arrival, seq) either
+        // way, so the cross-source jitter races are preserved.
         const Tick occ = carriesData(msg.type) ? cfg_.niData
                                                : cfg_.niControl;
         in.slotValid = true;
@@ -386,51 +350,34 @@ Network::pushIngress(NodeId dst, Tick arrival, const CohMsg &msg)
     } else {
         in.pq.push_back(Pending{arrival, pushSeq_++, msg});
         std::push_heap(in.pq.begin(), in.pq.end(), PendingLater{});
-        // Send-time early reservation -- the retired fused-send
-        // elision: when the guard proves nothing can fire at or
-        // before the head's arrival, no later send can undercut it,
-        // so its reservation can run right now and the drain wakes
-        // at the *delivery* tick directly. Not while a live slot
-        // sits at the ready tail, though: reserveHead would stack a
-        // canonical reservation on top of a speculative one and
-        // break the rollback; the drain's catch-up sweep retires the
-        // slot the moment its arrival passes.
-        if (!in.slotValid)
-            while (!in.pq.empty() && fusible(dst)
-                   && eq_.canFuseBefore(in.pq.front().arrival))
-                reserveHead(dst, in);
     }
 
-    // Keep the node's next *delivery* visible: the head reserved
+    // Inside this destination's own drain loop the push does not
+    // arm: the loop re-arms the drain itself on exit.
+    if (dst == draining_)
+        return;
+    // Arm the drain for the node's next *delivery*: the head reserved
     // delivery when one is in flight, else the pending head's
     // projected delivery tick. Unreserved arrivals need no wake of
     // their own -- reservation is deferred arithmetic that the
     // delivery dispatch batches, and if a later send undercuts the
-    // head this very function re-publishes the earlier tick. Inside
-    // this destination's own drain loop the bound goes to the fusion
-    // floor (the loop re-arms the drain itself on exit); otherwise
-    // the drain is armed, where the max() only matters after an
-    // external deschedule (the fault-suite scenario): this push
-    // heals it.
+    // head this very function re-arms the earlier tick. The max()
+    // only matters after an external deschedule (the fault-suite
+    // scenario): this push heals it.
     const Tick next = !in.ready.empty() ? in.ready.front().delivered
                                         : projectedDelivery(dst, in);
-    if (dst == draining_) {
-        if (next < eq_.fuseFloor())
-            eq_.setFuseFloor(next);
-    } else {
-        armDrain(in, std::max(next, eq_.curTick()));
-    }
+    armDrain(in, std::max(next, eq_.curTick()));
 }
 
 void
 Network::reserveHead(NodeId n, NodeIngress &in)
 {
     // A canonical reservation stacking on top retires the optimistic
-    // slot. Every caller reaching here with a live slot has the
-    // pending head's arrival in the past (the drain's catch-up
-    // sweep), and pq arrivals never undercut a live slot (such a
-    // push unwinds it first), so the slot's own arrival is in the
-    // past too -- beyond any future send's reach.
+    // slot. The only caller is the drain's catch-up sweep, so the
+    // pending head's arrival is in the past, and pq arrivals never
+    // undercut a live slot (such a push unwinds it first), so the
+    // slot's own arrival is in the past too -- beyond any future
+    // send's reach.
     in.slotValid = false;
     const Pending &p = in.pq.front();
     const Tick occ = carriesData(p.msg.type) ? cfg_.niData
@@ -444,14 +391,11 @@ void
 Network::drainFired(NodeId n)
 {
     NodeIngress &in = ingress_[n];
-    const Tick curT = eq_.curTick();
-    Tick now = curT;
+    const Tick now = eq_.curTick();
     // The drain event is off the queue for the whole loop (it just
-    // fired, and pushIngress routes this node's bound to the fusion
-    // floor while draining_ names it). Re-arming it around every
-    // delivery cost a schedule/deschedule pair per message and
-    // invalidated the queue's min-memo each time -- the floor gives
-    // the guards the identical bound for one store.
+    // fired, and pushIngress leaves it unarmed while draining_ names
+    // this node); the loop re-arms it once on exit instead of around
+    // every delivery.
     draining_ = n;
     for (;;) {
         // Batched ingress reservation: book the NI for every arrival
@@ -462,69 +406,31 @@ Network::drainFired(NodeId n)
             reserveHead(n, in);
 
         if (in.ready.empty()) {
-            if (in.pq.empty())
-                break; // idle: the next push re-arms the drain
-            const Tick a = in.pq.front().arrival; // > now
-            if (!eq_.canFuseBefore(a)) {
-                // Sleep straight to the head's projected delivery
-                // tick; pushIngress re-arms earlier if a later send
-                // undercuts the head. The projection sits past a,
-                // hence past now and curT -- no clamp needed.
+            // Sleep straight to the pending head's projected delivery
+            // tick; pushIngress re-arms earlier if a later send
+            // undercuts the head. The projection lies past its
+            // arrival, hence past now.
+            if (!in.pq.empty())
                 armDrain(in, projectedDelivery(n, in));
-                break;
-            }
-            // Nothing can fire at or before a, so no send -- on the
-            // clock or fused ahead of it -- can beat this arrival to
-            // the NI: reserve it now and sleep straight through to
-            // its delivery tick (the retired fused-send elision,
-            // generalized to every quiet arrival).
-            reserveHead(n, in);
-            continue;
+            break; // idle: the next push re-arms the drain
         }
 
         const Tick d = in.ready.front().delivered;
         if (d > now) {
-            // Fuse the delivery inline at base d if its window is
-            // event-free. The drain itself is off the queue, so the
-            // guard answers about foreign events only -- no
-            // deschedule dance around its own arm.
-            if (!(fusible(n) && eq_.canFuseBeforeExact(d))) {
-                armDrain(in, d);
-                break;
-            }
-            // The occupancy window is event-free: deliver inline at
-            // base d instead of sleeping to it (the retired
-            // arrival-stage fusion, now chaining across deliveries).
-            eq_.noteFused(d);
-            now = d;
+            armDrain(in, d);
+            break;
         }
 
         // Deliver the head. Copy and pop first -- the handler may
-        // send to this very node -- and publish the node's next
-        // action on the fusion floor *before* handing control away,
-        // so every other component's fusion guard sees this node's
-        // pending work (the visibility invariant; ARCHITECTURE.md,
-        // "Batched NI drain").
+        // send to this very node.
         const CohMsg msg = in.ready.front().msg;
         in.ready.pop();
         if (in.ready.empty())
             in.slotValid = false; // the slot (ready tail) delivered
-        const Tick next = !in.ready.empty()
-                              ? in.ready.front().delivered
-                              : (!in.pq.empty()
-                                     ? projectedDelivery(n, in)
-                                     : maxTick);
-        eq_.setFuseFloor(next);
-        if (now > curT) {
-            FuseScope scope(this);
-            deliver(msg, d);
-        } else {
-            deliver(msg, d);
-        }
-        eq_.setFuseFloor(maxTick);
+        deliver(msg);
         // Loop on: the handler may have queued more work for this
-        // node, and further due or fusible deliveries fold into this
-        // same dispatch instead of costing one each.
+        // node, and further due deliveries fold into this same
+        // dispatch instead of costing one each.
     }
     draining_ = noNode;
 }
@@ -532,17 +438,17 @@ Network::drainFired(NodeId n)
 void
 Network::localFlushFired()
 {
-    // Deliver everything due on this tick in (due, seq) order -- the
-    // same order the retired per-message events fired in for any one
+    // Deliver everything due on this tick in push order -- the same
+    // order the retired per-message events fired in for any one
     // node's stream. Handlers may push new locals mid-loop; those are
-    // due next tick at the earliest and never fold into this flush.
-    // Copy-then-index throughout: deliver() can push new locals,
-    // which may insert into (and reallocate) the suffix under us.
+    // due next tick and never fold into this flush. Copy-then-index
+    // throughout: deliver() can push new locals, which may
+    // reallocate the queue under us.
     const Tick now = eq_.curTick();
     while (localHead_ < localQ_.size() && localQ_[localHead_].due <= now) {
         const CohMsg msg = localQ_[localHead_].msg;
         ++localHead_;
-        deliver(msg, now);
+        deliver(msg);
     }
     if (localHead_ == localQ_.size()) {
         localQ_.clear(); // keeps capacity: steady state allocates nothing

@@ -55,11 +55,11 @@ struct LinkLossRule;
  * self-rescheduling drain event per node books the ingress NI for
  * every message whose arrival has come and delivers the due one --
  * O(busy periods) event dispatches instead of the former O(messages)
- * arrival+delivery pair per message. The drain is always scheduled at
- * or before the node's next delivery, so the fused fast paths'
- * canFuseBefore() horizon still sees every pending delivery (see
- * docs/ARCHITECTURE.md, "Batched NI drain"). Only local (src == dst)
- * messages still ride a pooled per-message event.
+ * arrival+delivery pair per message (see docs/ARCHITECTURE.md,
+ * "Batched NI drain"). Local (src == dst) messages share one
+ * machine-wide flush event instead. Every send injects at curTick()
+ * and every delivery happens at curTick(): nothing in the network
+ * runs ahead of the clock.
  *
  * Delivery is statically dispatched: a node attaches its concrete
  * cache controller and home directory, and the network routes each
@@ -91,19 +91,7 @@ class Network
     void attach(NodeId n, RawDeliver fn, void *ctx);
 
     /** Inject @p msg at its source NI at the current tick. */
-    void send(CohMsg msg) { sendAt(eq_.curTick(), msg); }
-
-    /**
-     * Inject @p msg at its source NI at tick @p base >= curTick().
-     * This is the fused-run fast path's injection point: a processor
-     * executing ahead of the clock (legal only while no other event
-     * can fire first, so no other send can interleave) issues its
-     * next miss with the virtual issue tick as the injection base,
-     * and every downstream time -- egress occupancy, flight, jitter
-     * draw order, arrival -- comes out exactly as if the send had
-     * happened on the clock.
-     */
-    void sendAt(Tick base, CohMsg msg);
+    void send(CohMsg msg) { sendImpl(msg, 0); }
 
     /** Messages sent so far. */
     std::uint64_t messagesSent() const { return sent_.value(); }
@@ -166,10 +154,10 @@ class Network
     /**
      * Attach the observability layer (null in untraced runs, the
      * default). With it attached, every transmission that reaches its
-     * destination's ingress reports its (send, arrival) pair, and
-     * every delivery reports its base tick -- the tracer pairs the
-     * two into flow arrows. Dropped transmissions never report a
-     * send, so the pairing survives lossy links.
+     * destination's ingress reports its send, and every delivery
+     * reports itself -- the tracer pairs the two into flow arrows.
+     * Dropped transmissions never report a send, so the pairing
+     * survives lossy links.
      */
     void setObs(ObsManager *o) { obs_ = o; }
 
@@ -191,17 +179,16 @@ class Network
     /**
      * One in-flight *local* message (src == dst): a single bus cycle
      * straight to delivery, no NI involvement. All nodes' local
-     * traffic shares one due-ordered queue behind one flush event --
-     * handlers running on the same tick across the machine each put
-     * their loopback on the bus together, so flushing them in one
-     * dispatch replaces the densest per-message event population left
-     * after the ingress drain. Remote messages ride the
-     * per-destination drain instead.
+     * traffic shares one FIFO behind one flush event -- handlers
+     * running on the same tick across the machine each put their
+     * loopback on the bus together, so flushing them in one dispatch
+     * replaces the densest per-message event population left after
+     * the ingress drain. Remote messages ride the per-destination
+     * drain instead.
      */
     struct LocalPending
     {
         Tick due;
-        std::uint64_t seq; //!< push order; breaks same-tick ties
         CohMsg msg;
     };
 
@@ -313,8 +300,8 @@ class Network
         DrainEvent drain;
         /**
          * Single-slot optimistic reservation (see pushIngress). While
-         * set, the ready *tail* holds a reservation made without an
-         * event-horizon proof; a later send undercutting slotArrival
+         * set, the ready *tail* holds a reservation made before its
+         * arrival came due; a later send undercutting slotArrival
          * unwinds it from these saved values. The slot retires --
          * becomes indistinguishable from a canonical reservation --
          * when a canonical reservation lands on top of it
@@ -390,33 +377,8 @@ class Network
         eq_.schedule(t, in.drain);
     }
 
-    /**
-     * Hand @p msg to its destination sink as of tick @p base
-     * (defined in network.cc). @p base == curTick() when reached by
-     * a delivery event, ahead of the clock on the fused fast path.
-     */
-    void deliver(const CohMsg &msg, Tick base);
-
-    /**
-     * True iff node @p n's sink may be driven ahead of the clock: a
-     * full protocol node anchors all its timing on the base tick the
-     * delivery hands it. Raw test hooks are excluded -- they are
-     * entitled to read the clock -- so attaching one pins that node
-     * to on-the-tick deliveries.
-     *
-     * The depth cap bounds fused *chains*: in a quiet system a local
-     * transaction's delivery re-enters the processor, which issues
-     * the next access, which delivers again -- recursion that could
-     * otherwise walk an entire trace in one stack. Past the cap the
-     * delivery falls back to the evented drain path, which is
-     * behaviourally identical (that is the whole fusion invariant),
-     * so the cap trades only constant factors, never results.
-     */
-    bool
-    fusible(NodeId n) const
-    {
-        return sinks_[n].cache != nullptr && fuseDepth_ < maxFuseDepth;
-    }
+    /** Hand @p msg to its destination sink (defined in network.cc). */
+    void deliver(const CohMsg &msg);
 
     /**
      * Contend for the destination's ingress NI as of @p arrival:
@@ -481,13 +443,12 @@ class Network
     };
 
     /**
-     * The shared sendAt body. @p attempt counts transmissions already
-     * burned on this message: 0 from the public entry points, >= 1
-     * from the retransmit path. Every transmission re-pays egress and
-     * link occupancy and counts toward messagesSent() -- retries are
-     * real traffic.
+     * The shared send body. @p attempt counts transmissions already
+     * burned on this message: 0 from send(), >= 1 from the retransmit
+     * path. Every transmission re-pays egress and link occupancy and
+     * counts toward messagesSent() -- retries are real traffic.
      */
-    void sendImpl(Tick base, CohMsg msg, unsigned attempt);
+    void sendImpl(CohMsg msg, unsigned attempt);
 
     /**
      * Does the loss schedule claim the head crossing @p link at
@@ -507,16 +468,6 @@ class Network
     /** Re-inject a dropped message from its source NI. */
     void retransmitFired(RetransmitEvent &ev);
 
-    /** RAII depth guard for an inline (fused) delivery. */
-    struct FuseScope
-    {
-        explicit FuseScope(Network *n) : net(n) { ++net->fuseDepth_; }
-        ~FuseScope() { --net->fuseDepth_; }
-        Network *net;
-    };
-
-    static constexpr unsigned maxFuseDepth = 64;
-
     /** Sentinel for draining_: no drain loop on the stack. */
     static constexpr NodeId noNode = static_cast<NodeId>(~NodeId{0});
 
@@ -532,14 +483,13 @@ class Network
     std::vector<Tick> pairLast_; //!< last arrival per (src,dst) pair
     std::vector<NodeIngress> ingress_; //!< per-destination drain state
     /**
-     * Machine-wide local traffic, sorted ascending by (due, seq)
-     * from localHead_ on; [0, localHead_) is the flushed prefix.
-     * Pushes are near-monotone (due is the sender's base + 1 and
-     * bases never move backwards), so the common push is an append
-     * and the flush pops by bumping the index -- no heap sift either
-     * way. The prefix is reclaimed whenever the queue drains empty
-     * (the common case, keeping capacity), or compacted in place
-     * once it outgrows a small bound.
+     * Machine-wide local traffic in push order from localHead_ on;
+     * [0, localHead_) is the flushed prefix. Every push is due at
+     * curTick() + 1 and the clock never moves backwards, so push
+     * order is due order: pushes append and the flush pops by
+     * bumping the index. The prefix is reclaimed whenever the queue
+     * drains empty (the common case, keeping capacity), or compacted
+     * in place once it outgrows a small bound.
      */
     std::vector<LocalPending> localQ_;
     std::size_t localHead_ = 0; //!< first unflushed localQ_ entry
@@ -547,7 +497,6 @@ class Network
     FaultManager *faults_ = nullptr; //!< fault layer; null = fault-free
     ObsManager *obs_ = nullptr; //!< observability; null = untraced
     std::unique_ptr<LossState> loss_; //!< null = lossless (the default)
-    unsigned fuseDepth_ = 0; //!< live inline deliveries on the stack
     NodeId draining_ = noNode; //!< node whose drain loop is on stack
     std::uint64_t pushSeq_ = 0; //!< global arrival-tie sequencer
     Counter sent_;

@@ -97,34 +97,26 @@ ObsManager::emitPrefix()
 }
 
 void
-ObsManager::msgSent(const CohMsg &msg, Tick sendTick, Tick orderKey)
+ObsManager::msgSent(const CohMsg &msg)
 {
     if (!out_)
         return;
-    auto &q = pend_[std::size_t{msg.src} * numNodes_ + msg.dst];
-    // Keep the pair's queue in delivery order: non-decreasing
-    // orderKey, stable on ties. Remote arrivals are strictly monotone
-    // per pair (pure append); a node-local send from an on-the-clock
-    // sender can slip under locals queued by a fused sender running
-    // ahead of it, so the insert scans back exactly like the
-    // network's own sorted local queue.
-    auto it = q.end();
-    while (it != q.begin() && orderKey < (it - 1)->orderKey)
-        --it;
-    q.insert(it, PendingSend{sendTick, orderKey});
+    pend_[std::size_t{msg.src} * numNodes_ + msg.dst].push_back(
+        eq_.curTick());
 }
 
 void
-ObsManager::msgDelivered(const CohMsg &msg, Tick base)
+ObsManager::msgDelivered(const CohMsg &msg)
 {
     if (!out_)
         return;
     auto &q = pend_[std::size_t{msg.src} * numNodes_ + msg.dst];
     if (q.empty())
         return; // foreign send path (raw test sinks); nothing to pair
-    const PendingSend p = q.front();
+    const Tick sent = q.front();
     q.pop_front();
-    if (!inWindow(p.sendTick, base))
+    const Tick now = eq_.curTick();
+    if (!inWindow(sent, now))
         return;
     const std::uint64_t id = nextFlowId_++;
     const char *name = msgTypeName(msg.type);
@@ -133,20 +125,20 @@ ObsManager::msgDelivered(const CohMsg &msg, Tick base)
                  "{\"name\":\"%s\",\"cat\":\"msg\",\"ph\":\"s\","
                  "\"id\":%llu,\"ts\":%llu,\"pid\":0,\"tid\":%u,"
                  "\"args\":{\"blk\":%llu}}",
-                 name, ull(id), ull(p.sendTick), unsigned(msg.src),
+                 name, ull(id), ull(sent), unsigned(msg.src),
                  ull(msg.blk));
     emitPrefix();
     std::fprintf(out_,
                  "{\"name\":\"%s\",\"cat\":\"msg\",\"ph\":\"f\","
                  "\"bp\":\"e\",\"id\":%llu,\"ts\":%llu,\"pid\":0,"
                  "\"tid\":%u}",
-                 name, ull(id), ull(base), unsigned(msg.dst));
+                 name, ull(id), ull(now), unsigned(msg.dst));
 }
 
 void
-ObsManager::missSpan(NodeId n, BlockId blk, bool write, Tick issue,
-                     Tick fill)
+ObsManager::missSpan(NodeId n, BlockId blk, bool write, Tick issue)
 {
+    const Tick fill = eq_.curTick();
     if (!out_ || !inWindow(issue, fill))
         return;
     const char *name = write ? "write miss" : "read miss";
@@ -165,8 +157,9 @@ ObsManager::missSpan(NodeId n, BlockId blk, bool write, Tick issue,
 
 void
 ObsManager::instant(const char *name, const char *cat, unsigned tid,
-                    Tick t, BlockId blk, bool hasBlk)
+                    BlockId blk, bool hasBlk)
 {
+    const Tick t = eq_.curTick();
     if (!inWindow(t, t))
         return;
     emitPrefix();
@@ -184,18 +177,18 @@ ObsManager::instant(const char *name, const char *cat, unsigned tid,
 }
 
 void
-ObsManager::specInstant(const char *what, NodeId n, BlockId blk,
-                        Tick t)
+ObsManager::specInstant(const char *what, NodeId n, BlockId blk)
 {
     if (!out_)
         return;
-    instant(what, "spec", n, t, blk, true);
+    instant(what, "spec", n, blk, true);
 }
 
 void
 ObsManager::retryInstant(const char *what, NodeId n, BlockId blk,
-                         unsigned attempt, Tick t)
+                         unsigned attempt)
 {
+    const Tick t = eq_.curTick();
     if (!out_ || !inWindow(t, t))
         return;
     emitPrefix();
@@ -207,18 +200,17 @@ ObsManager::retryInstant(const char *what, NodeId n, BlockId blk,
 }
 
 void
-ObsManager::dirInstant(const char *what, NodeId home, BlockId blk,
-                       Tick t)
+ObsManager::dirInstant(const char *what, NodeId home, BlockId blk)
 {
     if (!out_)
         return;
-    instant(what, "dir", dirTidBase + home, t, blk, true);
+    instant(what, "dir", dirTidBase + home, blk, true);
 }
 
 void
-ObsManager::swiSpan(NodeId home, BlockId blk, Tick launch,
-                    Tick complete)
+ObsManager::swiSpan(NodeId home, BlockId blk, Tick launch)
 {
+    const Tick complete = eq_.curTick();
     if (!out_ || !inWindow(launch, complete))
         return;
     emitPrefix();
@@ -231,19 +223,19 @@ ObsManager::swiSpan(NodeId home, BlockId blk, Tick launch,
 }
 
 void
-ObsManager::faultInstant(const char *what, NodeId n, Tick t)
+ObsManager::faultInstant(const char *what, NodeId n)
 {
     if (!out_)
         return;
-    instant(what, "fault", n, t, 0, false);
+    instant(what, "fault", n, 0, false);
 }
 
 void
-ObsManager::procInstant(const char *what, NodeId n, Tick t)
+ObsManager::procInstant(const char *what, NodeId n)
 {
     if (!out_)
         return;
-    instant(what, "proc", n, t, 0, false);
+    instant(what, "proc", n, 0, false);
 }
 
 void

@@ -119,51 +119,52 @@ class ObsManager
     ObsManager &operator=(const ObsManager &) = delete;
 
     // ---- Trace hooks. All are cheap no-ops when tracing is off
-    // ---- (only the sampler was configured).
+    // ---- (only the sampler was configured). Every hook fires at
+    // ---- the moment it reports, so instants and span ends are
+    // ---- stamped with curTick().
 
     /**
      * A message was handed to the transport and *will* be delivered
      * (the network calls this after any loss-rule drop, so dropped
      * transmissions never enter the matcher; a retransmit re-enters
-     * as a fresh send). @p orderKey is the per-(src,dst) delivery
-     * ordering key: the clamped arrival tick for remote messages
-     * (strictly monotone per pair), the local due tick for node-local
-     * ones (which may slip under fused-ahead entries, mirroring the
-     * network's own sorted local queue).
+     * as a fresh send). Each (src,dst) pair delivers in send order --
+     * remote arrivals are strictly monotone per pair and local ones
+     * are due one tick after their send -- so the pair's pending
+     * sends form a FIFO.
      */
-    void msgSent(const CohMsg &msg, Tick sendTick, Tick orderKey);
+    void msgSent(const CohMsg &msg);
 
     /**
      * A message reached the delivery funnel (before any fault
      * screen). Pops the pair's oldest pending send and emits the
-     * flow-arrow pair (s at the send tick on the source track, f at
-     * @p base on the destination track).
+     * flow-arrow pair (s at the send tick on the source track, f now
+     * on the destination track).
      */
-    void msgDelivered(const CohMsg &msg, Tick base);
+    void msgDelivered(const CohMsg &msg);
 
-    /** A demand miss filled: B/E span on the node's track. */
-    void missSpan(NodeId n, BlockId blk, bool write, Tick issue,
-                  Tick fill);
+    /** A demand miss issued at @p issue filled: B/E span on the
+     * node's track. */
+    void missSpan(NodeId n, BlockId blk, bool write, Tick issue);
 
     /** Speculation lifecycle instant ("spec place"/"use"/"drop"). */
-    void specInstant(const char *what, NodeId n, BlockId blk, Tick t);
+    void specInstant(const char *what, NodeId n, BlockId blk);
 
     /** Retry-FSM instant ("nack backoff"/"timeout retry"). */
     void retryInstant(const char *what, NodeId n, BlockId blk,
-                      unsigned attempt, Tick t);
+                      unsigned attempt);
 
     /** Directory action instant ("grant"/"read reply"). */
-    void dirInstant(const char *what, NodeId home, BlockId blk,
-                    Tick t);
+    void dirInstant(const char *what, NodeId home, BlockId blk);
 
-    /** A completed SWI episode: X span on the home's dir track. */
-    void swiSpan(NodeId home, BlockId blk, Tick launch, Tick complete);
+    /** An SWI episode launched at @p launch completed: X span on the
+     * home's dir track. */
+    void swiSpan(NodeId home, BlockId blk, Tick launch);
 
     /** Fault-layer instant ("kill"/"restart"/"rehome"/...). */
-    void faultInstant(const char *what, NodeId n, Tick t);
+    void faultInstant(const char *what, NodeId n);
 
     /** Processor lifecycle instant ("trace done"). */
-    void procInstant(const char *what, NodeId n, Tick t);
+    void procInstant(const char *what, NodeId n);
 
     // ---- Results.
 
@@ -187,12 +188,6 @@ class ObsManager
         ObsManager *mgr;
     };
 
-    /** A sent-but-not-yet-delivered message awaiting its flow pair. */
-    struct PendingSend
-    {
-        Tick sendTick;
-        Tick orderKey;
-    };
 
     void sampleFired();
     void takeSample();
@@ -206,9 +201,9 @@ class ObsManager
     /** Write the record separator and bump the first-event flag. */
     void emitPrefix();
 
-    /** Emit one instant event on track @p tid. */
+    /** Emit one instant event on track @p tid at curTick(). */
     void instant(const char *name, const char *cat, unsigned tid,
-                 Tick t, BlockId blk, bool hasBlk);
+                 BlockId blk, bool hasBlk);
 
     /** Directory tracks live above the cache/processor tracks. */
     static constexpr unsigned dirTidBase = 1000;
@@ -224,8 +219,8 @@ class ObsManager
     std::FILE *out_ = nullptr; //!< trace sink; null = tracing off
     bool first_ = true;        //!< no event emitted yet (JSON commas)
     std::uint64_t nextFlowId_ = 0;
-    //! Per-(src,dst) pending sends in delivery order.
-    std::vector<std::deque<PendingSend>> pend_;
+    //! Per-(src,dst) send ticks of undelivered messages, FIFO.
+    std::vector<std::deque<Tick>> pend_;
 
     SampleEvent sampleEvent_{this};
     std::vector<IntervalSample> series_;

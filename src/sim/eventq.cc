@@ -19,8 +19,6 @@ EventQueue::schedule(Tick when, Event &ev)
     ev.seq_ = nextSeq_++;
     ev.scheduled_ = true;
     ev.next_ = nullptr;
-    if (minValid_ && when < minHint_)
-        minHint_ = when;
     // wheelBase_ == curTick_, so the gigatick delta never underflows.
     const Tick gDelta = gigaOf(when) - gigaOf(wheelBase_);
     if (gDelta <= 1) [[likely]]
@@ -64,8 +62,6 @@ EventQueue::deschedule(Event &ev)
 {
     if (!ev.scheduled_)
         return false;
-    if (minValid_ && ev.when_ <= minHint_)
-        minValid_ = false;
     // The wheel invariants make an event's level a pure function of
     // its tick: gigaticks curG/curG+1 live in the near wheel, the
     // next 254 in the far wheel, everything beyond in the heap.
@@ -233,7 +229,6 @@ EventQueue::advanceTo(Tick t)
 bool
 EventQueue::run(Tick limit)
 {
-    runLimit_ = limit; // canFuseBefore() honours the guard too
     while (pending() > 0) {
         const Tick next =
             wheelCount_ > 0 ? nextWheelTick() : nextFarTick();
@@ -244,8 +239,7 @@ EventQueue::run(Tick limit)
         // The occupancy bit tracks the bucket exactly, including
         // while handlers run: it is cleared the moment a pop empties
         // the bucket and re-set by enqueueWheel when a handler
-        // schedules more same-tick work. nextTick() peeks from inside
-        // process() -- the fused-run guard -- depend on this.
+        // schedules more same-tick work.
         Bucket &b = buckets_[next & wheelMask];
         while (Event *e = b.head) {
             b.head = e->next_;
@@ -258,12 +252,6 @@ EventQueue::run(Tick limit)
             e->next_ = nullptr;
             e->scheduled_ = false;
             ++executed_;
-            // While same-tick events remain, the queue minimum is
-            // exactly this tick; once the bucket empties it must be
-            // recomputed on demand. Handlers' fused-path guards read
-            // the hint through nextTick().
-            minHint_ = next;
-            minValid_ = b.head != nullptr;
             // process() may schedule new events, including into this
             // very bucket (same-tick work is drained in FIFO order).
             e->process();

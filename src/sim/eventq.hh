@@ -27,15 +27,20 @@
  *  - Only events beyond the far horizon (> ~1M ticks, e.g. deadlock
  *    guards) take a small overflow heap ordered by (tick, seq); they
  *    migrate into the far wheel as the window advances.
+ *
+ * The clock is the machine's only timing base: an event fires at
+ * curTick() and its handler acts at curTick(). Nothing runs ahead of
+ * the clock, so the run's end time is simply curTick() once the
+ * queue drains.
  */
 
 #ifndef MSPDSM_SIM_EVENTQ_HH
 #define MSPDSM_SIM_EVENTQ_HH
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "base/chunked_vector.hh"
@@ -176,135 +181,6 @@ class EventQueue
     }
 
     /**
-     * Tick of the earliest pending event without removing it, or
-     * maxTick when the queue is empty. Exact even while an event is
-     * being processed: remaining same-tick events report curTick().
-     * This is the guard the processor's fused-run fast path relies on
-     * -- executing trace operations ahead of the clock is only safe
-     * while nothing else can fire first -- and a useful diagnostic on
-     * its own.
-     */
-    Tick
-    nextTick() const
-    {
-        if (minValid_) [[likely]]
-            return minHint_;
-        if (pending() == 0)
-            return maxTick;
-        minHint_ = wheelCount_ > 0 ? nextWheelTick() : nextFarTick();
-        minValid_ = true;
-        return minHint_;
-    }
-
-    /**
-     * The fused fast paths' guard: true iff nothing can fire at or
-     * before @p when, so deferred work based at @p when may run
-     * immediately. Semantically `when < nextTick()`, with two cost
-     * controls on top:
-     *
-     *  - while the queue minimum is memoized (minHint_), the answer
-     *    is exact and costs a compare;
-     *  - when answering would need a fresh bitmap scan, the guard is
-     *    *budgeted*: after repeated scan-and-fail outcomes it starts
-     *    declining without scanning (exponential backoff, reset by
-     *    any success). Declining is always sound -- the caller just
-     *    takes the pooled-event path, which is behaviourally
-     *    identical -- so the backoff trades only elision rate, never
-     *    results, and keeps the guard free on workloads too dense to
-     *    fuse while staying fully active on quiet ones. The skip
-     *    counter is queue state, so runs remain deterministic.
-     */
-    bool
-    canFuseBefore(Tick when)
-    {
-        // Never fuse past the run's tick limit: pre-fusion, work at
-        // such a tick would have been an event run() refuses to fire
-        // (the deadlock guard), and fused execution must refuse it
-        // identically or a tick-limited run would misreport Completed.
-        if (when > runLimit_)
-            return false;
-        // Never fuse across a fault boundary: state at or after the
-        // next scheduled fault tick depends on the fault's sweep
-        // (dead-node drops, re-homed directories), so work based
-        // there must go through the event path. The pending fault
-        // event already makes the memo/scan checks below refuse such
-        // ticks; this explicit horizon is the documented hard
-        // guarantee, independent of memo state.
-        if (when >= faultHorizon_)
-            return false;
-        if (when >= fuseFloor_)
-            return false;
-        if (minValid_) [[likely]]
-            return when < minHint_;
-        if (fuseSkip_ > 0) {
-            --fuseSkip_;
-            return false;
-        }
-        if (when < nextTick()) {
-            fuseFails_ = 0;
-            return true;
-        }
-        fuseSkip_ = 1u << (fuseFails_ < 6 ? fuseFails_ : 6);
-        ++fuseFails_;
-        return false;
-    }
-
-    /**
-     * The exact form of canFuseBefore(): same run-limit and
-     * fault-horizon gates, but a cold memo is refreshed with a scan
-     * instead of budgeted away. For call sites where a false decline
-     * costs a whole schedule/dispatch/deschedule round trip -- one
-     * bitmap scan is cheaper than one event -- and whose decline rate
-     * is bounded by the event count anyway (a decline ends the
-     * caller's fused run, so the scans cannot outnumber the events
-     * they are traded against).
-     */
-    bool
-    canFuseBeforeExact(Tick when)
-    {
-        if (when > runLimit_ || when >= faultHorizon_)
-            return false;
-        if (when >= fuseFloor_)
-            return false;
-        return when < nextTick();
-    }
-
-    /**
-     * Fusion visibility floor: both guards refuse any tick at or past
-     * it, exactly as if an event were scheduled there. The network's
-     * drain loop publishes a node's next pending action here for the
-     * duration of each delivery handler instead of re-arming the
-     * drain event around it -- the bound the guards see is identical,
-     * but a store replaces a schedule/deschedule pair, and the
-     * deschedule's min-memo invalidation (the drain usually *is* the
-     * queue minimum) no longer forces a bitmap rescan per delivery.
-     * maxTick means no floor; holders must restore it on exit.
-     */
-    Tick fuseFloor() const { return fuseFloor_; }
-
-    void setFuseFloor(Tick t) { fuseFloor_ = t; }
-
-    /**
-     * Record work performed ahead of the clock by a fused fast path.
-     * The clock itself only advances on events; a fused chain running
-     * against an otherwise empty queue (horizon == maxTick) would be
-     * invisible to it, so components note the base tick of fused work
-     * and endTick() folds the watermark in.
-     */
-    void
-    noteFused(Tick t)
-    {
-        if (t > fusedTime_)
-            fusedTime_ = t;
-    }
-
-    /**
-     * The logical end time of the simulation: the clock, or the
-     * latest fused work if that ran past the final event.
-     */
-    Tick endTick() const { return std::max(curTick_, fusedTime_); }
-
-    /**
      * Run until the queue drains or an event beyond @p limit is next.
      * @return true if the queue drained, false if the limit was hit
      *         (which usually indicates a deadlock in the simulated
@@ -314,17 +190,6 @@ class EventQueue
 
     /** Total number of events executed over the queue's lifetime. */
     std::uint64_t executed() const { return executed_; }
-
-    /**
-     * Set the earliest tick at which machine state may change
-     * abruptly (the next scheduled fault). canFuseBefore() refuses
-     * any base tick at or beyond it. maxTick (the default) disables
-     * the gate; the fault layer advances it as fault events fire.
-     */
-    void setFaultHorizon(Tick t) { faultHorizon_ = t; }
-
-    /** The current fault-fusion horizon (maxTick = none). */
-    Tick faultHorizon() const { return faultHorizon_; }
 
   private:
     /**
@@ -482,21 +347,6 @@ class EventQueue
     EventPool<LambdaEvent> lambdaPool_;
 
     Tick curTick_ = 0;
-    Tick fusedTime_ = 0; //!< watermark of work done ahead of the clock
-    /**
-     * Memo of the earliest pending tick, shared by every fused-path
-     * guard within one event handler (they would otherwise each pay
-     * a bitmap scan). Exact while valid: scheduling can only lower
-     * it (folded in eagerly), popping the minimum or descheduling an
-     * event at it invalidates it.
-     */
-    mutable Tick minHint_ = 0;
-    mutable bool minValid_ = false;
-    Tick runLimit_ = maxTick; //!< active run()'s deadlock-guard limit
-    Tick faultHorizon_ = maxTick; //!< next fault tick; fusion ceiling
-    Tick fuseFloor_ = maxTick;    //!< drain-published pending work
-    unsigned fuseSkip_ = 0;  //!< guard scans to decline outright
-    unsigned fuseFails_ = 0; //!< consecutive scan-and-fail outcomes
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
 };

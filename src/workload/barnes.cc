@@ -23,6 +23,8 @@
 
 #include "workload/suite.hh"
 
+#include <algorithm>
+
 #include "base/random.hh"
 #include "workload/layout.hh"
 
@@ -54,7 +56,10 @@ makeBarnes(const AppParams &p)
         fixed_writer[c] = static_cast<unsigned>(rng.uniform(0, n - 1));
         std::vector<bool> used(n, false);
         used[fixed_writer[c]] = true;
-        const unsigned deg = 3;
+        // Three fixed readers besides the writer -- or every other
+        // node on a machine too small for three, so the rejection
+        // draw below always terminates.
+        const unsigned deg = std::min(3u, n - 1);
         for (unsigned r = 0; r < deg; ++r) {
             unsigned q;
             do {

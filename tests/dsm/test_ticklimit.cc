@@ -67,10 +67,10 @@ TEST(TickLimit, ResumedRunRereadsTheCompiledArena)
     // Regression: run(traces) used to compile into a call-local
     // CompiledWorkload, so a guard trip left the resumable step
     // events holding spans into a freed arena. An all-compute trace
-    // hides that (it fuses to one op, already consumed when the guard
-    // trips); memory ops break fusion, so this trace still has
-    // unexecuted compiled ops at the trip and the resumed steps must
-    // re-read the arena -- which now lives on the system.
+    // hides that (it compiles to one op, already consumed when the
+    // guard trips); memory ops split the compute runs, so this trace
+    // still has unexecuted compiled ops at the trip and the resumed
+    // steps must re-read the arena -- which now lives on the system.
     DsmConfig cfg = smallConfig();
     cfg.tickLimit = 500;
     DsmSystem sys(cfg);
@@ -85,14 +85,11 @@ TEST(TickLimit, ResumedRunRereadsTheCompiledArena)
     EXPECT_GT(sys.eventQueue().curTick(), Tick{500});
 }
 
-TEST(TickLimit, FusedRunsHonourTheGuard)
+TEST(TickLimit, LoneComputeTraceHonoursTheGuard)
 {
-    // Regression: the processor's fused fast path executes ahead of
-    // the clock, and against an otherwise empty queue its horizon
-    // guard is vacuous -- the only remaining backstop is the run
-    // limit itself. The last processor to start (everyone else has
-    // an empty trace) must still trip the guard, not fuse straight
-    // through it and report Completed.
+    // A compute-only trace past the limit on an otherwise idle
+    // machine: its last step event lies beyond the limit, so the run
+    // must trip the guard and report TickLimit, not Completed.
     DsmConfig cfg = smallConfig();
     cfg.tickLimit = 500;
     DsmSystem sys(cfg);

@@ -111,3 +111,25 @@ TEST(Golden, BarnesDeepHistoryRunMatchesSeedKernel)
     EXPECT_EQ(r.observers[2].stats.correct.value(), 0u);
     EXPECT_EQ(r.observers[2].storage.pteTotal, 50u);
 }
+
+TEST(Golden, UnstructuredSwiRunPinsOnTheClockTiming)
+{
+    // Captured when the fused fast path was deleted: every handler
+    // now acts at curTick(), so same-tick work that used to run
+    // ahead of the clock interleaves with other nodes' events in
+    // queue order. This cell is one whose execTicks *and* message
+    // count moved with that change (147129 ticks, 6424 messages and
+    // 160 FR-served reads before), so a future fast path that shifts
+    // timing cannot pass unnoticed the way the fused one did.
+    ExperimentConfig ec = tiny();
+    ec.scale = 0.5;
+    const RunResult r =
+        runSpec("unstructured", SpecMode::SwiFirstRead, ec);
+    EXPECT_EQ(r.status, RunStatus::Completed);
+    EXPECT_EQ(r.execTicks, 147066u);
+    EXPECT_EQ(r.messages, 6420u);
+    EXPECT_EQ(r.swiSent, 496u);
+    EXPECT_EQ(r.specSentSwi, 384u);
+    EXPECT_EQ(r.specServedSwi, 236u);
+    EXPECT_EQ(r.specServedFr, 162u);
+}

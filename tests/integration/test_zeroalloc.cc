@@ -125,24 +125,21 @@ struct PingPong
     };
 
     static void
-    readerDone(MemCompletion &self, bool, Tick base)
+    readerDone(MemCompletion &self, bool)
     {
         PingPong *pp = static_cast<ReaderDone &>(self).owner;
-        // Node 0 (the home) writes the block next. The completion may
-        // arrive through the fused fast path (ahead of the clock), so
-        // the follow-on access anchors on the completion tick.
-        pp->caches[0]->accessAt(0, true, pp->writer, base);
+        // Node 0 (the home) writes the block next.
+        pp->caches[0]->accessBlock(0, true, pp->writer);
     }
 
     static void
-    writerDone(MemCompletion &self, bool, Tick base)
+    writerDone(MemCompletion &self, bool)
     {
         PingPong *pp = static_cast<WriterDone &>(self).owner;
         if (--pp->cyclesLeft == 0)
             return;
         // The reader node reads it back: recall + writeback at home.
-        pp->caches[pp->readerNode]->accessAt(0, false, pp->reader,
-                                             base);
+        pp->caches[pp->readerNode]->accessBlock(0, false, pp->reader);
     }
 
     /** Run @p cycles full read/write cycles to completion. */
@@ -225,11 +222,11 @@ TEST(ZeroAlloc, HitPathDoesNotAllocate)
         {}
 
         static void
-        fired(MemCompletion &self, bool, Tick base)
+        fired(MemCompletion &self, bool)
         {
             auto &h = static_cast<HitLoop &>(self);
             if (--h.left > 0)
-                h.cache->accessAt(0, true, h, base);
+                h.cache->accessBlock(0, true, h);
         }
 
         CacheCtrl *cache;

@@ -44,11 +44,10 @@ struct Delivery
 
 /**
  * Reference transport: a faithful reimplementation of the retired
- * two-stage path. sendAt performs the identical egress / link-walk /
+ * two-stage path. send performs the identical egress / link-walk /
  * jitter / pair-clamp arithmetic, then schedules an arrival event at
  * the arrival tick; the arrival stage reserves the ingress NI at
- * curTick and rides the same event to the delivery tick (raw sinks
- * never fused, exactly like the old code with a raw hook attached).
+ * curTick and rides the same event to the delivery tick.
  */
 class RefNet
 {

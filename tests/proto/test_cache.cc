@@ -76,7 +76,7 @@ struct CacheFixture : ::testing::Test
         {}
 
         static void
-        fired(MemCompletion &self, bool remote, Tick)
+        fired(MemCompletion &self, bool remote)
         {
             auto &c = static_cast<CountingCompletion &>(self);
             ++c.fix->completions;

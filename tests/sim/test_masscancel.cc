@@ -1,9 +1,8 @@
 /** @file Mass-cancellation stress tests for the event queue: the
  * fault layer's failover sweep deschedules whole pools of events at
- * once (EventPool::forEach + deschedule), and every queue query --
- * nextTick(), pending(), canFuseBefore() -- must stay *exact*
- * afterwards, across all three queue levels and regardless of what
- * the min-tick memo held before the sweep.
+ * once (EventPool::forEach + deschedule), and the queue must stay
+ * *exact* afterwards -- pending() counts only survivors and the
+ * survivors fire in time order -- across all three queue levels.
  */
 
 #include <gtest/gtest.h>
@@ -29,44 +28,80 @@ struct Probe final : public Event
     int fired = 0;
 };
 
+/** Records the tick it fires at into a shared log. */
+struct Stamp final : public Event
+{
+    Stamp(EventQueue &q, std::vector<Tick> &l) : eq(q), log(l) {}
+
+    void process() override { log.push_back(eq.curTick()); }
+
+    EventQueue &eq;
+    std::vector<Tick> &log;
+};
+
+/** Fires once at its scheduled tick and runs a callback. */
+template <typename Fn>
+struct At final : public Event
+{
+    explicit At(Fn f) : fn(std::move(f)) {}
+
+    void process() override { fn(); }
+
+    Fn fn;
+};
+
 } // namespace
 
-TEST(MassCancel, NextTickExactAfterCancellingTheMinimum)
+TEST(MassCancel, CancellingTheMinimumFiresTheRest)
 {
-    // The memoized minimum is the cancelled event: nextTick() must
-    // recompute, not serve the stale hint.
+    // Cancel the earliest event, then the next earliest once the
+    // queue is running: the survivors fire in time order and the
+    // pending count tracks every cancellation.
     EventQueue eq;
-    Probe a, b, c;
+    std::vector<Tick> fired;
+    Stamp a(eq, fired), b(eq, fired), c(eq, fired), d(eq, fired);
     eq.schedule(10, a);
     eq.schedule(500, b);
     eq.schedule(900, c);
-    EXPECT_EQ(eq.nextTick(), 10u); // memoize the minimum
+    eq.schedule(1300, d);
     EXPECT_TRUE(eq.deschedule(a));
-    EXPECT_EQ(eq.nextTick(), 500u);
-    EXPECT_TRUE(eq.deschedule(b));
-    EXPECT_EQ(eq.nextTick(), 900u);
-    EXPECT_TRUE(eq.deschedule(c));
+    EXPECT_EQ(eq.pending(), 3u);
+    auto cancel = At([&] {
+        EXPECT_TRUE(eq.deschedule(c));
+        EXPECT_EQ(eq.pending(), 1u); // d only; b already fired
+    });
+    eq.schedule(500, cancel);
+
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(fired, (std::vector<Tick>{500, 1300}));
     EXPECT_EQ(eq.pending(), 0u);
-    EXPECT_EQ(eq.nextTick(), maxTick);
+    EXPECT_EQ(eq.curTick(), 1300u);
 }
 
-TEST(MassCancel, NextTickExactAcrossLevels)
+TEST(MassCancel, CancellingAcrossLevelsFiresTheRest)
 {
-    // Cancel the minimum at each level in turn; the next minimum may
-    // live one level further out every time.
-    EventQueue eq;
-    Probe near, farw, heap;
-    eq.schedule(42, near);             // near wheel
-    eq.schedule(80 * giga + 7, farw);  // far wheel
-    eq.schedule(5000 * giga, heap);    // overflow heap
-    EXPECT_EQ(eq.nextTick(), 42u);
-    EXPECT_TRUE(eq.deschedule(near));
-    EXPECT_EQ(eq.nextTick(), 80u * giga + 7u);
-    EXPECT_TRUE(eq.deschedule(farw));
-    EXPECT_EQ(eq.nextTick(), 5000u * giga);
-    EXPECT_TRUE(eq.deschedule(heap));
-    EXPECT_EQ(eq.nextTick(), maxTick);
-    EXPECT_EQ(eq.pending(), 0u);
+    // Cancel the minimum at each level in turn; the next survivor may
+    // live one level further out every time, and the queue must find
+    // it there.
+    for (int cancelled = 0; cancelled <= 3; ++cancelled) {
+        EventQueue eq;
+        std::vector<Tick> fired;
+        Stamp near(eq, fired), farw(eq, fired), heap(eq, fired);
+        eq.schedule(42, near);             // near wheel
+        eq.schedule(80 * giga + 7, farw);  // far wheel
+        eq.schedule(5000 * giga, heap);    // overflow heap
+        Stamp *order[] = {&near, &farw, &heap};
+        for (int i = 0; i < cancelled; ++i)
+            EXPECT_TRUE(eq.deschedule(*order[i]));
+        EXPECT_EQ(eq.pending(), std::size_t(3 - cancelled));
+
+        EXPECT_TRUE(eq.run());
+        const std::vector<Tick> all{42, 80 * giga + 7, 5000 * giga};
+        EXPECT_EQ(fired, std::vector<Tick>(all.begin() + cancelled,
+                                           all.end()))
+            << cancelled << " cancelled";
+        EXPECT_EQ(eq.executed(), std::uint64_t(3 - cancelled));
+    }
 }
 
 TEST(MassCancel, BulkCancelKeepsSurvivorsAndOrder)
@@ -139,10 +174,11 @@ TEST(MassCancel, PoolSweepFromInsideProcess)
     EXPECT_EQ(eq.pending(), 0u);
 }
 
-TEST(MassCancel, NextTickExactAfterSweepInsideProcess)
+TEST(MassCancel, SweepInsideProcessFindsTheFarSurvivor)
 {
     // After an in-process() mass cancel, the queue's own main loop
-    // relies on the next-tick scan to find the surviving event.
+    // must skip every cancelled near-wheel tick and find the lone
+    // surviving event in the far wheel.
     EventQueue eq;
     Probe victims[8];
     Probe survivor;
@@ -157,7 +193,7 @@ TEST(MassCancel, NextTickExactAfterSweepInsideProcess)
         {
             for (int i = 0; i < 8; ++i)
                 eq->deschedule(victims[i]);
-            EXPECT_EQ(eq->nextTick(), 400u * giga + 13u);
+            EXPECT_EQ(eq->pending(), 1u);
         }
         EventQueue *eq;
         Probe *victims;
@@ -171,48 +207,7 @@ TEST(MassCancel, NextTickExactAfterSweepInsideProcess)
         EXPECT_EQ(v.fired, 0);
     EXPECT_EQ(survivor.fired, 1);
     EXPECT_EQ(eq.curTick(), 400u * giga + 13u);
-}
-
-TEST(MassCancel, CanFuseBeforeStaysExactAfterCancel)
-{
-    // canFuseBefore must never say "yes" with an event still pending
-    // at or before the probe tick, and must recover the "yes" answer
-    // once that event is cancelled (after a nextTick() revalidation:
-    // the guard itself is allowed to decline while cold).
-    EventQueue eq;
-    Probe a, b;
-    eq.schedule(100, a);
-    eq.schedule(5000, b);
-    EXPECT_EQ(eq.nextTick(), 100u);
-    EXPECT_FALSE(eq.canFuseBefore(100));
-    EXPECT_FALSE(eq.canFuseBefore(2000));
-    EXPECT_TRUE(eq.canFuseBefore(99));
-
-    EXPECT_TRUE(eq.deschedule(a));
-    EXPECT_EQ(eq.nextTick(), 5000u); // revalidate the memo
-    EXPECT_TRUE(eq.canFuseBefore(2000));
-    EXPECT_FALSE(eq.canFuseBefore(5000));
-}
-
-TEST(MassCancel, FaultHorizonCapsFusionRegardlessOfQueueState)
-{
-    // The fault layer's hard guarantee: no fused work at or past the
-    // next scheduled fault tick, even on an otherwise empty queue
-    // whose memo would happily say yes.
-    EventQueue eq;
-    EXPECT_EQ(eq.faultHorizon(), maxTick);
-    eq.setFaultHorizon(1000);
-    EXPECT_FALSE(eq.canFuseBefore(1000));
-    EXPECT_FALSE(eq.canFuseBefore(maxTick));
-    Probe a;
-    eq.schedule(600, a);
-    EXPECT_EQ(eq.nextTick(), 600u);
-    EXPECT_TRUE(eq.canFuseBefore(599)); // below both horizon and min
-    EXPECT_FALSE(eq.canFuseBefore(600));
-    eq.setFaultHorizon(maxTick);
-    EXPECT_TRUE(eq.deschedule(a));
-    EXPECT_EQ(eq.nextTick(), maxTick);
-    EXPECT_TRUE(eq.canFuseBefore(1000)); // horizon lifted
+    EXPECT_EQ(eq.executed(), 2u);
 }
 
 namespace
@@ -242,17 +237,6 @@ toZero(NodeId src, BlockId blk)
     m.blk = blk;
     return m;
 }
-
-/** Fires once at its scheduled tick and runs a callback. */
-template <typename Fn>
-struct At final : public Event
-{
-    explicit At(Fn f) : fn(std::move(f)) {}
-
-    void process() override { fn(); }
-
-    Fn fn;
-};
 
 } // namespace
 

@@ -83,12 +83,20 @@ TEST(Suite, MakeAppRejectsUnknown)
 
 TEST(Suite, EveryAppGeneratesOneTracePerProcessor)
 {
-    for (const AppInfo &info : appSuite()) {
-        const Workload w = makeApp(info.name, smallParams());
-        EXPECT_EQ(w.name, info.name);
-        EXPECT_EQ(w.traces.size(), 16u) << info.name;
-        for (const Trace &t : w.traces)
-            EXPECT_FALSE(t.empty()) << info.name;
+    // Small machines included: barnes once drew three distinct fixed
+    // readers besides the writer by rejection sampling, which never
+    // terminated below four nodes.
+    for (unsigned procs : {1u, 2u, 3u, 4u, 16u}) {
+        AppParams p = smallParams();
+        p.numProcs = procs;
+        p.proto.numNodes = procs;
+        for (const AppInfo &info : appSuite()) {
+            const Workload w = makeApp(info.name, p);
+            EXPECT_EQ(w.name, info.name);
+            EXPECT_EQ(w.traces.size(), procs) << info.name;
+            for (const Trace &t : w.traces)
+                EXPECT_FALSE(t.empty()) << info.name << " " << procs;
+        }
     }
 }
 
