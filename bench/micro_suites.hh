@@ -46,8 +46,7 @@ double itemsPerSec(const std::vector<BenchResult> &rs,
  * headline BENCH_core.json tracks: the retired two-stage NI path held
  * this at ~2.5; the batched event layer (per-destination drain,
  * local-delivery flush, per-home directory due-queues) holds it at
- * ~1.65. check_bench_core.py fails any record above 1.6, a ceiling
- * set when a fast path ran work ahead of the clock (~1.47).
+ * 1.652. check_bench_core.py fails any record above 1.75.
  */
 double simEventsPerMessage();
 
