@@ -3,12 +3,12 @@
  * Chunked append-only vector: stable addresses, amortized chunk-sized
  * allocation.
  *
- * The predictors keep one state record per memory block touched; a
- * simulation touches tens of thousands. Storing the records inline in
- * a growing array would move them on every growth (and invalidate the
- * pointers the hot path memoizes); storing them in individually
- * allocated nodes costs one malloc per block and scatters them over
- * the heap. A chunked vector allocates fixed-size chunks, never moves
+ * VMSP keeps one large state record per memory block touched (and
+ * the directory one cold record per block that defers or
+ * speculates). Storing the records inline in a growing array would
+ * move them on every growth (and invalidate the pointers that index
+ * them); storing them in individually allocated nodes costs one
+ * malloc per block and scatters them over the heap. A chunked vector allocates fixed-size chunks, never moves
  * an element, and lays records out densely in first-touch order --
  * which is exactly the order trace replay revisits them.
  */

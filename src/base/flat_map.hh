@@ -1,15 +1,17 @@
 /**
  * @file
- * Open-addressing hash map for the simulator hot path.
+ * Open-addressing hash map for sparse keys.
  *
- * The predictors perform one or two map lookups per observed coherence
- * message, and the directory/cache controllers one per handled
- * message; with node-based std::unordered_map every lookup chases at
- * least one cache-missing pointer and every insert allocates. FlatMap
- * stores <key, value> slots inline in one power-of-two array with
- * linear probing, a one-byte control array (empty / full / tombstone),
- * and an avalanche-mixed hash, so the common lookup touches one
- * control cache line plus one slot.
+ * Per-block state is not kept here: blocks are numbered densely per
+ * home and live in arrays (proto/shard_table.hh). FlatMap holds what
+ * has no dense index -- the pattern-table entries that overflow a
+ * predictor's inline block record. With node-based
+ * std::unordered_map every lookup chases at least one cache-missing
+ * pointer and every insert allocates. FlatMap stores <key, value>
+ * slots inline in one power-of-two array with linear probing, a
+ * one-byte control array (empty / full / tombstone), and an
+ * avalanche-mixed hash, so the common lookup touches one control
+ * cache line plus one slot.
  *
  * Semantics deliberately kept from unordered_map: amortized O(1)
  * find/insert/erase, try_emplace forwarding, iteration over live
@@ -39,8 +41,8 @@ namespace mspdsm
 /**
  * Finalizer-style avalanche mix (splitmix64): every input bit affects
  * every output bit, which open addressing with a power-of-two mask
- * needs -- identity hashing of block ids (stride patterns!) would
- * cluster probes catastrophically.
+ * needs -- identity hashing of structured keys (stride patterns!)
+ * would cluster probes catastrophically.
  */
 constexpr std::uint64_t
 mix64(std::uint64_t x)
@@ -323,20 +325,6 @@ class FlatMap
     needsGrowth(std::size_t extra) const
     {
         return (size_ + tombs_ + extra) * 8 >= cap_ * 7;
-    }
-
-    /**
-     * Batched growth for callers that insert in groups (predictor
-     * first-touch paths): when the next insert would grow the table,
-     * reserve room for @p group more entries up front instead, so
-     * the insert itself is a single probe pass with no mid-insert
-     * rehash.
-     */
-    void
-    reserveGrouped(std::size_t group)
-    {
-        if (needsGrowth(1))
-            reserve(size_ + group);
     }
 
   private:

@@ -31,11 +31,22 @@ using NodeId = std::uint16_t;
 constexpr NodeId invalidNode = std::numeric_limits<NodeId>::max();
 
 /**
- * Identifier of an aligned coherence block: block address divided by the
- * block size. The directory, predictors, and caches all index state by
- * BlockId rather than raw byte address.
+ * Largest supported machine: sharer sets are 64-bit NodeSets, and the
+ * node count is capped below that.
+ */
+inline constexpr unsigned maxNodes = 61;
+
+/**
+ * Identifier of an aligned coherence block. A compiled workload
+ * numbers its blocks densely per home (workload/compiled_trace.hh);
+ * a bare address maps to address / blockSize. The directory,
+ * predictors, and caches all index state by BlockId rather than raw
+ * byte address.
  */
 using BlockId = std::uint64_t;
+
+/** Sentinel for "no block". */
+constexpr BlockId invalidBlock = std::numeric_limits<BlockId>::max();
 
 } // namespace mspdsm
 

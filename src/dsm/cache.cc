@@ -9,16 +9,16 @@ namespace mspdsm
 LineState
 CacheCtrl::lineState(BlockId blk) const
 {
-    auto it = lines_.find(blk);
-    return it == lines_.end() ? LineState::Invalid : it->second.state;
+    const Line *l = lines_.find(blk);
+    return l ? l->state : LineState::Invalid;
 }
 
 bool
 CacheCtrl::hasUnreferencedSpec(BlockId blk) const
 {
-    auto it = lines_.find(blk);
-    return it != lines_.end() && it->second.state != LineState::Invalid &&
-           it->second.spec && !it->second.referenced;
+    const Line *l = lines_.find(blk);
+    return l && l->state != LineState::Invalid && l->spec &&
+           !l->referenced;
 }
 
 void
@@ -33,7 +33,6 @@ void
 CacheCtrl::kill()
 {
     lines_.clear();
-    memoLine_ = nullptr;
     mshr_ = Mshr{};
     if (hitEvent_.scheduled())
         eq_.deschedule(hitEvent_);

@@ -15,12 +15,12 @@
 #ifndef MSPDSM_DSM_CACHE_HH
 #define MSPDSM_DSM_CACHE_HH
 
-#include "base/flat_map.hh"
 #include "base/stats.hh"
 #include "base/types.hh"
 #include "net/network.hh"
 #include "proto/config.hh"
 #include "proto/msg.hh"
+#include "proto/shard_table.hh"
 #include "sim/eventq.hh"
 
 namespace mspdsm
@@ -102,7 +102,8 @@ class CacheCtrl
   public:
     CacheCtrl(NodeId id, EventQueue &eq, Network &net,
               const ProtoConfig &cfg)
-        : id_(id), eq_(eq), net_(net), cfg_(cfg), map_(cfg)
+        : id_(id), eq_(eq), net_(net), cfg_(cfg), map_(cfg),
+          lines_(map_)
     {
         // tryHit() signals "miss" with a zero latency, so a zero-cost
         // local access is not representable; the paper's machine has
@@ -182,6 +183,13 @@ class CacheCtrl
     /** Share the fault layer's home re-mapping table. */
     void setHomeRemap(const NodeId *table) { map_.setRemap(table); }
 
+    /** Size the line table for @p blocks blocks homed at @p home. */
+    void
+    reserveShard(NodeId home, std::size_t blocks)
+    {
+        lines_.reserve(home, blocks);
+    }
+
     /**
      * Fail-stop this node's cache: every line is lost, the in-flight
      * miss (if any) is squashed without completing, and all pending
@@ -197,17 +205,19 @@ class CacheCtrl
     void setObs(ObsManager *o) { obs_ = o; }
 
     /**
-     * Visit every cached line as (BlockId, LineState) -- the fault
-     * layer reconstructs a re-homed directory shard from the
-     * survivors' caches with this.
+     * Visit every valid line of geometric home @p home's blocks as
+     * (BlockId, LineState), in local-index order -- the fault layer
+     * reconstructs a re-homed directory shard from the survivors'
+     * caches with this.
      */
     template <typename F>
     void
-    forEachLine(F &&f) const
+    forEachLine(NodeId home, F &&f) const
     {
-        for (const auto &kv : lines_)
-            if (kv.second.state != LineState::Invalid)
-                f(kv.first, kv.second.state);
+        lines_.forEachIn(home, [&](BlockId blk, const Line &l) {
+            if (l.state != LineState::Invalid)
+                f(blk, l.state);
+        });
     }
 
   private:
@@ -246,24 +256,8 @@ class CacheCtrl
         CacheCtrl *cache;
     };
 
-    /**
-     * Find-or-create the block's line, memoizing the most recent
-     * block: a miss's fill, invalidation, and re-access all hit the
-     * same line back to back, so the repeat probe is the common case.
-     * The memo always holds the latest lookup, so a rehash (which
-     * happens inside this call and is followed by re-assigning the
-     * memo) can never leave it dangling.
-     */
-    Line &
-    line(BlockId blk)
-    {
-        if (memoLine_ && memoBlk_ == blk)
-            return *memoLine_;
-        Line &l = lines_[blk];
-        memoBlk_ = blk;
-        memoLine_ = &l;
-        return l;
-    }
+    /** The block's line (Invalid until first filled). */
+    Line &line(BlockId blk) { return lines_[blk]; }
 
     /** Retry timer for the in-flight miss (fault runs only). */
     struct RetryEvent final : public Event
@@ -292,9 +286,7 @@ class CacheCtrl
     Network &net_;
     const ProtoConfig &cfg_;
     AddrMap map_; //!< divide-free blockOf/homeOf snapshot of cfg_
-    FlatMap<BlockId, Line> lines_;
-    BlockId memoBlk_ = 0;
-    Line *memoLine_ = nullptr;
+    ShardTable<Line> lines_;
     Mshr mshr_;
     HitEvent hitEvent_{this};
     MemCompletion *hitDone_ = nullptr;

@@ -15,7 +15,7 @@ Directory::Directory(NodeId id, EventQueue &eq, Network &net,
                      SpecMode mode)
     : id_(id), eq_(eq), net_(net), cfg_(cfg), map_(cfg),
       observers_(std::move(observers)), vmsp_(vmsp), mode_(mode),
-      swiTable_(cfg.numNodes)
+      swiTable_(cfg.numNodes), entries_(map_)
 {
     panic_if(mode_ != SpecMode::None && !vmsp_,
              "speculation requires a VMSP predictor");
@@ -28,22 +28,22 @@ Directory::Directory(NodeId id, EventQueue &eq, Network &net,
 DirState
 Directory::blockState(BlockId blk) const
 {
-    auto it = entries_.find(blk);
-    return it == entries_.end() ? DirState::Idle : it->second.state;
+    const Entry *e = entries_.find(blk);
+    return e ? e->state : DirState::Idle;
 }
 
 NodeSet
 Directory::sharersOf(BlockId blk) const
 {
-    auto it = entries_.find(blk);
-    return it == entries_.end() ? NodeSet{} : it->second.sharers;
+    const Entry *e = entries_.find(blk);
+    return e ? e->sharers : NodeSet{};
 }
 
 NodeId
 Directory::ownerOf(BlockId blk) const
 {
-    auto it = entries_.find(blk);
-    return it == entries_.end() ? invalidNode : it->second.owner;
+    const Entry *e = entries_.find(blk);
+    return e ? e->owner : invalidNode;
 }
 
 void
@@ -521,10 +521,10 @@ Directory::writeCompleted(BlockId blk, NodeId writer)
 void
 Directory::trySwi(BlockId blk, NodeId writer)
 {
-    auto it = entries_.find(blk);
-    if (it == entries_.end())
+    Entry *found = entries_.find(blk);
+    if (!found)
         return;
-    Entry &e = it->second;
+    Entry &e = *found;
     if (e.state != DirState::Excl || e.owner != writer ||
         e.hasDeferred()) {
         return;
@@ -764,10 +764,7 @@ Directory::replicate(Entry &e, BlockId blk)
 void
 Directory::releaseShard(NodeId home)
 {
-    for (auto &kv : entries_) {
-        if (map_.geometricHomeOf(kv.first) != home)
-            continue;
-        Entry &e = kv.second;
+    entries_.forEachIn(home, [&](BlockId, Entry &e) {
         if (busy(e) || e.hasDeferred() || e.repliesInFlight > 0) {
             // A transaction this interim host was mid-way through is
             // abandoned; the requester's retry FSM re-resolves the
@@ -788,7 +785,7 @@ Directory::releaseShard(NodeId home)
             c->specKeyValid = false;
             c->swiVerdictPending = false;
         }
-    }
+    });
     // The shard's pending due-actions reference the state just
     // dropped: cancel them, then re-arm the flush for whatever is
     // left (the filtered queue is still due-sorted).
@@ -816,7 +813,6 @@ Directory::failover()
     dueQ_.clear();
     dueHead_ = 0;
     entries_.clear();
-    memoEntry_ = nullptr;
     coldArena_ = ChunkedVector<ColdEntry>{};
 }
 
@@ -838,10 +834,9 @@ Directory::adopt(BlockId blk, NodeId holder, bool modified)
 void
 Directory::pruneDead(NodeId v)
 {
-    for (auto &kv : entries_) {
-        const BlockId blk = kv.first;
-        Entry &e = kv.second;
-
+    // Walk in (home, local index) order: the Grant actions scheduled
+    // below share one due tick, so the walk order is their order.
+    entries_.forEach([&](BlockId blk, Entry &e) {
         if (ColdEntry *c = e.cold) {
             // Requests the dead node had queued die with it; the
             // erase-remove keeps the survivors' arrival order.
@@ -886,9 +881,7 @@ Directory::pruneDead(NodeId v)
           default:
             break;
         }
-    }
-    // The sweep mutated entries in place (no insertion), so the memo
-    // still points at live storage; leave it.
+    });
 }
 
 } // namespace mspdsm

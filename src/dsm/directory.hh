@@ -32,13 +32,13 @@
 
 #include "base/bitvector.hh"
 #include "base/chunked_vector.hh"
-#include "base/flat_map.hh"
 #include "base/types.hh"
 #include "net/network.hh"
 #include "pred/predictor.hh"
 #include "pred/vmsp.hh"
 #include "proto/config.hh"
 #include "proto/msg.hh"
+#include "proto/shard_table.hh"
 #include "sim/eventq.hh"
 #include "spec/spec.hh"
 
@@ -129,6 +129,13 @@ class Directory
     /** Share the fault layer's home re-mapping table. */
     void setHomeRemap(const NodeId *table) { map_.setRemap(table); }
 
+    /** Size the entry table for @p blocks blocks homed at @p home. */
+    void
+    reserveShard(NodeId home, std::size_t blocks)
+    {
+        entries_.reserve(home, blocks);
+    }
+
     /**
      * Fail-stop this directory: cancel every pending directory event
      * and drop all entry state. The shard is subsequently served by
@@ -213,7 +220,7 @@ class Directory
     /**
      * Hot half of a directory entry: exactly the fields busy() /
      * canProcess() / the protocol handlers walk on every message.
-     * This is the FlatMap slot the FSM probes, so it stays small
+     * This is the table slot the FSM indexes, so it stays small
      * (~5x under the former monolithic entry, which dragged two
      * deque headers and two HistoryKeys through cache per probe);
      * everything else hangs off the arena-allocated cold record,
@@ -361,29 +368,13 @@ class Directory
     /** Writeback for a demand GetS absorbed: share to the requester. */
     void wbGetSFired(BlockId blk);
 
-    /**
-     * Find-or-create the block's entry, memoizing the most recent
-     * block: a transaction's request, acks, and grant all address the
-     * same entry back to back, so the repeat probe is the common
-     * case. The memo is re-assigned from the fresh lookup on every
-     * miss, so a rehash (which only ever happens inside this call)
-     * can never leave it dangling.
-     */
-    Entry &
-    entry(BlockId blk)
-    {
-        if (memoEntry_ && memoBlk_ == blk)
-            return *memoEntry_;
-        Entry &e = entries_[blk];
-        memoBlk_ = blk;
-        memoEntry_ = &e;
-        return e;
-    }
+    /** The block's entry (Idle until first used). */
+    Entry &entry(BlockId blk) { return entries_[blk]; }
 
     /**
      * The entry's cold record, created on first use. Cold records
      * live in an arena with stable addresses, so the pointer survives
-     * FlatMap rehashes (which copy the hot entry by value).
+     * table growth (which copies the hot entry by value).
      */
     ColdEntry &
     cold(Entry &e)
@@ -526,9 +517,7 @@ class Directory
     std::size_t dueHead_ = 0;  //!< first pending dueQ_ entry
     std::uint64_t dueSeq_ = 0; //!< same-tick FIFO sequencer
     FlushEvent flush_{this};
-    FlatMap<BlockId, Entry> entries_;
-    BlockId memoBlk_ = 0;
-    Entry *memoEntry_ = nullptr;
+    ShardTable<Entry> entries_;
     //! Cold records, attached on demand; addresses are stable.
     ChunkedVector<ColdEntry> coldArena_;
     FaultManager *faults_ = nullptr; //!< fault layer; null = fault-free

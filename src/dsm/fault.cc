@@ -24,7 +24,7 @@ FaultManager::FaultManager(EventQueue &eq, Network &net,
       caches_(std::move(caches)), dirs_(std::move(dirs)),
       procs_(std::move(procs)), vmsps_(std::move(vmsps)),
       nodePreds_(std::move(nodePreds)), remap_(cfg.numNodes),
-      epoch_(cfg.numNodes, 0), ckpts_(cfg.numNodes)
+      epoch_(cfg.numNodes, 0), ckpts_(cfg.numNodes), mirror_(map_)
 {
     const unsigned n = cfg_.numNodes;
     fatal_if(plan_.empty(), "FaultManager built with an empty plan");
@@ -32,10 +32,8 @@ FaultManager::FaultManager(EventQueue &eq, Network &net,
              "fault backup node ", plan_.backup, " out of range");
     for (unsigned i = 0; i < n; ++i)
         remap_[i] = static_cast<NodeId>(i);
-    if (plan_.replicateShards) {
-        mirror_.resize(n);
+    if (plan_.replicateShards)
         deltaBacklog_.assign(n, 0);
-    }
     if (!plan_.linkLoss.empty())
         net_.setLinkLoss(plan_.linkLoss, plan_.retransmitBudget,
                          plan_.retransmitDelay);
@@ -134,17 +132,16 @@ FaultManager::rehome(NodeId h, NodeId to)
         // incrementally as ShardSync messages during normal
         // operation. Dead holders are screened out here (the mirror
         // may still name nodes that died in this same cascade).
-        for (const auto &kv : mirror_[h]) {
-            const MirrorEntry &me = kv.second;
+        mirror_.forEachIn(h, [&](BlockId blk, const MirrorEntry &me) {
             if (me.excl) {
                 if (me.owner != invalidNode && !dead(me.owner))
-                    dirs_[to]->adopt(kv.first, me.owner, true);
+                    dirs_[to]->adopt(blk, me.owner, true);
             } else {
                 for (NodeId s : me.sharers)
                     if (!dead(s))
-                        dirs_[to]->adopt(kv.first, s, false);
+                        dirs_[to]->adopt(blk, s, false);
             }
-        }
+        });
         return;
     }
     // Survivor sweep: reconstruct the shard from the surviving
@@ -158,19 +155,16 @@ FaultManager::rehome(NodeId h, NodeId to)
             // The new host contributes its own lines without traffic.
             if (sn == to && !dead(sn))
                 caches_[s]->forEachLine(
-                    [&](BlockId blk, LineState st) {
-                        if (map_.geometricHomeOf(blk) == h)
-                            dirs_[to]->adopt(
-                                blk, sn, st == LineState::Modified);
+                    h, [&](BlockId blk, LineState st) {
+                        dirs_[to]->adopt(blk, sn,
+                                         st == LineState::Modified);
                     });
             continue;
         }
         bool contributed = false;
-        caches_[s]->forEachLine([&](BlockId blk, LineState st) {
-            if (map_.geometricHomeOf(blk) == h) {
-                dirs_[to]->adopt(blk, sn, st == LineState::Modified);
-                contributed = true;
-            }
+        caches_[s]->forEachLine(h, [&](BlockId blk, LineState st) {
+            dirs_[to]->adopt(blk, sn, st == LineState::Modified);
+            contributed = true;
         });
         if (contributed) {
             ++outcome_.rehomeSyncs;
@@ -318,7 +312,7 @@ FaultManager::noteShardDelta(BlockId blk, bool excl, NodeId owner,
                              NodeSet sharers)
 {
     const NodeId h = map_.geometricHomeOf(blk);
-    MirrorEntry &me = mirror_[h][blk];
+    MirrorEntry &me = mirror_[blk];
     me.excl = excl;
     me.owner = excl ? owner : invalidNode;
     me.sharers = excl ? NodeSet{} : sharers;

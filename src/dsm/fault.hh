@@ -57,7 +57,6 @@
 #ifndef MSPDSM_DSM_FAULT_HH
 #define MSPDSM_DSM_FAULT_HH
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -66,6 +65,7 @@
 #include "base/types.hh"
 #include "pred/vmsp.hh"
 #include "proto/config.hh"
+#include "proto/shard_table.hh"
 #include "sim/eventq.hh"
 
 namespace mspdsm
@@ -374,9 +374,8 @@ class FaultManager
         bool excl = false;
     };
 
-    //! Per-geometric-home shard mirrors (replicateShards only;
-    //! ordered maps keep failover installs deterministic).
-    std::vector<std::map<BlockId, MirrorEntry>> mirror_;
+    //! Per-geometric-home shard mirrors (replicateShards only).
+    ShardTable<MirrorEntry> mirror_;
     //! Deltas accumulated per home since the last ShardSync flush.
     std::vector<unsigned> deltaBacklog_;
 

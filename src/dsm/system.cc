@@ -34,17 +34,18 @@ DsmSystem::DsmSystem(const DsmConfig &cfg)
     barrier_ = std::make_unique<GlobalBarrier>(eq_, n,
                                                cfg_.barrierCost);
 
-    auto make_pred = [n](PredKind kind, std::size_t depth)
+    const AddrMap map(cfg_.proto);
+    auto make_pred = [n, &map](PredKind kind, std::size_t depth)
         -> std::unique_ptr<PredictorBase> {
         switch (kind) {
           case PredKind::None:
             return nullptr;
           case PredKind::Cosmos:
-            return std::make_unique<Cosmos>(depth, n);
+            return std::make_unique<Cosmos>(depth, n, map);
           case PredKind::Msp:
-            return std::make_unique<Msp>(depth, n);
+            return std::make_unique<Msp>(depth, n, map);
           case PredKind::Vmsp:
-            return std::make_unique<Vmsp>(depth, n);
+            return std::make_unique<Vmsp>(depth, n, map);
         }
         panic("unknown PredKind");
     };
@@ -133,6 +134,12 @@ DsmSystem::DsmSystem(const DsmConfig &cfg)
 
 DsmSystem::~DsmSystem() = default;
 
+BlockId
+DsmSystem::blockOf(Addr a) const
+{
+    return workload_ ? workload_->blockOf(a) : cfg_.proto.blockOf(a);
+}
+
 RunResult
 DsmSystem::run(const std::vector<Trace> &traces)
 {
@@ -160,6 +167,30 @@ DsmSystem::run(const CompiledWorkload &w)
     fatal_if(w.blockSize() != cfg_.proto.blockSize,
              "workload compiled for ", w.blockSize(),
              "-byte blocks, machine uses ", cfg_.proto.blockSize);
+    fatal_if(w.numNodes() != cfg_.proto.numNodes ||
+                 w.blocksPerPage() != cfg_.proto.blocksPerPage(),
+             "workload numbered for ", w.numNodes(), " nodes and ",
+             w.blocksPerPage(), " blocks per page, machine has ",
+             cfg_.proto.numNodes, " and ", cfg_.proto.blocksPerPage());
+    workload_ = &w;
+
+    // Size every per-block table from the workload's per-home block
+    // counts, so the run allocates none on first touch. Caches hold
+    // blocks of every home; a directory and its predictors hold their
+    // own home's (adopted shards grow on demand).
+    for (std::size_t h = 0; h < procs_.size(); ++h) {
+        const NodeId home = static_cast<NodeId>(h);
+        const std::size_t blocks = w.blocksAt(home);
+        for (std::size_t i = 0; i < caches_.size(); ++i)
+            caches_[i].reserveShard(home, blocks);
+        dirs_[h].reserveShard(home, blocks);
+        if (preds_[h])
+            preds_[h]->reserveShard(home, blocks);
+        for (auto &o : obs_[h])
+            o->reserveShard(home, blocks);
+    }
+    if (obsMgr_)
+        obsMgr_->setWorkload(&w);
 
     for (std::size_t i = 0; i < procs_.size(); ++i)
         procs_[i].start(w.trace(i));

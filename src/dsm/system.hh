@@ -190,12 +190,6 @@ struct RunResult
 };
 
 /**
- * Largest supported machine: sharer sets are 64-bit NodeSets, and the
- * node count is capped below that.
- */
-inline constexpr unsigned maxNodes = 61;
-
-/**
  * One simulated CC-NUMA machine.
  *
  * Usage:
@@ -239,6 +233,14 @@ class DsmSystem
      * for exactly this reason).
      */
     RunResult run(const CompiledWorkload &w);
+
+    /**
+     * Block id of byte address @p a under the numbering of the last
+     * workload run (invalidBlock if it never touched @p a); before
+     * any run, the bare address / blockSize. Tests look machine
+     * state up through this.
+     */
+    BlockId blockOf(Addr a) const;
 
     /** Access a node's cache controller (tests). */
     CacheCtrl &cache(NodeId n) { return caches_[n]; }
@@ -293,6 +295,8 @@ class DsmSystem
     //! the system (not the call's stack frame) because a TickLimit
     //! trip leaves the queue resumable with spans into its arena.
     std::unique_ptr<const CompiledWorkload> ownedWorkload_;
+    //! The workload of the last run(): its block numbering.
+    const CompiledWorkload *workload_ = nullptr;
 };
 
 } // namespace mspdsm

@@ -6,6 +6,7 @@
 #include "net/network.hh"
 #include "pred/predictor.hh"
 #include "proto/config.hh"
+#include "workload/compiled_trace.hh"
 
 namespace mspdsm
 {
@@ -120,19 +121,31 @@ ObsManager::msgDelivered(const CohMsg &msg)
         return;
     const std::uint64_t id = nextFlowId_++;
     const char *name = msgTypeName(msg.type);
+    // Fault-layer bulk messages carry a sequence number, not a block.
+    const BlockId blk = msg.type == MsgType::RehomeSync ||
+                                msg.type == MsgType::CkptData
+                            ? msg.blk
+                            : sourceBlock(msg.blk);
     emitPrefix();
     std::fprintf(out_,
                  "{\"name\":\"%s\",\"cat\":\"msg\",\"ph\":\"s\","
                  "\"id\":%llu,\"ts\":%llu,\"pid\":0,\"tid\":%u,"
                  "\"args\":{\"blk\":%llu}}",
                  name, ull(id), ull(sent), unsigned(msg.src),
-                 ull(msg.blk));
+                 ull(blk));
     emitPrefix();
     std::fprintf(out_,
                  "{\"name\":\"%s\",\"cat\":\"msg\",\"ph\":\"f\","
                  "\"bp\":\"e\",\"id\":%llu,\"ts\":%llu,\"pid\":0,"
                  "\"tid\":%u}",
                  name, ull(id), ull(now), unsigned(msg.dst));
+}
+
+BlockId
+ObsManager::sourceBlock(BlockId blk) const
+{
+    const BlockId raw = workload_ ? workload_->rawBlock(blk) : blk;
+    return raw == invalidBlock ? blk : raw;
 }
 
 void
@@ -147,7 +160,7 @@ ObsManager::missSpan(NodeId n, BlockId blk, bool write, Tick issue)
                  "{\"name\":\"%s\",\"cat\":\"miss\",\"ph\":\"B\","
                  "\"ts\":%llu,\"pid\":0,\"tid\":%u,"
                  "\"args\":{\"blk\":%llu}}",
-                 name, ull(issue), unsigned(n), ull(blk));
+                 name, ull(issue), unsigned(n), ull(sourceBlock(blk)));
     emitPrefix();
     std::fprintf(out_,
                  "{\"name\":\"%s\",\"cat\":\"miss\",\"ph\":\"E\","
@@ -168,7 +181,7 @@ ObsManager::instant(const char *name, const char *cat, unsigned tid,
                      "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\","
                      "\"s\":\"t\",\"ts\":%llu,\"pid\":0,\"tid\":%u,"
                      "\"args\":{\"blk\":%llu}}",
-                     name, cat, ull(t), tid, ull(blk));
+                     name, cat, ull(t), tid, ull(sourceBlock(blk)));
     else
         std::fprintf(out_,
                      "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\","
@@ -196,7 +209,8 @@ ObsManager::retryInstant(const char *what, NodeId n, BlockId blk,
                  "{\"name\":\"%s\",\"cat\":\"retry\",\"ph\":\"i\","
                  "\"s\":\"t\",\"ts\":%llu,\"pid\":0,\"tid\":%u,"
                  "\"args\":{\"blk\":%llu,\"attempt\":%u}}",
-                 what, ull(t), unsigned(n), ull(blk), attempt);
+                 what, ull(t), unsigned(n), ull(sourceBlock(blk)),
+                 attempt);
 }
 
 void
@@ -219,7 +233,7 @@ ObsManager::swiSpan(NodeId home, BlockId blk, Tick launch)
                  "\"ts\":%llu,\"dur\":%llu,\"pid\":0,\"tid\":%u,"
                  "\"args\":{\"blk\":%llu}}",
                  ull(launch), ull(complete - launch),
-                 dirTidBase + unsigned(home), ull(blk));
+                 dirTidBase + unsigned(home), ull(sourceBlock(blk)));
 }
 
 void

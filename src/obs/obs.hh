@@ -45,6 +45,7 @@ namespace mspdsm
 {
 
 class CacheCtrl;
+class CompiledWorkload;
 class Network;
 class PredictorBase;
 class Processor;
@@ -117,6 +118,13 @@ class ObsManager
 
     ObsManager(const ObsManager &) = delete;
     ObsManager &operator=(const ObsManager &) = delete;
+
+    /**
+     * The workload being run: trace `blk` args name its blocks by
+     * their source ids (address / blockSize), not by the compiled
+     * numbering. Null (the default) prints ids as they are.
+     */
+    void setWorkload(const CompiledWorkload *w) { workload_ = w; }
 
     // ---- Trace hooks. All are cheap no-ops when tracing is off
     // ---- (only the sampler was configured). Every hook fires at
@@ -205,6 +213,9 @@ class ObsManager
     void instant(const char *name, const char *cat, unsigned tid,
                  BlockId blk, bool hasBlk);
 
+    /** Source id of compiled block @p blk for a trace arg. */
+    BlockId sourceBlock(BlockId blk) const;
+
     /** Directory tracks live above the cache/processor tracks. */
     static constexpr unsigned dirTidBase = 1000;
 
@@ -215,6 +226,7 @@ class ObsManager
     std::vector<CacheCtrl *> caches_;
     std::vector<Processor *> procs_;
     std::vector<PredictorBase *> preds_;
+    const CompiledWorkload *workload_ = nullptr;
 
     std::FILE *out_ = nullptr; //!< trace sink; null = tracing off
     bool first_ = true;        //!< no event emitted yet (JSON commas)

@@ -1,7 +1,10 @@
 /**
  * @file
- * Per-block two-level prediction state: a bounded history register and
- * a pattern table mapping history keys to predicted successor symbols.
+ * VMSP's per-block two-level prediction state: a bounded history
+ * register and a pattern table mapping history keys to predicted
+ * successor symbols. (Cosmos and MSP pack the same state into one
+ * word per entry, seq_predictor.hh; VMSP's reader-vector symbols
+ * carry up to 61-bit payloads, so it keeps the 64-bit encoding.)
  *
  * Predictions are issued and learned only once the history register is
  * full (depth symbols seen), matching the PAp discipline the paper
@@ -19,11 +22,10 @@
  *    (both address the same entry), one table access per message;
  *  - the first few pattern-table entries live inline in the block
  *    record itself -- a stable producer/consumer block at depth 1
- *    needs two at VMSP (the vector after the write, the write after
- *    the vector) and reader-degree+1 at MSP/Cosmos -- so the common
- *    block never allocates and its lookup stays within the cache
- *    lines the block record already occupies. Irregular blocks spill
- *    into an open-addressing FlatMap.
+ *    needs two (the vector after the write, the write after the
+ *    vector) -- so the common block never allocates and its lookup
+ *    stays within the cache lines the block record already occupies.
+ *    Irregular blocks spill into an open-addressing FlatMap.
  */
 
 #ifndef MSPDSM_PRED_PATTERN_TABLE_HH
@@ -232,9 +234,9 @@ class BlockPattern
   private:
     /**
      * Inline entries cover the regular sharing patterns without any
-     * allocation: a stable producer/consumer block needs 2 at VMSP
-     * (vector, write) and degree+1 at MSP/Cosmos, so 4 keeps
-     * low-degree blocks entirely inside the block record.
+     * allocation: a stable producer/consumer block needs 2 (vector,
+     * write), so 4 keeps it and its variations entirely inside the
+     * block record.
      */
     static constexpr unsigned inlineN = 4;
 

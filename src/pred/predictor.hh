@@ -94,9 +94,8 @@ class PredictorBase
 
     virtual ~PredictorBase() = default;
 
-    // The concrete predictors memoize interior pointers into their
-    // block tables; copying would leave the copy's memo pointing into
-    // the original.
+    // Predictors are per-node machine state owned in place; copying
+    // one (VMSP's block index points into its own arena) is a bug.
     PredictorBase(const PredictorBase &) = delete;
     PredictorBase &operator=(const PredictorBase &) = delete;
 
@@ -111,6 +110,13 @@ class PredictorBase
 
     /** Storage accounting over all blocks touched so far. */
     virtual StorageReport storage() const = 0;
+
+    /**
+     * Size the per-block records of geometric home @p home for
+     * @p blocks blocks, so a run allocates none on first touch. The
+     * default is a no-op for test doubles.
+     */
+    virtual void reserveShard(NodeId, std::size_t) {}
 
     /**
      * Drop all learned state (histories, pattern tables) -- the fault

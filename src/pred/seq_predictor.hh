@@ -4,15 +4,29 @@
  * MSP). The two differ only in their alphabet: Cosmos predicts every
  * incoming directory message, MSP only the request messages. VMSP has
  * its own engine (vmsp.hh) because of read-vector folding.
+ *
+ * Encoding, after the paper's own (Section 7.3: a history entry is
+ * type + pid bits):
+ *  - a symbol is a 9-bit code, kind | pid << 3;
+ *  - a block's history register is its last `depth` codes packed
+ *    newest-lowest into 9 * depth <= 36 bits, plus a fill count;
+ *    predictions are issued and learned only once it is full;
+ *  - a pattern-table entry is one word, history | pred << 36;
+ *  - a block record holds six entries inline in 64 bytes; further
+ *    entries go to one per-predictor overflow map keyed by
+ *    block << 36 | history.
  */
 
 #ifndef MSPDSM_PRED_SEQ_PREDICTOR_HH
 #define MSPDSM_PRED_SEQ_PREDICTOR_HH
 
-#include "base/chunked_vector.hh"
+#include <optional>
+#include <utility>
+
 #include "base/flat_map.hh"
-#include "pred/pattern_table.hh"
+#include "pred/history.hh"
 #include "pred/predictor.hh"
+#include "proto/shard_table.hh"
 
 namespace mspdsm
 {
@@ -28,11 +42,10 @@ class SeqPredictor : public PredictorBase
      * @param alphabet bitmask over SymKind values naming the message
      *        kinds this predictor observes (a data member rather than
      *        a virtual hook: the alphabet test runs per message)
+     * @param map block geometry its per-block records are laid out by
      */
     SeqPredictor(std::size_t depth, unsigned numProcs,
-                 unsigned alphabet)
-        : PredictorBase(depth, numProcs), alphabet_(alphabet)
-    {}
+                 unsigned alphabet, const AddrMap &map);
 
     /**
      * Defined inline: this is the per-message hot path of the whole
@@ -47,21 +60,37 @@ class SeqPredictor : public PredictorBase
             return obs;
         obs.inAlphabet = true;
 
-        BlockPattern &bp = blockState(blk);
-
-        const Symbol sym = Symbol::of(msg.kind, msg.src);
-
-        const BlockPattern::LearnResult r = bp.observeLearn(sym);
-        obs.predicted = r.hadPred;
-        obs.correct = r.matched;
-        if (r.inserted)
-            ++pteTotal_;
+        Record &r = blocks_[blk];
+        const std::uint64_t code = encode(msg.kind, msg.src);
+        if (r.fill == depth_) {
+            if (std::uint64_t *e = findEntry(r, blk)) {
+                obs.predicted = true;
+                if (*e >> predShift == code)
+                    obs.correct = true;
+                else
+                    *e = (*e & historyMask) | code << predShift;
+            } else {
+                insertEntry(r, blk, code);
+                ++pteTotal_;
+            }
+        } else {
+            if (r.fill == 0)
+                ++blocksAllocated_;
+            ++r.fill;
+        }
+        r.history = (r.history << codeBits | code) & histMask_;
 
         account(obs);
         return obs;
     }
 
     StorageReport storage() const override;
+
+    void
+    reserveShard(NodeId home, std::size_t blocks) override
+    {
+        blocks_.reserve(home, blocks);
+    }
 
     /** Predicted next message for @p blk, if known. */
     std::optional<Symbol> prediction(BlockId blk) const;
@@ -84,49 +113,81 @@ class SeqPredictor : public PredictorBase
     /** Bits for one history entry: type bits + pid bits. */
     virtual unsigned historyEntryBits() const = 0;
 
+  private:
+    static constexpr unsigned kindBits = 3;
+    static constexpr unsigned codeBits = kindBits + 6;
+    static_assert(static_cast<unsigned>(SymKind::WriteBack) <
+                      (1u << kindBits),
+                  "every Cosmos/MSP symbol kind fits the code's kind "
+                  "field");
+    static_assert(maxNodes <= (1u << (codeBits - kindBits)),
+                  "every pid fits the code's pid field");
+
+    /** Bit position of the predicted code in an entry word. */
+    static constexpr unsigned predShift = codeBits * maxHistoryDepth;
+    static constexpr std::uint64_t historyMask =
+        (std::uint64_t{1} << predShift) - 1;
+
+    /** Entries held in the block record itself. */
+    static constexpr unsigned inlineN = 6;
+
+    /** Blocks the overflow key can name (block << predShift). */
+    static constexpr BlockId overflowBlocks = BlockId{1}
+                                              << (64 - predShift);
+
+    /** One block's prediction state: a cache line. */
+    struct alignas(64) Record
+    {
+        std::uint64_t entry[inlineN]; //!< history | pred << predShift
+        std::uint64_t history;        //!< last fill codes, newest low
+        std::uint8_t fill;            //!< codes in history (<= depth)
+        std::uint8_t count;           //!< inline entries in use
+        bool spilled;                 //!< has overflow entries
+    };
+
+    static_assert(sizeof(Record) == 64,
+                  "a block record is one cache line");
+
+    static std::uint64_t
+    encode(SymKind kind, NodeId pid)
+    {
+        return static_cast<std::uint64_t>(kind) |
+               std::uint64_t{pid} << kindBits;
+    }
+
+    /** Entry word for the block's current history, or null. */
+    const std::uint64_t *
+    findEntry(const Record &r, BlockId blk) const
+    {
+        for (unsigned i = 0; i < r.count; ++i)
+            if ((r.entry[i] & historyMask) == r.history)
+                return &r.entry[i];
+        if (r.spilled) [[unlikely]] {
+            auto it = overflow_.find(blk << predShift | r.history);
+            if (it != overflow_.end())
+                return &it->second;
+        }
+        return nullptr;
+    }
+
+    std::uint64_t *
+    findEntry(Record &r, BlockId blk)
+    {
+        return const_cast<std::uint64_t *>(
+            std::as_const(*this).findEntry(r, blk));
+    }
+
+    /** Add an entry predicting @p code for the current history. */
+    void insertEntry(Record &r, BlockId blk, std::uint64_t code);
+
     const unsigned alphabet_;
-
-    /**
-     * Find-or-create the per-block state, memoizing the most recent
-     * block: directory message streams are bursty per block, so the
-     * repeat lookup is the common case. Block records live in a
-     * chunked arena (stable addresses, dense first-touch layout); the
-     * index map holds only 16-byte slots, so its rehashes move no
-     * block state.
-     */
-    BlockPattern &
-    blockState(BlockId blk)
-    {
-        if (memoBp_ && memoBlk_ == blk)
-            return *memoBp_;
-        // Group reservation: grow the index an arena chunk at a time,
-        // *before* the insert, so a cold block's first observation is
-        // one probe pass with no mid-insert rehash.
-        index_.reserveGrouped(blockGroup);
-        auto [it, fresh] = index_.try_emplace(blk, nullptr);
-        if (fresh)
-            it->second = &store_.emplace_back(depth_);
-        memoBlk_ = blk;
-        memoBp_ = it->second;
-        return *memoBp_;
-    }
-
-    /** Per-block state for @p blk if it exists (const paths). */
-    const BlockPattern *
-    findBlock(BlockId blk) const
-    {
-        auto it = index_.find(blk);
-        return it == index_.end() ? nullptr : it->second;
-    }
-
-    /** Index growth granularity; matches the arena chunk size. */
-    static constexpr std::size_t blockGroup = 64;
-
-    FlatMap<BlockId, BlockPattern *> index_; //!< blk -> arena record
-    ChunkedVector<BlockPattern, blockGroup> store_;
-    std::uint64_t pteTotal_ = 0; //!< entries across all blocks
-    BlockId memoBlk_ = 0;
-    BlockPattern *memoBp_ = nullptr;
+    const std::uint64_t histMask_; //!< low codeBits * depth bits
+    ShardTable<Record> blocks_;
+    /** Entries past a record's inline six: block << predShift |
+     * history -> entry word. */
+    FlatMap<std::uint64_t, std::uint64_t> overflow_;
+    std::uint64_t pteTotal_ = 0;        //!< entries across all blocks
+    std::uint64_t blocksAllocated_ = 0; //!< blocks observed so far
 };
 
 /**
@@ -137,13 +198,15 @@ class SeqPredictor : public PredictorBase
 class Cosmos final : public SeqPredictor
 {
   public:
-    Cosmos(std::size_t depth, unsigned numProcs)
+    Cosmos(std::size_t depth, unsigned numProcs,
+           const AddrMap &map = AddrMap(ProtoConfig{}))
         : SeqPredictor(depth, numProcs,
                        // every directory-incoming message
                        kindBit(SymKind::Read) | kindBit(SymKind::Write) |
                            kindBit(SymKind::Upgrade) |
                            kindBit(SymKind::InvAck) |
-                           kindBit(SymKind::WriteBack))
+                           kindBit(SymKind::WriteBack),
+                       map)
     {}
 
     const char *name() const override { return "Cosmos"; }
@@ -160,11 +223,13 @@ class Cosmos final : public SeqPredictor
 class Msp final : public SeqPredictor
 {
   public:
-    Msp(std::size_t depth, unsigned numProcs)
+    Msp(std::size_t depth, unsigned numProcs,
+        const AddrMap &map = AddrMap(ProtoConfig{}))
         : SeqPredictor(depth, numProcs,
                        // request messages only
                        kindBit(SymKind::Read) | kindBit(SymKind::Write) |
-                           kindBit(SymKind::Upgrade))
+                           kindBit(SymKind::Upgrade),
+                       map)
     {}
 
     const char *name() const override { return "MSP"; }

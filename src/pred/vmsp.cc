@@ -6,15 +6,15 @@ namespace mspdsm
 Vmsp::BlockState *
 Vmsp::findState(BlockId blk)
 {
-    auto it = index_.find(blk);
-    return it == index_.end() ? nullptr : it->second;
+    BlockState *const *st = index_.find(blk);
+    return st ? *st : nullptr;
 }
 
 const Vmsp::BlockState *
 Vmsp::findState(BlockId blk) const
 {
-    auto it = index_.find(blk);
-    return it == index_.end() ? nullptr : it->second;
+    BlockState *const *st = index_.find(blk);
+    return st ? *st : nullptr;
 }
 
 std::optional<Symbol>
@@ -118,9 +118,11 @@ Vmsp::Snapshot
 Vmsp::snapshot() const
 {
     Snapshot s;
-    s.blocks_.reserve(index_.size());
-    for (const auto &kv : index_)
-        s.blocks_.emplace_back(kv.first, *kv.second);
+    s.blocks_.reserve(store_.size());
+    index_.forEach([&](BlockId blk, const BlockState *st) {
+        if (st)
+            s.blocks_.emplace_back(blk, *st);
+    });
     return s;
 }
 
@@ -128,26 +130,22 @@ void
 Vmsp::mergeFrom(const Snapshot &s)
 {
     for (const auto &kv : s.blocks_) {
-        index_.reserveGrouped(blockGroup);
-        auto [it, fresh] = index_.try_emplace(kv.first, nullptr);
-        if (!fresh) {
+        BlockState *&st = index_[kv.first];
+        if (st) {
             // Live state is fresher than any checkpoint: keep it.
             continue;
         }
-        it->second = &store_.emplace_back(kv.second);
+        st = &store_.emplace_back(kv.second);
         pteTotal_ += kv.second.pattern.entries();
     }
-    // Inserts may have rehashed the index, but block records live in
-    // the stable arena, so the most-recent-block memo stays valid.
 }
 
 void
 Vmsp::reset()
 {
     index_.clear();
-    store_ = ChunkedVector<BlockState, blockGroup>{};
+    store_ = ChunkedVector<BlockState, 64>{};
     pteTotal_ = 0;
-    memoSt_ = nullptr;
 }
 
 } // namespace mspdsm

@@ -30,9 +30,9 @@
 #include <vector>
 
 #include "base/chunked_vector.hh"
-#include "base/flat_map.hh"
 #include "pred/pattern_table.hh"
 #include "pred/predictor.hh"
+#include "proto/shard_table.hh"
 
 namespace mspdsm
 {
@@ -43,8 +43,10 @@ namespace mspdsm
 class Vmsp final : public PredictorBase
 {
   public:
-    Vmsp(std::size_t depth, unsigned numProcs)
-        : PredictorBase(depth, numProcs)
+    /** @param map block geometry its block index is laid out by */
+    Vmsp(std::size_t depth, unsigned numProcs,
+         const AddrMap &map = AddrMap(ProtoConfig{}))
+        : PredictorBase(depth, numProcs), index_(map)
     {}
 
     const char *name() const override { return "VMSP"; }
@@ -110,6 +112,12 @@ class Vmsp final : public PredictorBase
     }
 
     StorageReport storage() const override;
+
+    void
+    reserveShard(NodeId home, std::size_t blocks) override
+    {
+        index_.reserve(home, blocks);
+    }
 
     /**
      * Predicted successor of the current (closed-symbol) history.
@@ -187,37 +195,23 @@ class Vmsp final : public PredictorBase
     const BlockState *findState(BlockId blk) const;
 
     /**
-     * Find-or-create per-block state with a most-recent-block memo
-     * (bursty streams; see SeqPredictor::blockState). Records live in
-     * a chunked arena with stable addresses; the index map holds only
-     * 16-byte slots.
+     * Find-or-create per-block state. Records live in a chunked arena
+     * with stable addresses, created on first observation; the index
+     * holds one pointer per block.
      */
     BlockState &
     blockState(BlockId blk)
     {
-        if (memoSt_ && memoBlk_ == blk)
-            return *memoSt_;
-        // Group reservation, as in SeqPredictor::blockState: grow the
-        // index an arena chunk at a time before the insert so a cold
-        // block's first observation is a single probe pass.
-        index_.reserveGrouped(blockGroup);
-        auto [it, fresh] = index_.try_emplace(blk, nullptr);
-        if (fresh)
-            it->second = &store_.emplace_back(depth_);
-        memoBlk_ = blk;
-        memoSt_ = it->second;
-        return *memoSt_;
+        BlockState *&st = index_[blk];
+        if (!st) [[unlikely]]
+            st = &store_.emplace_back(depth_);
+        return *st;
     }
 
-    /** Index growth granularity; matches the arena chunk size. */
-    static constexpr std::size_t blockGroup = 64;
-
-    FlatMap<BlockId, BlockState *> index_; //!< blk -> arena record
-    ChunkedVector<BlockState, blockGroup> store_;
+    ShardTable<BlockState *> index_; //!< blk -> arena record
+    ChunkedVector<BlockState, 64> store_;
     std::uint64_t pteTotal_ = 0; //!< entries across all blocks,
                                  //!< maintained incrementally
-    BlockId memoBlk_ = 0;
-    BlockState *memoSt_ = nullptr;
 
   public:
     /**

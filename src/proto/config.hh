@@ -160,6 +160,8 @@ class AddrMap
               std::countr_zero(cfg.blockSize))),
           bppShift_(static_cast<std::uint8_t>(
               std::countr_zero(cfg.blocksPerPage()))),
+          nodesShift_(static_cast<std::uint8_t>(
+              std::countr_zero(cfg.numNodes))),
           nodesMask_(cfg.numNodes - 1),
           blockPow2_(std::has_single_bit(cfg.blockSize)),
           bppPow2_(std::has_single_bit(cfg.blocksPerPage())),
@@ -192,10 +194,53 @@ class AddrMap
     NodeId
     geometricHomeOf(BlockId blk) const
     {
-        const BlockId page = bppPow2_ ? blk >> bppShift_ : blk / bpp_;
+        const BlockId page = pageOf(blk);
         return static_cast<NodeId>(nodesPow2_ ? page & nodesMask_
                                               : page % nodes_);
     }
+
+    /**
+     * Position of @p blk within its geometric home's shard:
+     * (page / numNodes) * blocksPerPage + blk mod blocksPerPage. A
+     * workload compiled by CompiledWorkload numbers each home's blocks
+     * 0, 1, 2, ... in this index, so per-block tables are plain
+     * arrays per home (proto/shard_table.hh).
+     */
+    std::uint64_t
+    localIndex(BlockId blk) const
+    {
+        return shardSlotOf(blk).local;
+    }
+
+    /** (geometricHomeOf, localIndex) of one block, one divide. */
+    struct ShardSlot
+    {
+        NodeId home;
+        std::uint64_t local;
+    };
+
+    ShardSlot
+    shardSlotOf(BlockId blk) const
+    {
+        const BlockId page = pageOf(blk);
+        const BlockId round = nodesPow2_ ? page >> nodesShift_
+                                         : page / nodes_;
+        return {static_cast<NodeId>(page - round * nodes_),
+                round * bpp_ + offsetOf(blk)};
+    }
+
+    /** Inverse of (geometricHomeOf, localIndex). */
+    BlockId
+    blockAt(NodeId home, std::uint64_t local) const
+    {
+        return ((local / bpp_) * nodes_ + home) * bpp_ + local % bpp_;
+    }
+
+    /** Node count the mapping was built with. */
+    unsigned numNodes() const { return nodes_; }
+
+    /** Blocks per page the mapping was built with. */
+    unsigned blocksPerPage() const { return bpp_; }
 
     /**
      * Attach a per-home indirection table of at least numNodes
@@ -209,12 +254,25 @@ class AddrMap
     unsigned blockSizeBytes() const { return blockSize_; }
 
   private:
+    BlockId
+    pageOf(BlockId blk) const
+    {
+        return bppPow2_ ? blk >> bppShift_ : blk / bpp_;
+    }
+
+    BlockId
+    offsetOf(BlockId blk) const
+    {
+        return bppPow2_ ? blk & (bpp_ - 1) : blk % bpp_;
+    }
+
     const NodeId *remap_ = nullptr;
     unsigned blockSize_;
     unsigned bpp_;
     unsigned nodes_;
     std::uint8_t blockShift_;
     std::uint8_t bppShift_;
+    std::uint8_t nodesShift_;
     unsigned nodesMask_;
     bool blockPow2_;
     bool bppPow2_;

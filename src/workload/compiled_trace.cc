@@ -1,6 +1,8 @@
 #include "workload/compiled_trace.hh"
 
-#include "base/flat_map.hh"
+#include <algorithm>
+#include <utility>
+
 #include "base/logging.hh"
 
 namespace mspdsm
@@ -15,14 +17,49 @@ constexpr std::uint8_t seenBit = 1;
 constexpr std::uint8_t wroteBit = 2;
 
 /**
- * compileTrace() with a caller-owned history table, so a workload
- * compile reuses one allocation across all of its traces (clear()
- * keeps capacity) instead of building a fresh table per trace.
+ * Source block id -> first-touch ordinal, through a direct table over
+ * the source ids. Generators allocate pages from zero, so the table
+ * spans only the pages they used, and a lookup is one indexed load
+ * where a hash map probe made the whole compile measurably slower.
  */
+class Ordinals
+{
+  public:
+    /** Ordinal of @p raw; sets @p fresh iff this is its first touch. */
+    std::uint32_t
+    get(BlockId raw, bool &fresh)
+    {
+        fatal_if(raw >= maxRaw, "block id ", raw,
+                 " beyond the compiler's direct table");
+        if (raw >= ord_.size())
+            ord_.resize(std::max<std::size_t>(
+                            {raw + 1, 2 * ord_.size(), minTable}),
+                        none);
+        std::uint32_t &o = ord_[raw];
+        fresh = o == none;
+        if (fresh)
+            o = next_++;
+        return o;
+    }
+
+  private:
+    static constexpr BlockId maxRaw = BlockId{1} << 26;
+    static constexpr std::size_t minTable = 4096;
+    static constexpr std::uint32_t none = ~std::uint32_t{0};
+    std::vector<std::uint32_t> ord_;
+    std::uint32_t next_ = 0;
+};
+
+/**
+ * Compile one trace, mapping each source block through
+ * @p number(raw) -> (compiled id, ordinal); @p history is the per-
+ * ordinal hint state of this trace (cleared by the caller).
+ */
+template <typename Number>
 std::size_t
 compileTraceWith(const Trace &t, const AddrMap &map,
-                 std::vector<CompiledOp> &out,
-                 FlatMap<BlockId, std::uint8_t> &history)
+                 std::vector<CompiledOp> &out, Number &&number,
+                 std::vector<std::uint8_t> &history)
 {
     const std::size_t start = out.size();
     out.reserve(start + t.size());
@@ -56,11 +93,14 @@ compileTraceWith(const Trace &t, const AddrMap &map,
           }
           case OpKind::Read:
           case OpKind::Write: {
-            const BlockId blk = map.blockOf(op.addr);
+            const auto [blk, ord] = number(map.blockOf(op.addr));
             panic_if(blk > CompiledOp::payloadMax,
                      "block id overflows the packed op");
             const bool write = op.kind == OpKind::Write;
-            std::uint8_t &h = history[blk];
+            if (ord >= history.size())
+                history.resize(std::max<std::size_t>(
+                    {ord + 1, 2 * history.size(), 1024}));
+            std::uint8_t &h = history[ord];
             // A read can be served locally once the block has been
             // touched at all (a demand fill, or a speculative push --
             // which only ever targets past readers); a write only
@@ -85,8 +125,15 @@ std::size_t
 compileTrace(const Trace &t, const AddrMap &map,
              std::vector<CompiledOp> &out)
 {
-    FlatMap<BlockId, std::uint8_t> history;
-    return compileTraceWith(t, map, out, history);
+    Ordinals ords;
+    std::vector<std::uint8_t> history;
+    return compileTraceWith(
+        t, map, out,
+        [&](BlockId raw) {
+            bool fresh;
+            return std::pair{raw, ords.get(raw, fresh)};
+        },
+        history);
 }
 
 CompiledWorkload::CompiledWorkload(const Workload &w, const AddrMap &map)
@@ -98,7 +145,8 @@ CompiledWorkload::CompiledWorkload(const Workload &w, const AddrMap &map)
 
 CompiledWorkload::CompiledWorkload(const std::vector<Trace> &traces,
                                    const AddrMap &map)
-    : blockSize_(map.blockSizeBytes())
+    : blockSize_(map.blockSizeBytes()), map_(map),
+      homeStart_(map.numNodes() + 1, 0)
 {
     std::size_t total = 0;
     for (const Trace &t : traces)
@@ -106,19 +154,59 @@ CompiledWorkload::CompiledWorkload(const std::vector<Trace> &traces,
     sourceOps_ = total;
     arena_.reserve(total);
     spans_.reserve(traces.size());
-    FlatMap<BlockId, std::uint8_t> history;
+
+    // Dense renumbering, in first-touch order over the traces: the
+    // j-th block homed at h becomes blockAt(h, j), so its geometric
+    // home is unchanged and its local index is j.
+    // homeStart_[h + 1] counts home h's blocks until the prefix sum
+    // below turns the counts into offsets.
+    Ordinals ords;
+    std::vector<BlockId> idOf, rawOfOrd; // by ordinal
+    auto number = [&](BlockId raw) {
+        bool fresh;
+        const std::uint32_t o = ords.get(raw, fresh);
+        if (fresh) {
+            const NodeId h = map_.geometricHomeOf(raw);
+            idOf.push_back(map_.blockAt(h, homeStart_[h + 1]++));
+            rawOfOrd.push_back(raw);
+        }
+        return std::pair{idOf[o], o};
+    };
+    std::vector<std::uint8_t> history;
     for (const Trace &t : traces) {
         Span s;
         s.offset = arena_.size();
-        history.clear(); // hit hints are per-trace
-        s.count = compileTraceWith(t, map, arena_, history);
+        // Hit hints are per-trace.
+        std::fill(history.begin(), history.end(), std::uint8_t{0});
+        s.count = compileTraceWith(t, map_, arena_, number, history);
         spans_.push_back(s);
+    }
+
+    for (std::size_t h = 1; h < homeStart_.size(); ++h)
+        homeStart_[h] += homeStart_[h - 1];
+    rawOf_.resize(rawOfOrd.size());
+    for (std::size_t o = 0; o < idOf.size(); ++o) {
+        const AddrMap::ShardSlot at = map_.shardSlotOf(idOf[o]);
+        rawOf_[homeStart_[at.home] + at.local] = rawOfOrd[o];
     }
 }
 
-Trace
-decodeTrace(const CompiledTrace &t, unsigned blockSize)
+BlockId
+CompiledWorkload::blockOf(Addr a) const
 {
+    const BlockId raw = map_.blockOf(a);
+    const NodeId h = map_.geometricHomeOf(raw);
+    for (std::size_t j = 0; j < blocksAt(h); ++j)
+        if (rawOf_[homeStart_[h] + j] == raw)
+            return map_.blockAt(h, j);
+    return invalidBlock;
+}
+
+Trace
+decodeTrace(const CompiledWorkload &w, std::size_t i)
+{
+    const CompiledTrace t = w.trace(i);
+    const Addr blockSize = w.blockSize();
     Trace out;
     out.reserve(t.size());
     for (const CompiledOp &op : t) {
@@ -127,10 +215,12 @@ decodeTrace(const CompiledTrace &t, unsigned blockSize)
             out.push_back(TraceOp::compute(op.payload()));
             break;
           case OpKind::Read:
-            out.push_back(TraceOp::read(op.payload() * blockSize));
+            out.push_back(
+                TraceOp::read(w.rawBlock(op.payload()) * blockSize));
             break;
           case OpKind::Write:
-            out.push_back(TraceOp::write(op.payload() * blockSize));
+            out.push_back(
+                TraceOp::write(w.rawBlock(op.payload()) * blockSize));
             break;
           case OpKind::Barrier:
             out.push_back(TraceOp::barrier());

@@ -22,6 +22,16 @@
  *    demand path -- so mis-annotation can cost time but never
  *    correctness or timing.
  *
+ * A workload compile also *renumbers* the blocks densely per home:
+ * the j-th distinct block homed at h (in first-touch order over the
+ * traces) gets the id ((j / bpp) * N + h) * bpp + j mod bpp, for N
+ * nodes and bpp blocks per page. The geometric home of every block is
+ * unchanged (so are all routes and re-homes), and
+ * AddrMap::localIndex() of a renumbered block is exactly j, so every
+ * per-block table on the message path is an array per home
+ * (proto/shard_table.hh). The workload keeps the dense -> raw table
+ * for decoding, traces and diagnostics.
+ *
  * A round-trip decoder reconstructs the TraceOp stream for tests:
  * decode(compile(t)) == canonicalTrace(t), where the canonical form
  * differs from the original only by compute fusion and block
@@ -104,9 +114,10 @@ struct CompiledTrace
 
 /**
  * A fully compiled workload: one flat arena of packed ops for all
- * processors plus per-processor spans. Immutable after compilation,
- * so one instance can be shared by any number of concurrent runs
- * (the harness workload cache relies on this).
+ * processors plus per-processor spans, over densely renumbered
+ * blocks. Immutable after compilation, so one instance can be shared
+ * by any number of concurrent runs (the harness workload cache relies
+ * on this).
  */
 class CompiledWorkload
 {
@@ -144,6 +155,39 @@ class CompiledWorkload
     /** Geometry the block ids were computed with. */
     unsigned blockSize() const { return blockSize_; }
 
+    /** Node count the blocks were numbered for. */
+    unsigned numNodes() const { return map_.numNodes(); }
+
+    /** Blocks per page the blocks were numbered for. */
+    unsigned blocksPerPage() const { return map_.blocksPerPage(); }
+
+    /** Distinct blocks homed at @p home (its shard's size). */
+    std::size_t
+    blocksAt(NodeId home) const
+    {
+        return homeStart_[home + 1] - homeStart_[home];
+    }
+
+    /**
+     * Source (address / blockSize) id of compiled block @p blk, or
+     * invalidBlock if the workload has no such block.
+     */
+    BlockId
+    rawBlock(BlockId blk) const
+    {
+        const AddrMap::ShardSlot at = map_.shardSlotOf(blk);
+        return at.local < blocksAt(at.home)
+                   ? rawOf_[homeStart_[at.home] + at.local]
+                   : invalidBlock;
+    }
+
+    /**
+     * Compiled id of the block holding byte address @p a, or
+     * invalidBlock if no trace touches it. A linear search of one
+     * home's blocks: for tests and diagnostics, not the hot path.
+     */
+    BlockId blockOf(Addr a) const;
+
   private:
     struct Span
     {
@@ -154,24 +198,30 @@ class CompiledWorkload
     std::string name_;
     Tick netJitter_ = 0;
     unsigned blockSize_ = 0;
+    AddrMap map_;
+    //! Source id of each block, grouped by home in local-index order:
+    //! home h's blocks are [homeStart_[h], homeStart_[h + 1]).
+    std::vector<BlockId> rawOf_;
+    std::vector<std::size_t> homeStart_;
     std::size_t sourceOps_ = 0;
     std::vector<CompiledOp> arena_;
     std::vector<Span> spans_;
 };
 
 /**
- * Compile one trace (without workload bookkeeping); appends to
- * @p out and returns the number of ops emitted. Exposed for tests
- * and the compile microbench.
+ * Compile one trace (without workload bookkeeping or renumbering:
+ * block ids stay address / blockSize); appends to @p out and returns
+ * the number of ops emitted. Exposed for tests.
  */
 std::size_t compileTrace(const Trace &t, const AddrMap &map,
                          std::vector<CompiledOp> &out);
 
 /**
- * Decode a compiled span back into TraceOps. Addresses come back
- * block-aligned (blk * blockSize); fused computes stay fused.
+ * Decode processor @p i's compiled span back into TraceOps, through
+ * the workload's dense -> raw table. Addresses come back
+ * block-aligned (raw block * blockSize); fused computes stay fused.
  */
-Trace decodeTrace(const CompiledTrace &t, unsigned blockSize);
+Trace decodeTrace(const CompiledWorkload &w, std::size_t i);
 
 /**
  * The canonical form of a trace: consecutive Compute ops merged,

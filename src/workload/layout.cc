@@ -8,33 +8,37 @@ namespace mspdsm
 {
 
 Region
+Layout::take(std::uint64_t first, unsigned nblocks,
+             std::uint64_t stride) const
+{
+    Region r;
+    r.base = first * static_cast<Addr>(cfg_.pageSize);
+    r.blocks = nblocks;
+    r.blockSize = cfg_.blockSize;
+    r.blocksPerPage = cfg_.blocksPerPage();
+    r.pageStride = stride * static_cast<Addr>(cfg_.pageSize);
+    return r;
+}
+
+Region
 Layout::allocAt(NodeId home, unsigned nblocks)
 {
     fatal_if(home >= cfg_.numNodes, "allocAt: bad home ", home);
     fatal_if(nblocks == 0, "allocAt: empty region");
-    while (nextPage_ % cfg_.numNodes != home)
+    while (nextPage_ % cfg_.numNodes != home || reserved(nextPage_))
         ++nextPage_;
 
-    Region r;
-    r.base = nextPage_ * static_cast<Addr>(cfg_.pageSize);
-    r.blocks = nblocks;
-    r.blockSize = cfg_.blockSize;
-
+    // Page interleaving gives consecutive pages consecutive homes, so
+    // page k of the region sits k * numNodes pages on: same home.
     const unsigned bpp = cfg_.blocksPerPage();
     const std::uint64_t pages = (nblocks + bpp - 1) / bpp;
-    // Multi-page regions keep a single home only if consecutive pages
-    // land on the same node, which page interleaving forbids; jump by
-    // the full node stride instead so every page has the same home.
-    if (pages == 1) {
-        ++nextPage_;
-    } else {
-        // Allocate page k at nextPage_ + k*numNodes; the region is
-        // then not byte-contiguous, so refuse and ask callers to
-        // split. All generators allocate <= one page per region.
-        fatal_if(pages > 1, "region of ", nblocks,
-                 " blocks spans pages; allocate per-page regions");
+    for (std::uint64_t k = 1; k < pages; ++k) {
+        const std::uint64_t p = nextPage_ + k * cfg_.numNodes;
+        if (p >= reserved_.size())
+            reserved_.resize(p + 1);
+        reserved_[p] = true;
     }
-    return r;
+    return take(nextPage_++, nblocks, cfg_.numNodes);
 }
 
 void
@@ -74,12 +78,19 @@ Region
 Layout::alloc(unsigned nblocks)
 {
     fatal_if(nblocks == 0, "alloc: empty region");
-    Region r;
-    r.base = nextPage_ * static_cast<Addr>(cfg_.pageSize);
-    r.blocks = nblocks;
-    r.blockSize = cfg_.blockSize;
     const unsigned bpp = cfg_.blocksPerPage();
-    nextPage_ += (nblocks + bpp - 1) / bpp;
+    const std::uint64_t pages = (nblocks + bpp - 1) / bpp;
+    // Skip past any page a homed multi-page region reserved.
+    for (std::uint64_t k = 0; k < pages;) {
+        if (reserved(nextPage_ + k)) {
+            nextPage_ += k + 1;
+            k = 0;
+        } else {
+            ++k;
+        }
+    }
+    const Region r = take(nextPage_, nblocks, 1);
+    nextPage_ += pages;
     return r;
 }
 

@@ -23,18 +23,27 @@
 namespace mspdsm
 {
 
-/** A contiguous run of coherence blocks. */
+/**
+ * A run of coherence blocks, page by page. A region homed at one
+ * node (Layout::allocAt) that spans several pages places page k at
+ * base + k * pageStride, pageStride being numNodes pages, so every
+ * page has the same home; otherwise pageStride is one page and the
+ * region is contiguous.
+ */
 struct Region
 {
-    Addr base = 0;          //!< byte address of the first block
-    unsigned blocks = 0;    //!< number of blocks
-    unsigned blockSize = 0; //!< bytes per block
+    Addr base = 0;              //!< byte address of the first block
+    unsigned blocks = 0;        //!< number of blocks
+    unsigned blockSize = 0;     //!< bytes per block
+    unsigned blocksPerPage = 1; //!< blocks on one page
+    Addr pageStride = 0;        //!< bytes from one page to the next
 
     /** Byte address of block @p i within the region. */
     Addr
     addr(unsigned i) const
     {
-        return base + static_cast<Addr>(i) * blockSize;
+        return base + static_cast<Addr>(i / blocksPerPage) * pageStride +
+               static_cast<Addr>(i % blocksPerPage) * blockSize;
     }
 };
 
@@ -49,20 +58,33 @@ class Layout
     {}
 
     /**
-     * Allocate @p nblocks contiguous blocks starting on the next page
-     * whose home is @p home. Pages are never shared between regions.
+     * Allocate @p nblocks blocks starting on the next free page whose
+     * home is @p home; further pages follow every numNodes pages
+     * (reserved here, so no later region takes them). Pages are never
+     * shared between regions.
      */
     Region allocAt(NodeId home, unsigned nblocks);
 
-    /** Allocate without a home constraint (spread over nodes). */
+    /** Allocate contiguous pages without a home constraint (spread
+     * over nodes). */
     Region alloc(unsigned nblocks);
 
-    /** Pages consumed so far. */
-    std::uint64_t pagesUsed() const { return nextPage_; }
-
   private:
+    /** True iff page @p p belongs to an earlier multi-page region. */
+    bool
+    reserved(std::uint64_t p) const
+    {
+        return p < reserved_.size() && reserved_[p];
+    }
+
+    /** A region of @p nblocks blocks from page @p first, its pages
+     * @p stride pages apart. */
+    Region take(std::uint64_t first, unsigned nblocks,
+                std::uint64_t stride) const;
+
     const ProtoConfig &cfg_;
     std::uint64_t nextPage_ = 0;
+    std::vector<bool> reserved_; //!< pages ahead of nextPage_ taken
 };
 
 /**

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <vector>
 
+#include "dsm/system.hh"
 #include "harness/experiment.hh"
 #include "harness/sweep.hh"
 
@@ -122,6 +124,59 @@ TEST(Fault, KillAndRecoveryBookkeeping)
     // hold lines homed at the victim, so the backup's reconstruction
     // sweep always has contributors.
     EXPECT_GT(r.fault.rehomeSyncs, 0u);
+}
+
+/**
+ * After a kill, re-home, restart and fail-back (with and without shard
+ * replication), the machine state must still be coherent: every
+ * touched block, found through the run's own block numbering, has at
+ * most one Modified copy, and that copy is the owner its restored home
+ * directory records. Most blocks still hold a valid copy somewhere,
+ * so the checks do not pass on empty state.
+ */
+TEST(Fault, RecoveredMachineStateIsCoherent)
+{
+    for (const bool replicate : {false, true}) {
+        AppParams p;
+        p.scale = 0.25;
+        p.iterations = 2;
+        const Workload w = makeApp("em3d", p);
+        DsmConfig cfg;
+        cfg.proto.netJitter = w.netJitter;
+        cfg.pred = PredKind::Vmsp;
+        cfg.spec = SpecMode::SwiFirstRead;
+        cfg.faults.events = {{40000, 3, FaultKind::Kill},
+                             {70000, 3, FaultKind::Restart}};
+        cfg.faults.replicateShards = replicate;
+        DsmSystem sys(cfg);
+        const RunResult r = sys.run(w.traces);
+        ASSERT_EQ(r.status, RunStatus::Completed);
+
+        std::set<Addr> addrs;
+        for (const Trace &t : w.traces)
+            for (const TraceOp &op : t)
+                if (op.kind == OpKind::Read || op.kind == OpKind::Write)
+                    addrs.insert(op.addr);
+        std::size_t live = 0;
+        for (const Addr a : addrs) {
+            const BlockId blk = sys.blockOf(a);
+            ASSERT_NE(blk, invalidBlock);
+            Directory &dir = sys.directory(cfg.proto.homeOf(blk));
+            int modified = 0, valid = 0;
+            for (NodeId q = 0; q < cfg.proto.numNodes; ++q) {
+                const LineState ls = sys.cache(q).lineState(blk);
+                valid += ls != LineState::Invalid;
+                if (ls == LineState::Modified) {
+                    ++modified;
+                    EXPECT_EQ(dir.ownerOf(blk), q) << "block " << blk;
+                }
+            }
+            EXPECT_LE(modified, 1) << "block " << blk;
+            live += valid > 0;
+        }
+        EXPECT_GE(4 * live, 3 * addrs.size())
+            << live << " of " << addrs.size() << " blocks live";
+    }
 }
 
 TEST(Fault, FaultedRunsAreDeterministic)

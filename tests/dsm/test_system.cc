@@ -40,6 +40,24 @@ TEST(System, RejectsWrongTraceCount)
     EXPECT_DEATH(sys.run(three), "expected 4 traces");
 }
 
+TEST(System, RejectsWorkloadNumberedForAnotherGeometry)
+{
+    // Compiled block ids encode the node count and page geometry
+    // (dense per-home numbering), so a mismatch must fail fast, not
+    // run with every block on the wrong home.
+    DsmConfig cfg = smallConfig();
+    DsmSystem sys(cfg);
+    const std::vector<Trace> four(4, Trace{TraceOp::read(0)});
+    ProtoConfig eight = cfg.proto;
+    eight.numNodes = 8;
+    const CompiledWorkload wrongNodes(four, AddrMap(eight));
+    EXPECT_DEATH(sys.run(wrongNodes), "numbered for 8 nodes");
+    ProtoConfig bigPages = cfg.proto;
+    bigPages.pageSize *= 2;
+    const CompiledWorkload wrongPages(four, AddrMap(bigPages));
+    EXPECT_DEATH(sys.run(wrongPages), "256 blocks per page");
+}
+
 TEST(System, RejectsNoneObserver)
 {
     DsmConfig cfg = smallConfig();

@@ -262,3 +262,41 @@ TEST_P(VmspFolding, OrderInsensitiveForAnyDegree)
 
 INSTANTIATE_TEST_SUITE_P(Degrees, VmspFolding,
                          ::testing::Values(1, 2, 3, 5, 8, 12, 15));
+
+/**
+ * A VMSP on an interim host sees blocks of its own home and of the
+ * adopted one, with overlapping local indices. Each block must learn
+ * exactly as it would alone.
+ */
+TEST(Vmsp, InterimHostKeepsBlocksOfTwoHomesApart)
+{
+    ProtoConfig cfg;
+    cfg.numNodes = 4;
+    const AddrMap map(cfg);
+    const BlockId own = map.blockAt(0, 5);
+    const BlockId adopted = map.blockAt(1, 5);
+
+    Vmsp both(1, 4, map), ownOnly(1, 4, map), adoptedOnly(1, 4, map);
+    const std::vector<PredMsg> ownStream = {wr(0), rd(1), rd(2),
+                                            wr(0), rd(1), rd(2)};
+    const std::vector<PredMsg> adoptedStream = {up(3), rd(0), wr(3),
+                                                rd(0), rd(2), wr(3)};
+    for (std::size_t i = 0; i < ownStream.size(); ++i) {
+        both.observe(own, ownStream[i]);
+        ownOnly.observe(own, ownStream[i]);
+        both.observe(adopted, adoptedStream[i]);
+        adoptedOnly.observe(adopted, adoptedStream[i]);
+        EXPECT_EQ(both.prediction(own), ownOnly.prediction(own)) << i;
+        EXPECT_EQ(both.prediction(adopted),
+                  adoptedOnly.prediction(adopted))
+            << i;
+        EXPECT_EQ(both.openReaders(own), ownOnly.openReaders(own));
+        EXPECT_EQ(both.openReaders(adopted),
+                  adoptedOnly.openReaders(adopted));
+    }
+    EXPECT_EQ(both.predictedReaders(own), set({1, 2}));
+    EXPECT_EQ(both.storage().blocksAllocated, 2u);
+    EXPECT_EQ(both.storage().pteTotal,
+              ownOnly.storage().pteTotal +
+                  adoptedOnly.storage().pteTotal);
+}

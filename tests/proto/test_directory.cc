@@ -143,3 +143,56 @@ TEST(Directory, WriteToSharedSendsInvalPerSharer)
     // Upgrade by 3 invalidates sharers 1 and 2 (not itself).
     EXPECT_EQ(sys.directory(0).stats().invals.value(), 2u);
 }
+
+/**
+ * A directory hosting an adopted shard holds blocks of two homes whose
+ * local indices overlap: state must be keyed by (home, local index),
+ * never by the local index alone. Adopt blocks of homes 1 and 2 at
+ * the very local index of a live block of the directory's own home 0,
+ * and check every entry answers for itself.
+ */
+TEST(Directory, AdoptedBlockNeverAliasesOwnBlockAtSameLocalIndex)
+{
+    DsmConfig cfg = smallConfig();
+    DsmSystem sys(cfg);
+    const Addr a = blockOn(cfg.proto, 0, 3);
+    std::vector<Trace> ts(4);
+    ts[1] = {TraceOp::read(a)};
+    ts[2] = {TraceOp::read(a)};
+    sys.run(ts);
+
+    const AddrMap map(cfg.proto);
+    const BlockId own = sys.blockOf(a);
+    ASSERT_EQ(map.geometricHomeOf(own), 0);
+    Directory &dir = sys.directory(0);
+    ASSERT_EQ(dir.blockState(own), DirState::Shared);
+
+    const std::uint64_t local = map.localIndex(own);
+    const BlockId excl = map.blockAt(1, local);
+    const BlockId shared = map.blockAt(2, local);
+    dir.adopt(excl, 3, true);
+    dir.adopt(shared, 1, false);
+    dir.adopt(shared, 3, false);
+
+    EXPECT_EQ(dir.blockState(own), DirState::Shared);
+    EXPECT_EQ(dir.ownerOf(own), invalidNode);
+    EXPECT_TRUE(dir.sharersOf(own).contains(1));
+    EXPECT_TRUE(dir.sharersOf(own).contains(2));
+    EXPECT_FALSE(dir.sharersOf(own).contains(3));
+
+    EXPECT_EQ(dir.blockState(excl), DirState::Excl);
+    EXPECT_EQ(dir.ownerOf(excl), 3);
+    EXPECT_TRUE(dir.sharersOf(excl).empty());
+
+    EXPECT_EQ(dir.blockState(shared), DirState::Shared);
+    EXPECT_EQ(dir.ownerOf(shared), invalidNode);
+    EXPECT_TRUE(dir.sharersOf(shared).contains(1));
+    EXPECT_TRUE(dir.sharersOf(shared).contains(3));
+    EXPECT_FALSE(dir.sharersOf(shared).contains(2));
+
+    // Releasing the adopted shard of home 1 leaves the others alone.
+    dir.releaseShard(1);
+    EXPECT_EQ(dir.blockState(excl), DirState::Idle);
+    EXPECT_EQ(dir.blockState(own), DirState::Shared);
+    EXPECT_EQ(dir.blockState(shared), DirState::Shared);
+}

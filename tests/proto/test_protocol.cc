@@ -74,10 +74,10 @@ TEST(Protocol, WriteMissGetsExclusive)
     const Addr a = blockOn(cfg.proto, 0);
     Trace t{TraceOp::write(a)};
     sys.run(soloTrace(4, 1, t));
-    EXPECT_EQ(sys.cache(1).lineState(cfg.proto.blockOf(a)),
+    EXPECT_EQ(sys.cache(1).lineState(sys.blockOf(a)),
               LineState::Modified);
-    EXPECT_EQ(sys.directory(0).ownerOf(cfg.proto.blockOf(a)), 1);
-    EXPECT_EQ(sys.directory(0).blockState(cfg.proto.blockOf(a)),
+    EXPECT_EQ(sys.directory(0).ownerOf(sys.blockOf(a)), 1);
+    EXPECT_EQ(sys.directory(0).blockState(sys.blockOf(a)),
               DirState::Excl);
 }
 
@@ -91,7 +91,7 @@ TEST(Protocol, ReadSharersAccumulateInDirectory)
     ts[2] = {TraceOp::read(a)};
     ts[3] = {TraceOp::read(a)};
     sys.run(ts);
-    const BlockId blk = cfg.proto.blockOf(a);
+    const BlockId blk = sys.blockOf(a);
     EXPECT_EQ(sys.directory(0).blockState(blk), DirState::Shared);
     const NodeSet sharers = sys.directory(0).sharersOf(blk);
     EXPECT_TRUE(sharers.contains(1));
@@ -110,7 +110,7 @@ TEST(Protocol, WriteInvalidatesAllSharers)
     ts[3] = {TraceOp::barrier(), TraceOp::write(a)};
     ts[0] = {TraceOp::barrier()};
     sys.run(ts);
-    const BlockId blk = cfg.proto.blockOf(a);
+    const BlockId blk = sys.blockOf(a);
     EXPECT_EQ(sys.cache(1).lineState(blk), LineState::Invalid);
     EXPECT_EQ(sys.cache(2).lineState(blk), LineState::Invalid);
     EXPECT_EQ(sys.cache(3).lineState(blk), LineState::Modified);
@@ -125,7 +125,7 @@ TEST(Protocol, UpgradeFromSoleSharerNeedsNoData)
     // Read then write: the write is an upgrade.
     Trace t{TraceOp::read(a), TraceOp::write(a)};
     const RunResult r = sys.run(soloTrace(4, 1, t));
-    EXPECT_EQ(sys.cache(1).lineState(cfg.proto.blockOf(a)),
+    EXPECT_EQ(sys.cache(1).lineState(sys.blockOf(a)),
               LineState::Modified);
     // Upgrade round trip is two control hops + dir lookup: cheaper
     // than a full data miss.
@@ -143,7 +143,7 @@ TEST(Protocol, ReadFromExclusiveForcesWriteback)
     ts[0] = {TraceOp::barrier()};
     ts[3] = {TraceOp::barrier()};
     sys.run(ts);
-    const BlockId blk = cfg.proto.blockOf(a);
+    const BlockId blk = sys.blockOf(a);
     // Figure 1 right: the writer is invalidated and the reader gets
     // a shared copy; the directory ends in Shared{2}.
     EXPECT_EQ(sys.cache(1).lineState(blk), LineState::Invalid);
@@ -193,7 +193,7 @@ TEST(Protocol, MigratoryHandoffConverges)
             ts[n].push_back(TraceOp::barrier());
     }
     sys.run(ts);
-    const BlockId blk = cfg.proto.blockOf(a);
+    const BlockId blk = sys.blockOf(a);
     EXPECT_EQ(sys.directory(0).ownerOf(blk), 3); // last in rotation
     EXPECT_EQ(sys.cache(3).lineState(blk), LineState::Modified);
 }
@@ -209,7 +209,7 @@ TEST(Protocol, ConcurrentWritersSerialize)
     const RunResult r = sys.run(ts);
     // All four writes complete; exactly one final owner.
     EXPECT_EQ(r.writes, 4u);
-    const BlockId blk = cfg.proto.blockOf(a);
+    const BlockId blk = sys.blockOf(a);
     const NodeId owner = sys.directory(0).ownerOf(blk);
     ASSERT_NE(owner, invalidNode);
     int modified = 0;
@@ -235,7 +235,7 @@ TEST(Protocol, UpgradeRaceFallsBackToFullWrite)
     ts[3] = {TraceOp::barrier()};
     const RunResult r = sys.run(ts);
     EXPECT_EQ(r.writes, 2u);
-    const BlockId blk = cfg.proto.blockOf(a);
+    const BlockId blk = sys.blockOf(a);
     const NodeId owner = sys.directory(0).ownerOf(blk);
     ASSERT_NE(owner, invalidNode);
     EXPECT_EQ(sys.cache(owner).lineState(blk), LineState::Modified);

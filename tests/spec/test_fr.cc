@@ -107,7 +107,7 @@ TEST(FirstRead, SpeculativeCopyIsRealSharer)
     sys.run(pcRounds(cfg.proto, 8, 5, 3));
     // At the end of the last round all three readers hold the block
     // and the directory tracks every copy (pushed or demanded).
-    const BlockId blk = cfg.proto.blockOf(blockOn(cfg.proto, 0));
+    const BlockId blk = sys.blockOf(blockOn(cfg.proto, 0));
     const NodeSet sharers = sys.directory(0).sharersOf(blk);
     for (NodeId q = 2; q <= 4; ++q) {
         if (sys.cache(q).lineState(blk) != LineState::Invalid) {

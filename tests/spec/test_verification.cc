@@ -158,7 +158,7 @@ TEST(Verification, SpecCopiesNeverOutliveInvalidation)
         ts[q].push_back(TraceOp::barrier());
     ts[1].push_back(TraceOp::write(a));
     sys.run(ts);
-    const BlockId blk = cfg.proto.blockOf(a);
+    const BlockId blk = sys.blockOf(a);
     for (NodeId q = 0; q < 8; ++q) {
         if (q == 1)
             continue;

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "workload/compiled_trace.hh"
 #include "workload/suite.hh"
 
@@ -123,8 +125,7 @@ TEST(CompiledTrace, RoundTripAcrossAppSuiteAtTwoScales)
             const CompiledWorkload cw(w, map);
             ASSERT_EQ(cw.numTraces(), w.traces.size()) << info.name;
             for (std::size_t i = 0; i < w.traces.size(); ++i) {
-                const Trace decoded =
-                    decodeTrace(cw.trace(i), cw.blockSize());
+                const Trace decoded = decodeTrace(cw, i);
                 const Trace canon = canonicalTrace(w.traces[i], map);
                 ASSERT_EQ(decoded, canon)
                     << info.name << " proc " << i << " scale " << scale;
@@ -169,4 +170,79 @@ TEST(CompiledTrace, ArenaIsPackedAndSpansPartitionIt)
         sum += t.size();
     }
     EXPECT_EQ(sum, cw.totalOps());
+}
+
+/**
+ * The dense numbering over the whole suite and the node-count range:
+ * every compiled block keeps its source block's home, ids are unique
+ * (and the raw table inverts them), and each home's local indices are
+ * exactly 0 .. count_h - 1 -- what sizes the per-home tables.
+ */
+TEST(CompiledTrace, DenseNumberingKeepsHomesAcrossSuite)
+{
+    for (const double scale : {0.25, 2.0}) {
+        for (const unsigned procs : {1u, 2u, 3u, 16u, 32u, 61u}) {
+            AppParams p = params(scale, 1);
+            p.numProcs = procs;
+            p.proto.numNodes = procs;
+            const AddrMap map(p.proto);
+            for (const AppInfo &info : appSuite()) {
+                const Workload w = info.make(p);
+                const CompiledWorkload cw(w, map);
+                ASSERT_EQ(cw.numNodes(), procs);
+                std::set<BlockId> ids;
+                std::vector<std::set<std::uint64_t>> locals(procs);
+                for (std::size_t i = 0; i < cw.numTraces(); ++i) {
+                    const CompiledTrace t = cw.trace(i);
+                    const Trace &src = w.traces[i];
+                    std::size_t k = 0; // next source memory op
+                    for (const CompiledOp &op : t) {
+                        if (op.kind() != OpKind::Read &&
+                            op.kind() != OpKind::Write)
+                            continue;
+                        while (src[k].kind != OpKind::Read &&
+                               src[k].kind != OpKind::Write)
+                            ++k;
+                        const BlockId raw = map.blockOf(src[k++].addr);
+                        const BlockId blk = op.payload();
+                        ASSERT_EQ(map.geometricHomeOf(blk),
+                                  map.geometricHomeOf(raw))
+                            << info.name << " procs " << procs;
+                        ASSERT_EQ(cw.rawBlock(blk), raw) << info.name;
+                        ids.insert(blk);
+                        locals[map.geometricHomeOf(blk)].insert(
+                            map.localIndex(blk));
+                    }
+                }
+                std::size_t total = 0;
+                for (unsigned h = 0; h < procs; ++h) {
+                    const std::size_t n = cw.blocksAt(NodeId(h));
+                    total += n;
+                    ASSERT_EQ(locals[h].size(), n) << info.name;
+                    if (n > 0) {
+                        EXPECT_EQ(*locals[h].begin(), 0u);
+                        EXPECT_EQ(*locals[h].rbegin(), n - 1)
+                            << info.name << " home " << h;
+                    }
+                }
+                // Unique: one compiled id per distinct source block.
+                EXPECT_EQ(ids.size(), total) << info.name;
+            }
+        }
+    }
+}
+
+TEST(CompiledTrace, BlockOfFindsTouchedAddressesOnly)
+{
+    const ProtoConfig cfg;
+    const AddrMap map(cfg);
+    const Addr a = Addr{cfg.pageSize} * 3 + 5 * cfg.blockSize;
+    const Addr b = Addr{cfg.pageSize} * 19; // home 3 as well
+    const CompiledWorkload cw(
+        std::vector<Trace>{{TraceOp::read(b), TraceOp::write(a)}}, map);
+    // First-touch order within home 3: b, then a.
+    EXPECT_EQ(cw.blockOf(b), map.blockAt(3, 0));
+    EXPECT_EQ(cw.blockOf(a), map.blockAt(3, 1));
+    EXPECT_EQ(cw.blockOf(a + cfg.blockSize), invalidBlock);
+    EXPECT_EQ(cw.rawBlock(cw.blockOf(a)), map.blockOf(a));
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "workload/layout.hh"
 
 using namespace mspdsm;
@@ -50,11 +53,30 @@ TEST(Layout, AllocSpreadsWithoutConstraint)
                   r.addr(cfg.blocksPerPage()))));
 }
 
-TEST(LayoutDeathTest, RefusesMultiPageHomedRegion)
+TEST(Layout, MultiPageHomedRegionKeepsOneHomeAndItsPages)
 {
     ProtoConfig cfg;
     Layout layout(cfg);
-    EXPECT_DEATH(layout.allocAt(0, cfg.blocksPerPage() + 1), "spans");
+    const unsigned bpp = cfg.blocksPerPage();
+    const Region r = layout.allocAt(2, 2 * bpp + 5); // three pages
+    std::set<std::uint64_t> pages;
+    for (unsigned i = 0; i < r.blocks; ++i) {
+        EXPECT_EQ(cfg.homeOf(cfg.blockOf(r.addr(i))), 2) << i;
+        EXPECT_EQ(r.addr(i) % cfg.blockSize, 0u);
+        pages.insert(r.addr(i) / cfg.pageSize);
+    }
+    ASSERT_EQ(pages.size(), 3u);
+
+    // No later region, homed or not, may land on any of those pages.
+    std::vector<Region> later;
+    for (NodeId h = 0; h < cfg.numNodes; ++h)
+        for (int k = 0; k < 3; ++k)
+            later.push_back(layout.allocAt(h, bpp / 2));
+    later.push_back(layout.alloc(3 * bpp));
+    for (const Region &o : later)
+        for (unsigned i = 0; i < o.blocks; ++i)
+            EXPECT_EQ(pages.count(o.addr(i) / cfg.pageSize), 0u)
+                << "page " << o.addr(i) / cfg.pageSize << " reused";
 }
 
 TEST(TraceBuilder, AccumulatesOps)
