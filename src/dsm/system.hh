@@ -238,7 +238,10 @@ class DsmSystem
      * Block id of byte address @p a under the numbering of the last
      * workload run (invalidBlock if it never touched @p a); before
      * any run, the bare address / blockSize. Tests look machine
-     * state up through this.
+     * state up through this. The system keeps only a pointer to a
+     * workload passed to run(const CompiledWorkload &), so that
+     * workload must outlive every blockOf() call after the run; the
+     * trace overload's own compilation lives on the system.
      */
     BlockId blockOf(Addr a) const;
 
@@ -295,7 +298,8 @@ class DsmSystem
     //! the system (not the call's stack frame) because a TickLimit
     //! trip leaves the queue resumable with spans into its arena.
     std::unique_ptr<const CompiledWorkload> ownedWorkload_;
-    //! The workload of the last run(): its block numbering.
+    //! The workload of the last run(): its block numbering. Not
+    //! owned; see blockOf() for the lifetime rule.
     const CompiledWorkload *workload_ = nullptr;
 };
 

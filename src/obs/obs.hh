@@ -122,7 +122,9 @@ class ObsManager
     /**
      * The workload being run: trace `blk` args name its blocks by
      * their source ids (address / blockSize), not by the compiled
-     * numbering. Null (the default) prints ids as they are.
+     * numbering. Null (the default) prints ids as they are. Not
+     * owned: @p w must outlive the run it is set for, which
+     * DsmSystem::run already requires of its workload.
      */
     void setWorkload(const CompiledWorkload *w) { workload_ = w; }
 

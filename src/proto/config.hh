@@ -200,25 +200,19 @@ class AddrMap
     }
 
     /**
-     * Position of @p blk within its geometric home's shard:
-     * (page / numNodes) * blocksPerPage + blk mod blocksPerPage. A
-     * workload compiled by CompiledWorkload numbers each home's blocks
-     * 0, 1, 2, ... in this index, so per-block tables are plain
+     * A block's geometric home and its local index within that home's
+     * shard, (page / numNodes) * blocksPerPage + blk mod blocksPerPage.
+     * A workload compiled by CompiledWorkload numbers each home's
+     * blocks 0, 1, 2, ... in this index, so per-block tables are plain
      * arrays per home (proto/shard_table.hh).
      */
-    std::uint64_t
-    localIndex(BlockId blk) const
-    {
-        return shardSlotOf(blk).local;
-    }
-
-    /** (geometricHomeOf, localIndex) of one block, one divide. */
     struct ShardSlot
     {
         NodeId home;
         std::uint64_t local;
     };
 
+    /** ShardSlot of @p blk, one divide. */
     ShardSlot
     shardSlotOf(BlockId blk) const
     {
@@ -229,7 +223,7 @@ class AddrMap
                 round * bpp_ + offsetOf(blk)};
     }
 
-    /** Inverse of (geometricHomeOf, localIndex). */
+    /** Inverse of shardSlotOf(). */
     BlockId
     blockAt(NodeId home, std::uint64_t local) const
     {

@@ -3,12 +3,12 @@
  * Per-block state as plain arrays, one per home shard.
  *
  * A compiled workload numbers its blocks densely per home
- * (workload/compiled_trace.hh), so AddrMap::localIndex() runs
- * 0, 1, 2, ... within each home and a per-block table is one vector
- * per home indexed by it: a lookup is a shift, a mask and an indexed
- * load, with no hashing and no probing.
+ * (workload/compiled_trace.hh), so the local index of
+ * AddrMap::shardSlotOf() runs 0, 1, 2, ... within each home and a
+ * per-block table is one vector per home indexed by it: a lookup is a
+ * shift, a mask and an indexed load, with no hashing and no probing.
  *
- * Tables are indexed by (home, localIndex), never by localIndex
+ * Tables are indexed by (home, local index), never by local index
  * alone: a directory also hosts the shards it adopts during
  * re-homing, and a predictor on an interim host sees blocks of two
  * homes, whose local indices overlap.

@@ -57,9 +57,9 @@ class Ordinals
  */
 template <typename Number>
 std::size_t
-compileTraceWith(const Trace &t, const AddrMap &map,
-                 std::vector<CompiledOp> &out, Number &&number,
-                 std::vector<std::uint8_t> &history)
+compileTrace(const Trace &t, const AddrMap &map,
+             std::vector<CompiledOp> &out, Number &&number,
+             std::vector<std::uint8_t> &history)
 {
     const std::size_t start = out.size();
     out.reserve(start + t.size());
@@ -121,21 +121,6 @@ compileTraceWith(const Trace &t, const AddrMap &map,
 
 } // namespace
 
-std::size_t
-compileTrace(const Trace &t, const AddrMap &map,
-             std::vector<CompiledOp> &out)
-{
-    Ordinals ords;
-    std::vector<std::uint8_t> history;
-    return compileTraceWith(
-        t, map, out,
-        [&](BlockId raw) {
-            bool fresh;
-            return std::pair{raw, ords.get(raw, fresh)};
-        },
-        history);
-}
-
 CompiledWorkload::CompiledWorkload(const Workload &w, const AddrMap &map)
     : CompiledWorkload(w.traces, map)
 {
@@ -178,7 +163,7 @@ CompiledWorkload::CompiledWorkload(const std::vector<Trace> &traces,
         s.offset = arena_.size();
         // Hit hints are per-trace.
         std::fill(history.begin(), history.end(), std::uint8_t{0});
-        s.count = compileTraceWith(t, map_, arena_, number, history);
+        s.count = compileTrace(t, map_, arena_, number, history);
         spans_.push_back(s);
     }
 

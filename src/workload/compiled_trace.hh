@@ -26,9 +26,9 @@
  * the j-th distinct block homed at h (in first-touch order over the
  * traces) gets the id ((j / bpp) * N + h) * bpp + j mod bpp, for N
  * nodes and bpp blocks per page. The geometric home of every block is
- * unchanged (so are all routes and re-homes), and
- * AddrMap::localIndex() of a renumbered block is exactly j, so every
- * per-block table on the message path is an array per home
+ * unchanged (so are all routes and re-homes), and the local index
+ * AddrMap::shardSlotOf() gives a renumbered block is exactly j, so
+ * every per-block table on the message path is an array per home
  * (proto/shard_table.hh). The workload keeps the dense -> raw table
  * for decoding, traces and diagnostics.
  *
@@ -207,14 +207,6 @@ class CompiledWorkload
     std::vector<CompiledOp> arena_;
     std::vector<Span> spans_;
 };
-
-/**
- * Compile one trace (without workload bookkeeping or renumbering:
- * block ids stay address / blockSize); appends to @p out and returns
- * the number of ops emitted. Exposed for tests.
- */
-std::size_t compileTrace(const Trace &t, const AddrMap &map,
-                         std::vector<CompiledOp> &out);
 
 /**
  * Decode processor @p i's compiled span back into TraceOps, through

@@ -167,7 +167,7 @@ TEST(Directory, AdoptedBlockNeverAliasesOwnBlockAtSameLocalIndex)
     Directory &dir = sys.directory(0);
     ASSERT_EQ(dir.blockState(own), DirState::Shared);
 
-    const std::uint64_t local = map.localIndex(own);
+    const std::uint64_t local = map.shardSlotOf(own).local;
     const BlockId excl = map.blockAt(1, local);
     const BlockId shared = map.blockAt(2, local);
     dir.adopt(excl, 3, true);

@@ -55,9 +55,9 @@ TEST(CompiledTrace, ComputeFusionMergesRuns)
             TraceOp::read(32),    TraceOp::compute(6),
             TraceOp::compute(0), // dropped: timing no-op
             TraceOp::compute(500), TraceOp::barrier()};
-    std::vector<CompiledOp> out;
-    const std::size_t n = compileTrace(t, map, out);
-    ASSERT_EQ(n, 4u);
+    const CompiledWorkload cw(std::vector<Trace>{t}, map);
+    const CompiledTrace out = cw.trace(0);
+    ASSERT_EQ(out.size(), 4u);
     EXPECT_EQ(out[0].kind(), OpKind::Compute);
     EXPECT_EQ(out[0].payload(), 158u);
     EXPECT_EQ(out[1].kind(), OpKind::Read);
@@ -74,11 +74,12 @@ TEST(CompiledTrace, OversizedComputeDelaysPanicEvenWhenFused)
     // tiny delay. Every compute operand must be validated first.
     const AddrMap map((ProtoConfig{}));
     const Tick huge = ~Tick{0} - 60; // wraps to 39 if summed with 100
-    std::vector<CompiledOp> out;
-    Trace first{TraceOp::compute(huge)};
-    EXPECT_DEATH(compileTrace(first, map, out), "overflow");
-    Trace fused{TraceOp::compute(100), TraceOp::compute(huge)};
-    EXPECT_DEATH(compileTrace(fused, map, out), "overflow");
+    const Trace first{TraceOp::compute(huge)};
+    EXPECT_DEATH(CompiledWorkload(std::vector<Trace>{first}, map),
+                 "overflow");
+    const Trace fused{TraceOp::compute(100), TraceOp::compute(huge)};
+    EXPECT_DEATH(CompiledWorkload(std::vector<Trace>{fused}, map),
+                 "overflow");
 }
 
 TEST(CompiledTrace, HitHintsReflectTraceHistory)
@@ -92,8 +93,8 @@ TEST(CompiledTrace, HitHintsReflectTraceHistory)
             TraceOp::write(a), // written: eligible
             TraceOp::write(b), // first touch
             TraceOp::read(b)}; // seen (via the write): eligible
-    std::vector<CompiledOp> out;
-    compileTrace(t, map, out);
+    const CompiledWorkload cw(std::vector<Trace>{t}, map);
+    const CompiledTrace out = cw.trace(0);
     ASSERT_EQ(out.size(), 6u);
     EXPECT_FALSE(out[0].hitEligible());
     EXPECT_TRUE(out[1].hitEligible());
@@ -211,7 +212,7 @@ TEST(CompiledTrace, DenseNumberingKeepsHomesAcrossSuite)
                         ASSERT_EQ(cw.rawBlock(blk), raw) << info.name;
                         ids.insert(blk);
                         locals[map.geometricHomeOf(blk)].insert(
-                            map.localIndex(blk));
+                            map.shardSlotOf(blk).local);
                     }
                 }
                 std::size_t total = 0;
