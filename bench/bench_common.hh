@@ -18,7 +18,9 @@
 #ifndef MSPDSM_BENCH_BENCH_COMMON_HH
 #define MSPDSM_BENCH_BENCH_COMMON_HH
 
+#include <cctype>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -144,6 +146,31 @@ parseArgs(int argc, char **argv, const char *tool, const char *what)
         }
         return argv[++i];
     };
+    // --scale / --iters (and the legacy positionals): the whole
+    // argument must parse, or the run would start on a garbage value.
+    auto scaleOf = [&](const char *flag, const char *s) {
+        char *end = nullptr;
+        const double x = std::strtod(s, &end);
+        if (end == s || *end != '\0' || !std::isfinite(x) || x <= 0) {
+            std::cerr << tool << ": " << flag
+                      << " must be a finite number > 0, got '" << s
+                      << "'\n";
+            std::exit(2);
+        }
+        return x;
+    };
+    auto itersOf = [&](const char *flag, const char *s) {
+        char *end = nullptr;
+        const unsigned long long n = std::strtoull(s, &end, 10);
+        if (!std::isdigit(static_cast<unsigned char>(*s)) ||
+            *end != '\0' || n > ~0u) {
+            std::cerr << tool << ": " << flag
+                      << " must be an integer 0-" << ~0u << ", got '"
+                      << s << "'\n";
+            std::exit(2);
+        }
+        return static_cast<unsigned>(n);
+    };
     // "N@T" for --kill / --restart: node N, tick T.
     auto nodeAtTick = [&](const char *flag, const char *s,
                           NodeId &node, Tick &tick) {
@@ -162,11 +189,10 @@ parseArgs(int argc, char **argv, const char *tool, const char *what)
             printUsage(std::cout, tool, what);
             std::exit(0);
         } else if (!std::strcmp(arg, "--scale")) {
-            a.ec.scale = std::atof(value(i));
+            a.ec.scale = scaleOf(arg, value(i));
         } else if (!std::strcmp(arg, "--iters") ||
                    !std::strcmp(arg, "--iterations")) {
-            a.ec.iterations =
-                static_cast<unsigned>(std::atoi(value(i)));
+            a.ec.iterations = itersOf(arg, value(i));
         } else if (!std::strcmp(arg, "--procs")) {
             const char *s = value(i);
             char *end = nullptr;
@@ -286,11 +312,10 @@ parseArgs(int argc, char **argv, const char *tool, const char *what)
                       << " (try --help)\n";
             std::exit(2);
         } else if (positional == 0) {
-            a.ec.scale = std::atof(arg); // legacy [scale]
+            a.ec.scale = scaleOf("scale", arg); // legacy [scale]
             ++positional;
         } else if (positional == 1) {
-            a.ec.iterations = // legacy [iterations]
-                static_cast<unsigned>(std::atoi(arg));
+            a.ec.iterations = itersOf("iterations", arg); // legacy
             ++positional;
         } else {
             std::cerr << tool << ": unexpected argument " << arg

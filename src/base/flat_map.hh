@@ -4,8 +4,8 @@
  *
  * Per-block state is not kept here: blocks are numbered densely per
  * home and live in arrays (proto/shard_table.hh). FlatMap holds what
- * has no dense index -- the pattern-table entries that overflow a
- * predictor's inline block record. With node-based
+ * has no dense index -- the pattern entries and reader vectors that
+ * overflow a predictor's block record. With node-based
  * std::unordered_map every lookup chases at least one cache-missing
  * pointer and every insert allocates. FlatMap stores <key, value>
  * slots inline in one power-of-two array with linear probing, a
@@ -198,26 +198,6 @@ class FlatMap
                          : const_iterator(this, i);
     }
 
-    /**
-     * find() with a caller-precomputed hash, for hot paths that keep
-     * the hash of a large key (HistoryKey) cached. @p hash must equal
-     * Hash{}(k).
-     */
-    iterator
-    findHashed(const K &k, std::size_t hash)
-    {
-        const std::size_t i = locate(k, hash);
-        return i == npos ? end() : iterator(this, i);
-    }
-
-    const_iterator
-    findHashed(const K &k, std::size_t hash) const
-    {
-        const std::size_t i = locate(k, hash);
-        return i == npos ? end()
-                         : const_iterator(this, i);
-    }
-
     bool
     contains(const K &k) const
     {
@@ -235,15 +215,7 @@ class FlatMap
     std::pair<iterator, bool>
     try_emplace(const K &k, Args &&...args)
     {
-        return tryEmplaceHashed(Hash{}(k), k,
-                                std::forward<Args>(args)...);
-    }
-
-    /** try_emplace() with a caller-precomputed hash (== Hash{}(k)). */
-    template <typename... Args>
-    std::pair<iterator, bool>
-    tryEmplaceHashed(std::size_t hash, const K &k, Args &&...args)
-    {
+        const std::size_t hash = Hash{}(k);
         if (cap_ == 0)
             rehash(minCap);
         std::size_t i = hash & mask();

@@ -604,7 +604,7 @@ Directory::frCheck(Entry &e, BlockId blk, NodeId reader)
 
 void
 Directory::pushSpec(Entry &e, BlockId blk, NodeSet targets,
-                    SpecTrigger trig, const HistoryKey &key)
+                    SpecTrigger trig, Vmsp::Key key)
 {
     if (faults_) {
         // Never speculate into a dead node: the push would be dropped

@@ -187,14 +187,14 @@ class Directory
         bool phaseTriggered = false;
         SpecTrigger phaseTrig = SpecTrigger::None;
         NodeSet specSent;
-        HistoryKey specKey;
+        Vmsp::Key specKey = 0;
         bool specKeyValid = false;
         bool misspecPenalized = false;
 
         // SWI premature-detection epoch.
         bool swiEpoch = false;
         NodeId swiExOwner = invalidNode;
-        HistoryKey swiWriteKey;
+        Vmsp::Key swiWriteKey = 0;
         bool swiWriteKeyValid = false;
         bool swiVerdictPending = false; //!< ex-owner wrote again;
                                         //!< judge at grant time
@@ -221,10 +221,9 @@ class Directory
      * Hot half of a directory entry: exactly the fields busy() /
      * canProcess() / the protocol handlers walk on every message.
      * This is the table slot the FSM indexes, so it stays small
-     * (~5x under the former monolithic entry, which dragged two
-     * deque headers and two HistoryKeys through cache per probe);
-     * everything else hangs off the arena-allocated cold record,
-     * attached the first time a block defers a request or
+     * (the deferral queue and the speculation keys are not walked
+     * per probe); everything else hangs off the arena-allocated cold
+     * record, attached the first time a block defers a request or
      * participates in speculation.
      */
     struct Entry
@@ -488,7 +487,7 @@ class Directory
 
     /** Push speculative copies to @p targets now. */
     void pushSpec(Entry &e, BlockId blk, NodeSet targets,
-                  SpecTrigger trig, const HistoryKey &key);
+                  SpecTrigger trig, Vmsp::Key key);
 
     /** Premature-SWI detection at request arrival (Section 4.1). */
     void prematureCheck(const CohMsg &msg);

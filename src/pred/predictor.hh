@@ -15,6 +15,7 @@
 #ifndef MSPDSM_PRED_PREDICTOR_HH
 #define MSPDSM_PRED_PREDICTOR_HH
 
+#include <cstddef>
 #include <cstdint>
 
 #include "base/stats.hh"
@@ -23,6 +24,12 @@
 
 namespace mspdsm
 {
+
+/**
+ * Maximum supported history depth. The paper evaluates 1, 2 and 4;
+ * the packed histories of all three predictors are sized by it.
+ */
+constexpr std::size_t maxHistoryDepth = 4;
 
 /**
  * A directory-incoming message as seen by a predictor.
@@ -95,7 +102,7 @@ class PredictorBase
     virtual ~PredictorBase() = default;
 
     // Predictors are per-node machine state owned in place; copying
-    // one (VMSP's block index points into its own arena) is a bug.
+    // one is a bug.
     PredictorBase(const PredictorBase &) = delete;
     PredictorBase &operator=(const PredictorBase &) = delete;
 

@@ -2,8 +2,10 @@
  * @file
  * Shared engine for the per-message sequence predictors (Cosmos and
  * MSP). The two differ only in their alphabet: Cosmos predicts every
- * incoming directory message, MSP only the request messages. VMSP has
- * its own engine (vmsp.hh) because of read-vector folding.
+ * incoming directory message, MSP only the request messages. VMSP
+ * (vmsp.hh) packs the same way, with a wider code whose payload can
+ * name a reader vector through a per-block dictionary; read-vector
+ * folding and the speculation hooks keep it a class of its own.
  *
  * Encoding, after the paper's own (Section 7.3: a history entry is
  * type + pid bits):
@@ -24,7 +26,6 @@
 #include <utility>
 
 #include "base/flat_map.hh"
-#include "pred/history.hh"
 #include "pred/predictor.hh"
 #include "proto/shard_table.hh"
 

@@ -79,55 +79,6 @@ struct Symbol
         return pid == o.pid;
     }
 
-    /** Bit position of the kind field in the encoded form. */
-    static constexpr unsigned encKindShift = 61;
-
-    /** Mask of the payload field in the encoded form. */
-    static constexpr std::uint64_t encPayloadMask =
-        (std::uint64_t{1} << encKindShift) - 1;
-
-    /**
-     * Pack into a 64-bit code for history-key hashing and pattern
-     * storage. Kind occupies the top 3 bits; the payload (pid or
-     * reader mask) must fit in the remaining 61, which limits ReadVec
-     * symbols to 61 nodes -- comfortably above the 16-node study and
-     * enforced by NodeSet. The encoding is injective, so the pattern
-     * tables compare and store symbols in this form.
-     */
-    std::uint64_t
-    encode() const
-    {
-        std::uint64_t payload =
-            kind == SymKind::ReadVec ? vec.raw() : std::uint64_t{pid};
-        panic_if(payload >> encKindShift,
-                 "symbol payload too wide to encode");
-        return (std::uint64_t(kind) << encKindShift) | payload;
-    }
-
-    /** Kind field of an encoded symbol. */
-    static SymKind
-    encodedKind(std::uint64_t enc)
-    {
-        return static_cast<SymKind>(enc >> encKindShift);
-    }
-
-    /** Payload field of an encoded symbol. */
-    static std::uint64_t
-    encodedPayload(std::uint64_t enc)
-    {
-        return enc & encPayloadMask;
-    }
-
-    /** Inverse of encode(). */
-    static Symbol
-    decode(std::uint64_t enc)
-    {
-        const SymKind k = encodedKind(enc);
-        if (k == SymKind::ReadVec)
-            return readVec(NodeSet::fromRaw(encodedPayload(enc)));
-        return of(k, static_cast<NodeId>(encodedPayload(enc)));
-    }
-
     /** Render for diagnostics, e.g. "<Read,P3>" or "<ReadVec,{1,2}>". */
     std::string toString() const;
 };

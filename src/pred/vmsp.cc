@@ -3,96 +3,208 @@
 namespace mspdsm
 {
 
-Vmsp::BlockState *
-Vmsp::findState(BlockId blk)
+Vmsp::Vmsp(std::size_t depth, unsigned numProcs, const AddrMap &map)
+    : PredictorBase(depth, numProcs),
+      histMask_((std::uint64_t{1} << (codeBits * depth)) - 1),
+      blocks_(map)
 {
-    BlockState *const *st = index_.find(blk);
-    return st ? *st : nullptr;
+    panic_if(depth == 0 || depth > maxHistoryDepth,
+             "history depth ", depth, " out of range");
 }
 
-const Vmsp::BlockState *
-Vmsp::findState(BlockId blk) const
+std::uint64_t
+Vmsp::vecCodeSlow(Record &r, BlockId blk, std::uint64_t raw)
 {
-    BlockState *const *st = index_.find(blk);
-    return st ? *st : nullptr;
+    if (r.vecs > inlineVecs) {
+        auto it = spill_.find(spillKey(Spill::VecIndex, blk, raw));
+        if (it != spill_.end())
+            return tagVec | it->second << tagBits;
+    }
+    // A wide history spells codes out in 32 bits.
+    panic_if(r.vecs >= (1u << (32 - tagBits)), "block ", blk,
+             " has more reader vectors than a code can name");
+    const std::uint64_t idx = r.vecs++;
+    if (idx < inlineVecs) {
+        r.vec[idx] = raw;
+    } else {
+        spill_.try_emplace(spillKey(Spill::Vec, blk, idx), raw);
+        spill_.try_emplace(spillKey(Spill::VecIndex, blk, raw), idx);
+    }
+    return tagVec | idx << tagBits;
+}
+
+void
+Vmsp::insertEntry(Record &r, BlockId blk, std::uint64_t code)
+{
+    const Key key = r.history;
+    std::uint64_t pred = code;
+    if (code >= narrowCodes) [[unlikely]] {
+        spill_[spillKey(Spill::Pred, blk, key)] = code;
+        pred = tagWide;
+    }
+    const std::uint64_t word = key | pred << predShift;
+    if (r.count < inlineEntries) {
+        r.entry[r.count++] = word;
+    } else {
+        spill_.try_emplace(spillKey(Spill::Entry, blk, key), word);
+        ++r.spilled;
+    }
+    ++pteTotal_;
+}
+
+void
+Vmsp::replacePred(BlockId blk, std::uint64_t &entry, std::uint64_t code)
+{
+    const std::uint64_t old = predOf(blk, entry);
+    const bool old_wide = old >= narrowCodes;
+    const bool same_writer = (old & tagMask) < tagVec &&
+                             (code & tagMask) < tagVec &&
+                             old >> tagBits == code >> tagBits;
+    const Key key = entry & historyMask;
+    const bool wide = code >= narrowCodes;
+    // Write the entry before touching the spill map: it may live
+    // there, and an insert can move it.
+    entry = key | (wide ? tagWide : code) << predShift |
+            (same_writer ? entry & prematureBit : 0);
+    if (wide)
+        spill_[spillKey(Spill::Pred, blk, key)] = code;
+    else if (old_wide)
+        spill_.erase(spillKey(Spill::Pred, blk, key));
+}
+
+Vmsp::Key
+Vmsp::pushWide(Record &r, BlockId blk, std::uint64_t code)
+{
+    // Spell the current history out, oldest first.
+    WideHistory h{blk, r.fill, {}};
+    if ((r.history & tagMask) == tagWide) {
+        h = wideSeqs_.find({blk, r.history >> tagBits})->second;
+    } else {
+        for (unsigned i = 0; i < r.fill; ++i)
+            h.code[i] = static_cast<std::uint32_t>(
+                r.history >> codeBits * (r.fill - 1 - i) &
+                (narrowCodes - 1));
+    }
+    if (h.len == depth_) {
+        for (unsigned i = 1; i < h.len; ++i)
+            h.code[i - 1] = h.code[i];
+        h.code[h.len - 1] = static_cast<std::uint32_t>(code);
+    } else {
+        h.code[h.len++] = static_cast<std::uint32_t>(code);
+    }
+
+    bool narrow = true;
+    Key packed = 0;
+    for (unsigned i = 0; i < h.len; ++i) {
+        narrow = narrow && h.code[i] < narrowCodes;
+        packed = packed << codeBits | h.code[i];
+    }
+    if (narrow)
+        return packed;
+    auto [it, fresh] = wideIds_.try_emplace(h, r.wides);
+    const std::uint64_t id = it->second;
+    if (fresh) {
+        ++r.wides;
+        wideSeqs_.try_emplace(SpillKey{blk, id}, h);
+    }
+    return id << tagBits | tagWide;
 }
 
 std::optional<Symbol>
 Vmsp::prediction(BlockId blk) const
 {
-    const BlockState *st = findState(blk);
-    if (!st)
+    const Record *r = blocks_.find(blk);
+    const std::uint64_t *e = r ? currentEntry(*r, blk) : nullptr;
+    if (!e)
         return std::nullopt;
-    return st->pattern.lookup();
+    const std::uint64_t pred = predOf(blk, *e);
+    const std::uint64_t tag = pred & tagMask;
+    if (tag == tagVec)
+        return Symbol::readVec(vecAt(*r, blk, pred >> tagBits));
+    return Symbol::of(tag == tagWrite ? SymKind::Write : SymKind::Upgrade,
+                      static_cast<NodeId>(pred >> tagBits));
 }
 
 std::optional<NodeSet>
 Vmsp::predictedReaders(BlockId blk) const
 {
-    auto pred = prediction(blk);
-    if (!pred || pred->kind != SymKind::ReadVec || pred->vec.empty())
+    const Record *r = blocks_.find(blk);
+    const std::uint64_t *e = r ? currentEntry(*r, blk) : nullptr;
+    if (!e)
         return std::nullopt;
-    return pred->vec;
+    const std::uint64_t pred = predOf(blk, *e);
+    if ((pred & tagMask) != tagVec)
+        return std::nullopt;
+    // Dictionary vectors are never empty: a vector is numbered when a
+    // write closes a phase that had readers.
+    return vecAt(*r, blk, pred >> tagBits);
 }
 
 NodeSet
 Vmsp::openReaders(BlockId blk) const
 {
-    const BlockState *st = findState(blk);
-    return st ? st->openVec : NodeSet{};
+    const Record *r = blocks_.find(blk);
+    return r ? NodeSet::fromRaw(r->open) : NodeSet{};
 }
 
-std::optional<HistoryKey>
+std::optional<Vmsp::Key>
 Vmsp::predictionKey(BlockId blk) const
 {
-    const BlockState *st = findState(blk);
-    if (!st || !st->pattern.warm())
+    const Record *r = blocks_.find(blk);
+    if (!r || r->fill != depth_)
         return std::nullopt;
-    return st->pattern.key();
+    return r->history;
 }
 
-std::optional<HistoryKey>
+std::optional<Vmsp::Key>
 Vmsp::lastWriteKey(BlockId blk) const
 {
-    const BlockState *st = findState(blk);
-    if (!st || !st->lastWriteKeyValid)
+    const Record *r = blocks_.find(blk);
+    if (!r || !r->lastWriteValid)
         return std::nullopt;
-    return st->lastWriteKey;
+    return r->lastWrite;
 }
 
 bool
-Vmsp::isPremature(BlockId blk, const HistoryKey &k) const
+Vmsp::isPremature(BlockId blk, Key k) const
 {
-    const BlockState *st = findState(blk);
-    if (!st)
-        return false;
-    const PatternEntry *e = st->pattern.find(k);
-    return e && e->premature;
+    const Record *r = blocks_.find(blk);
+    const std::uint64_t *e = r ? findEntry(*r, blk, k) : nullptr;
+    return e && (*e & prematureBit);
 }
 
 void
-Vmsp::setPremature(BlockId blk, const HistoryKey &k)
+Vmsp::setPremature(BlockId blk, Key k)
 {
-    BlockState *st = findState(blk);
-    if (!st)
+    Record *r = blocks_.find(blk);
+    if (std::uint64_t *e = r ? findEntry(*r, blk, k) : nullptr)
+        *e |= prematureBit;
+}
+
+void
+Vmsp::eraseEntry(BlockId blk, Key k)
+{
+    Record *r = blocks_.find(blk);
+    std::uint64_t *e = r ? findEntry(*r, blk, k) : nullptr;
+    if (!e)
         return;
-    if (PatternEntry *e = st->pattern.find(k))
-        e->premature = true;
-}
-
-void
-Vmsp::eraseEntry(BlockId blk, const HistoryKey &k)
-{
-    BlockState *st = findState(blk);
-    if (st && st->pattern.erase(k))
-        --pteTotal_;
+    if ((*e >> predShift & (narrowCodes - 1)) == tagWide)
+        spill_.erase(spillKey(Spill::Pred, blk, k));
+    if (e >= r->entry && e < r->entry + r->count) {
+        // Entries are unordered; fill the hole from the back.
+        *e = r->entry[--r->count];
+    } else {
+        spill_.erase(spillKey(Spill::Entry, blk, k));
+        --r->spilled;
+    }
+    --pteTotal_;
 }
 
 StorageReport
 Vmsp::storage() const
 {
     StorageReport r;
-    r.blocksAllocated = store_.size();
+    r.blocksAllocated = blocksAllocated_;
     r.pteTotal = pteTotal_;
     if (r.blocksAllocated == 0)
         return r;
@@ -118,34 +230,55 @@ Vmsp::Snapshot
 Vmsp::snapshot() const
 {
     Snapshot s;
-    s.blocks_.reserve(store_.size());
-    index_.forEach([&](BlockId blk, const BlockState *st) {
-        if (st)
-            s.blocks_.emplace_back(blk, *st);
+    s.blocks_.reserve(blocksAllocated_);
+    blocks_.forEach([&](BlockId blk, const Record &r) {
+        if (r.live)
+            s.blocks_.emplace_back(blk, r);
     });
+    s.spill_ = spill_;
+    s.wideIds_ = wideIds_;
+    s.wideSeqs_ = wideSeqs_;
     return s;
 }
 
 void
 Vmsp::mergeFrom(const Snapshot &s)
 {
-    for (const auto &kv : s.blocks_) {
-        BlockState *&st = index_[kv.first];
-        if (st) {
-            // Live state is fresher than any checkpoint: keep it.
+    // Live state is fresher than any checkpoint: adopt only blocks
+    // this predictor has no state for, spill items first (they are
+    // keyed by block, and such a block has none here).
+    auto adopts = [&](BlockId blk) {
+        const Record *r = blocks_.find(blk);
+        return !r || !r->live;
+    };
+    for (const auto &kv : s.spill_)
+        if (adopts(kv.first.blk))
+            spill_.try_emplace(kv.first, kv.second);
+    for (const auto &kv : s.wideIds_)
+        if (adopts(kv.first.blk))
+            wideIds_.try_emplace(kv.first, kv.second);
+    for (const auto &kv : s.wideSeqs_)
+        if (adopts(kv.first.blk))
+            wideSeqs_.try_emplace(kv.first, kv.second);
+    for (const auto &[blk, rec] : s.blocks_) {
+        Record &r = blocks_[blk];
+        if (r.live)
             continue;
-        }
-        st = &store_.emplace_back(kv.second);
-        pteTotal_ += kv.second.pattern.entries();
+        r = rec;
+        ++blocksAllocated_;
+        pteTotal_ += rec.count + rec.spilled;
     }
 }
 
 void
 Vmsp::reset()
 {
-    index_.clear();
-    store_ = ChunkedVector<BlockState, 64>{};
+    blocks_.clear();
+    spill_.clear();
+    wideIds_.clear();
+    wideSeqs_.clear();
     pteTotal_ = 0;
+    blocksAllocated_ = 0;
 }
 
 } // namespace mspdsm

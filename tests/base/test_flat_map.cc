@@ -1,6 +1,6 @@
 /** @file Unit tests for the open-addressing FlatMap: insert/erase,
  * rehash growth, tombstone reuse, iteration, and collision handling
- * with HistoryKey keys. */
+ * with two-word (block, word) keys like the predictors' spill keys. */
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "base/flat_map.hh"
-#include "pred/history.hh"
 
 using namespace mspdsm;
 
@@ -180,31 +179,48 @@ TEST(FlatMap, ReserveAvoidsLaterGrowth)
 namespace
 {
 
-/** Hash functor forcing every HistoryKey into one bucket. */
-struct CollidingHash
+/** A two-word key shaped like a predictor spill key. */
+struct PairKey
 {
-    std::size_t operator()(const HistoryKey &) const { return 7; }
+    std::uint64_t blk;
+    std::uint64_t word;
+
+    bool operator==(const PairKey &) const = default;
 };
 
-HistoryKey
-keyOf(NodeId pid)
+/** Hash functor forcing every key into one bucket. */
+struct CollidingHash
 {
-    History h(1);
-    h.push(Symbol::of(SymKind::Write, pid));
-    return h.key();
+    std::size_t operator()(const PairKey &) const { return 7; }
+};
+
+/** Hash functor mixing both words, as the predictors' does. */
+struct PairHash
+{
+    std::size_t
+    operator()(const PairKey &k) const
+    {
+        return static_cast<std::size_t>(mix64(k.word ^ mix64(k.blk)));
+    }
+};
+
+PairKey
+keyOf(std::uint64_t i)
+{
+    return {42, i << 2};
 }
 
 } // namespace
 
-TEST(FlatMap, HistoryKeyFullCollisionsStillResolveByKey)
+TEST(FlatMap, PairKeyFullCollisionsStillResolveByKey)
 {
     // All keys share one probe chain: correctness must come from the
     // full key compare, never from the hash.
-    FlatMap<HistoryKey, int, CollidingHash> m;
-    for (NodeId p = 0; p < 16; ++p)
+    FlatMap<PairKey, int, CollidingHash> m;
+    for (int p = 0; p < 16; ++p)
         m[keyOf(p)] = p;
     EXPECT_EQ(m.size(), 16u);
-    for (NodeId p = 0; p < 16; ++p) {
+    for (int p = 0; p < 16; ++p) {
         auto it = m.find(keyOf(p));
         ASSERT_NE(it, m.end()) << p;
         EXPECT_EQ(it->second, p);
@@ -212,7 +228,7 @@ TEST(FlatMap, HistoryKeyFullCollisionsStillResolveByKey)
     // Erase from the middle of the chain; later chain members must
     // stay reachable (tombstone, not hole).
     EXPECT_EQ(m.erase(keyOf(7)), 1u);
-    for (NodeId p = 0; p < 16; ++p) {
+    for (int p = 0; p < 16; ++p) {
         if (p == 7)
             EXPECT_EQ(m.find(keyOf(p)), m.end());
         else
@@ -220,20 +236,19 @@ TEST(FlatMap, HistoryKeyFullCollisionsStillResolveByKey)
     }
 }
 
-TEST(FlatMap, HistoryKeysWithSharedPrefixAreDistinct)
+TEST(FlatMap, PairKeysSharingOneWordAreDistinct)
 {
-    // Keys of different length sharing slot prefixes must not alias.
-    History h1(1), h2(2);
-    const Symbol w = Symbol::of(SymKind::Write, 3);
-    h1.push(w);
-    h2.push(w);
-    h2.push(Symbol::of(SymKind::Read, 4));
-    ASSERT_FALSE(h1.key() == h2.key()); // used differs
-
-    FlatMap<HistoryKey, int, HistoryKeyHash> m;
-    m[h1.key()] = 1;
-    m[h2.key()] = 2;
-    EXPECT_EQ(m.size(), 2u);
-    EXPECT_EQ(m.find(h1.key())->second, 1);
-    EXPECT_EQ(m.find(h2.key())->second, 2);
+    // Keys equal in one word (the same block, or the same word in two
+    // blocks) must not alias.
+    const PairKey a{3, 5}, b{3, 6}, c{4, 5}, d{5, 3};
+    FlatMap<PairKey, int, PairHash> m;
+    m[a] = 1;
+    m[b] = 2;
+    m[c] = 3;
+    m[d] = 4;
+    EXPECT_EQ(m.size(), 4u);
+    EXPECT_EQ(m.find(a)->second, 1);
+    EXPECT_EQ(m.find(b)->second, 2);
+    EXPECT_EQ(m.find(c)->second, 3);
+    EXPECT_EQ(m.find(d)->second, 4);
 }

@@ -95,7 +95,7 @@ TEST(Golden, Em3dSpeculativeRunMatchesSeedKernel)
 TEST(Golden, BarnesDeepHistoryRunMatchesSeedKernel)
 {
     // Depth-2 history with jittered ack reordering: exercises the
-    // multi-slot HistoryKey path end to end.
+    // multi-slot packed histories of all three predictors end to end.
     const RunResult r = runAccuracy("barnes", 2, tiny());
     EXPECT_EQ(r.status, RunStatus::Completed);
     EXPECT_EQ(r.execTicks, 446220u);

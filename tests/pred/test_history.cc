@@ -1,10 +1,35 @@
-/** @file Unit tests for Symbol, History and HistoryKey. */
+/** @file Unit tests for Symbol and for the one-word history keys VMSP
+ * hands the directory (predictionKey / lastWriteKey). */
 
 #include <gtest/gtest.h>
 
-#include "pred/history.hh"
+#include <set>
+#include <vector>
+
+#include "pred/seq_predictor.hh"
+#include "pred/vmsp.hh"
 
 using namespace mspdsm;
+
+namespace
+{
+
+void
+feed(Vmsp &v, BlockId blk, SymKind k, NodeId p)
+{
+    v.observe(blk, PredMsg{k, p});
+}
+
+/** Close a read phase of @p readers (in order) with a write by 0. */
+void
+phase(Vmsp &v, BlockId blk, std::initializer_list<NodeId> readers)
+{
+    for (NodeId r : readers)
+        feed(v, blk, SymKind::Read, r);
+    feed(v, blk, SymKind::Write, 0);
+}
+
+} // namespace
 
 TEST(Symbol, EqualityByKindAndPid)
 {
@@ -28,23 +53,6 @@ TEST(Symbol, VectorEqualityBySet)
     EXPECT_FALSE(Symbol::readVec(a) == Symbol::readVec(b));
 }
 
-TEST(Symbol, EncodeDistinguishesKinds)
-{
-    const auto r = Symbol::of(SymKind::Read, 5).encode();
-    const auto w = Symbol::of(SymKind::Write, 5).encode();
-    const auto u = Symbol::of(SymKind::Upgrade, 5).encode();
-    EXPECT_NE(r, w);
-    EXPECT_NE(w, u);
-    EXPECT_NE(r, u);
-}
-
-TEST(Symbol, EncodeDistinguishesVectorFromRead)
-{
-    NodeSet v = NodeSet::of(5);
-    EXPECT_NE(Symbol::readVec(v).encode(),
-              Symbol::of(SymKind::Read, 5).encode());
-}
-
 TEST(Symbol, ToStringIsReadable)
 {
     EXPECT_EQ(Symbol::of(SymKind::Read, 3).toString(), "<Read,P3>");
@@ -54,84 +62,101 @@ TEST(Symbol, ToStringIsReadable)
     EXPECT_EQ(Symbol::readVec(v).toString(), "<ReadVec,{1,2}>");
 }
 
-TEST(History, PushUpToDepth)
+TEST(HistoryKey, NoKeyUntilTheHistoryIsFull)
 {
-    History h(2);
-    EXPECT_EQ(h.size(), 0u);
-    h.push(Symbol::of(SymKind::Read, 1));
-    EXPECT_EQ(h.size(), 1u);
-    h.push(Symbol::of(SymKind::Read, 2));
-    EXPECT_EQ(h.size(), 2u);
-    h.push(Symbol::of(SymKind::Read, 3));
-    EXPECT_EQ(h.size(), 2u); // bounded
-    // Oldest evicted: contents now P2, P3.
-    EXPECT_EQ(h.at(0), Symbol::of(SymKind::Read, 2));
-    EXPECT_EQ(h.at(1), Symbol::of(SymKind::Read, 3));
+    Vmsp v(2, 16);
+    EXPECT_FALSE(v.predictionKey(7).has_value());
+    feed(v, 7, SymKind::Write, 1);
+    EXPECT_FALSE(v.predictionKey(7).has_value());
+    feed(v, 7, SymKind::Write, 2);
+    EXPECT_TRUE(v.predictionKey(7).has_value());
 }
 
-TEST(History, KeyChangesWithContents)
+TEST(HistoryKey, DistinguishesKinds)
 {
-    History h(2);
-    h.push(Symbol::of(SymKind::Read, 1));
-    const HistoryKey k1 = h.key();
-    h.push(Symbol::of(SymKind::Write, 2));
-    const HistoryKey k2 = h.key();
-    EXPECT_FALSE(k1 == k2);
+    Vmsp w(1, 16), u(1, 16), r(1, 16);
+    feed(w, 7, SymKind::Write, 5);
+    feed(u, 7, SymKind::Upgrade, 5);
+    phase(r, 7, {5}); // the history before the write is {5}
+    const std::set<Vmsp::Key> keys{
+        *w.predictionKey(7), *u.predictionKey(7), *r.lastWriteKey(7)};
+    EXPECT_EQ(keys.size(), 3u);
 }
 
-TEST(History, KeyIsOrderSensitive)
+TEST(HistoryKey, IsOrderSensitive)
 {
-    History a(2), b(2);
-    a.push(Symbol::of(SymKind::Read, 1));
-    a.push(Symbol::of(SymKind::Read, 2));
-    b.push(Symbol::of(SymKind::Read, 2));
-    b.push(Symbol::of(SymKind::Read, 1));
-    EXPECT_FALSE(a.key() == b.key());
+    Vmsp a(2, 16), b(2, 16);
+    feed(a, 7, SymKind::Write, 1);
+    feed(a, 7, SymKind::Write, 2);
+    feed(b, 7, SymKind::Write, 2);
+    feed(b, 7, SymKind::Write, 1);
+    EXPECT_NE(*a.predictionKey(7), *b.predictionKey(7));
 }
 
-TEST(History, EqualContentsEqualKeys)
+TEST(HistoryKey, EqualContentsEqualKeys)
 {
-    History a(3), b(3);
+    // The same history reached again, in one block or another
+    // predictor fed the same stream, has the same key.
+    Vmsp a(3, 16), b(3, 16);
     for (NodeId p : {1, 5, 9}) {
-        a.push(Symbol::of(SymKind::Read, p));
-        b.push(Symbol::of(SymKind::Read, p));
+        feed(a, 7, SymKind::Write, p);
+        feed(b, 7, SymKind::Write, p);
     }
-    EXPECT_TRUE(a.key() == b.key());
-    EXPECT_EQ(HistoryKeyHash{}(a.key()), HistoryKeyHash{}(b.key()));
+    EXPECT_EQ(a.predictionKey(7), b.predictionKey(7));
+    const Vmsp::Key k = *a.predictionKey(7);
+    for (NodeId p : {3, 1, 5, 9})
+        feed(a, 7, SymKind::Write, p);
+    EXPECT_EQ(*a.predictionKey(7), k);
 }
 
-TEST(History, PartialAndFullKeysDiffer)
+TEST(HistoryKey, ReaderVectorIsOrderFree)
 {
-    History a(2);
-    a.push(Symbol::of(SymKind::Read, 1));
-    History b(2);
-    b.push(Symbol::of(SymKind::Read, 1));
-    b.push(Symbol::of(SymKind::Read, 1));
-    EXPECT_FALSE(a.key() == b.key()); // used counts differ
+    Vmsp v(1, 16);
+    phase(v, 7, {1, 2, 3});
+    const Vmsp::Key k = *v.lastWriteKey(7);
+    phase(v, 7, {1, 2});
+    EXPECT_NE(*v.lastWriteKey(7), k);
+    phase(v, 7, {3, 1, 2});
+    EXPECT_EQ(*v.lastWriteKey(7), k);
 }
 
-TEST(History, HashSpreadsAcrossKeys)
+TEST(HistoryKey, StaysExactPastTheDictionaryIndexRange)
 {
-    // Not a strict requirement, but the hash should not collapse a
-    // simple family of keys.
-    HistoryKeyHash hash;
-    std::set<std::size_t> hashes;
-    for (NodeId p = 0; p < 16; ++p) {
-        for (SymKind k : {SymKind::Read, SymKind::Write}) {
-            History h(1);
-            h.push(Symbol::of(k, p));
-            hashes.insert(hash(h.key()));
-        }
+    // 1100 distinct reader vectors in one block, more than a 12-bit
+    // code can name: vector i is the set of bits of i. Every history
+    // [W0, vector i] keeps its own key, and reaching it again finds
+    // the key it had before, narrow (i = 3) or wide (i = 1050).
+    Vmsp v(2, 16);
+    auto vectorPhase = [&](unsigned i) {
+        for (NodeId n = 0; n < 11; ++n)
+            if (i >> n & 1)
+                feed(v, 7, SymKind::Read, n);
+        feed(v, 7, SymKind::Write, 0);
+    };
+    std::vector<Vmsp::Key> keyOf(1101);
+    std::set<Vmsp::Key> keys;
+    for (unsigned i = 1; i <= 1100; ++i) {
+        vectorPhase(i);
+        if (i == 1) // the first phase has no full history yet
+            continue;
+        keyOf[i] = *v.lastWriteKey(7);
+        keys.insert(keyOf[i]);
     }
-    EXPECT_EQ(hashes.size(), 32u);
+    EXPECT_EQ(keys.size(), 1099u);
+    vectorPhase(3);
+    EXPECT_EQ(*v.lastWriteKey(7), keyOf[3]);
+    vectorPhase(1050);
+    EXPECT_EQ(*v.lastWriteKey(7), keyOf[1050]);
 }
 
 TEST(HistoryDeathTest, DepthZeroPanics)
 {
-    EXPECT_DEATH(History h(0), "depth");
+    EXPECT_DEATH(Vmsp v(0, 16), "depth");
+    EXPECT_DEATH(Msp m(0, 16), "depth");
 }
 
 TEST(HistoryDeathTest, DepthBeyondMaxPanics)
 {
-    EXPECT_DEATH(History h(maxHistoryDepth + 1), "depth");
+    EXPECT_DEATH(Vmsp v(maxHistoryDepth + 1, 16), "depth");
+    EXPECT_DEATH(Cosmos c(maxHistoryDepth + 1, 16), "depth");
 }
