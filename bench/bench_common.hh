@@ -44,6 +44,9 @@
 namespace mspdsm::bench
 {
 
+/** Largest --jobs accepted (a worker pool, not a request queue). */
+inline constexpr unsigned maxJobs = 4096;
+
 /** The uniform command line of every bench binary. */
 struct BenchArgs
 {
@@ -119,7 +122,8 @@ printUsage(std::ostream &os, const char *tool, const char *what)
        << "               hits, outstanding misses) every N ticks\n"
        << "               into the JSON record (0 = off)\n"
        << "  --verbose    enable verbose() diagnostics on stderr\n"
-       << "  --jobs N     parallel runs; 0 = all hardware threads\n"
+       << "  --jobs N     parallel runs, 0-" << maxJobs
+       << "; 0 = all hardware threads\n"
        << "               (default 1 = serial; results are\n"
        << "               bit-identical either way)\n"
        << "  --json FILE  write the mspdsm-sweep-v1 record to FILE\n"
@@ -159,13 +163,16 @@ parseArgs(int argc, char **argv, const char *tool, const char *what)
         }
         return x;
     };
-    auto itersOf = [&](const char *flag, const char *s) {
+    // --iters and --jobs take a whole integer 0..max. --jobs sizes a
+    // thread pool, so its max keeps a typo from starting thousands of
+    // workers.
+    auto uintOf = [&](const char *flag, const char *s, unsigned max) {
         char *end = nullptr;
         const unsigned long long n = std::strtoull(s, &end, 10);
         if (!std::isdigit(static_cast<unsigned char>(*s)) ||
-            *end != '\0' || n > ~0u) {
+            *end != '\0' || n > max) {
             std::cerr << tool << ": " << flag
-                      << " must be an integer 0-" << ~0u << ", got '"
+                      << " must be an integer 0-" << max << ", got '"
                       << s << "'\n";
             std::exit(2);
         }
@@ -192,7 +199,7 @@ parseArgs(int argc, char **argv, const char *tool, const char *what)
             a.ec.scale = scaleOf(arg, value(i));
         } else if (!std::strcmp(arg, "--iters") ||
                    !std::strcmp(arg, "--iterations")) {
-            a.ec.iterations = itersOf(arg, value(i));
+            a.ec.iterations = uintOf(arg, value(i), ~0u);
         } else if (!std::strcmp(arg, "--procs")) {
             const char *s = value(i);
             char *end = nullptr;
@@ -301,7 +308,7 @@ parseArgs(int argc, char **argv, const char *tool, const char *what)
             setLogVerbosity(1);
         } else if (!std::strcmp(arg, "--jobs") ||
                    !std::strcmp(arg, "-j")) {
-            a.jobs = static_cast<unsigned>(std::atoi(value(i)));
+            a.jobs = uintOf(arg, value(i), maxJobs);
         } else if (!std::strcmp(arg, "--json") ||
                    !std::strcmp(arg, "-o")) {
             a.jsonPath = value(i);
@@ -315,7 +322,7 @@ parseArgs(int argc, char **argv, const char *tool, const char *what)
             a.ec.scale = scaleOf("scale", arg); // legacy [scale]
             ++positional;
         } else if (positional == 1) {
-            a.ec.iterations = itersOf("iterations", arg); // legacy
+            a.ec.iterations = uintOf("iterations", arg, ~0u); // legacy
             ++positional;
         } else {
             std::cerr << tool << ": unexpected argument " << arg

@@ -1,6 +1,7 @@
 #include "micro_suites.hh"
 
 #include <utility>
+#include <vector>
 
 #include "base/random.hh"
 #include "dsm/system.hh"
@@ -16,6 +17,15 @@ namespace mspdsm::bench
 namespace
 {
 
+/** Counts its firings into a shared total: the cheapest intrusive
+ * event, so the eventq benches time the kernel alone. */
+struct CountEvent final : public Event
+{
+    void process() override { ++*fired; }
+
+    std::uint64_t *fired = nullptr;
+};
+
 /**
  * Event-kernel throughput: bulk-schedule a deterministic spread of
  * events and drain the queue. The tick distribution mirrors the
@@ -29,12 +39,14 @@ eventqThroughput()
     constexpr int n = 20000;
     EventQueue eq;
     std::uint64_t fired = 0;
+    std::vector<CountEvent> evs(n);
     for (int i = 0; i < n; ++i) {
         // Thirds: heavy ties, short spread, medium spread.
         const Tick when = (i % 3 == 0) ? Tick(i % 17)
                         : (i % 3 == 1) ? Tick((i * 7) % 512)
                                        : Tick((i * 131) % 4096);
-        eq.schedule(when, [&fired] { ++fired; });
+        evs[i].fired = &fired;
+        eq.schedule(when, evs[i]);
     }
     eq.run();
     return fired;
@@ -51,8 +63,11 @@ eventqFar()
     constexpr int n = 20000;
     EventQueue eq;
     std::uint64_t fired = 0;
-    for (int i = 0; i < n; ++i)
-        eq.schedule(Tick((i * 131) % 65536), [&fired] { ++fired; });
+    std::vector<CountEvent> evs(n);
+    for (int i = 0; i < n; ++i) {
+        evs[i].fired = &fired;
+        eq.schedule(Tick((i * 131) % 65536), evs[i]);
+    }
     eq.run();
     return fired;
 }
@@ -65,16 +80,26 @@ eventqFar()
 [[gnu::flatten]] std::uint64_t
 eventqSelfChain()
 {
-    constexpr int n = 20000;
-    EventQueue eq;
-    int count = 0;
-    std::function<void()> chain = [&] {
-        if (++count < n)
-            eq.scheduleAfter(1, chain);
+    constexpr std::uint64_t n = 20000;
+    struct Chain final : public Event
+    {
+        explicit Chain(EventQueue &q) : eq(q) {}
+
+        void
+        process() override
+        {
+            if (++count < n)
+                eq.scheduleAfter(1, *this);
+        }
+
+        EventQueue &eq;
+        std::uint64_t count = 0;
     };
+    EventQueue eq;
+    Chain chain(eq);
     eq.schedule(0, chain);
     eq.run();
-    return static_cast<std::uint64_t>(count);
+    return chain.count;
 }
 
 /** Shared small workload; generated once, outside the timed region. */

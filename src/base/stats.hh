@@ -13,7 +13,6 @@
 
 #include <array>
 #include <bit>
-#include <cassert>
 #include <cstdint>
 
 namespace mspdsm
@@ -25,17 +24,6 @@ class Counter
   public:
     /** Increment by @p n (default 1). */
     void inc(std::uint64_t n = 1) { value_ += n; }
-
-    /** Undo @p n previously counted events (speculative bookings
-     * that were rolled back -- e.g. the network's optimistic ingress
-     * reservation). Never exceeds what was counted: asserted in debug
-     * builds, branch-free in release. */
-    void
-    dec(std::uint64_t n)
-    {
-        assert(n <= value_ && "Counter::dec exceeds what was counted");
-        value_ -= n;
-    }
 
     /** Current count. */
     std::uint64_t value() const { return value_; }

@@ -22,21 +22,10 @@ CacheCtrl::hasUnreferencedSpec(BlockId blk) const
 }
 
 void
-CacheCtrl::hitDone()
-{
-    MemCompletion *done = hitDone_;
-    hitDone_ = nullptr;
-    done->complete(false);
-}
-
-void
 CacheCtrl::kill()
 {
     lines_.clear();
     mshr_ = Mshr{};
-    if (hitEvent_.scheduled())
-        eq_.deschedule(hitEvent_);
-    hitDone_ = nullptr;
     if (retryEvent_.scheduled())
         eq_.deschedule(retryEvent_);
     retryAttempts_ = 0;
@@ -92,13 +81,36 @@ CacheCtrl::sendRequest(MsgType t, BlockId blk, const Line &l)
 }
 
 Tick
-CacheCtrl::tryHit(BlockId blk, bool is_write)
+CacheCtrl::access(BlockId blk, bool is_write, MemCompletion &done)
 {
     panic_if(mshr_.valid, "blocking processor accessed during a miss");
     Line &l = line(blk);
     if (is_write ? l.state != LineState::Modified
-                 : l.state == LineState::Invalid)
+                 : l.state == LineState::Invalid) {
+        mshr_.valid = true;
+        mshr_.blk = blk;
+        mshr_.write = is_write;
+        mshr_.invalidated = false;
+        mshr_.done = &done;
+        mshr_.issued = eq_.curTick();
+        if (!is_write) {
+            stats_.demandReads.inc();
+            sendRequest(MsgType::GetS, blk, l);
+        } else {
+            stats_.demandWrites.inc();
+            sendRequest(l.state == LineState::Shared ? MsgType::Upgrade
+                                                     : MsgType::GetX,
+                        blk, l);
+        }
+        if (faultsEnabled_) {
+            // Timeout-and-retry: if the home dies with this request
+            // (or its reply) in flight, the message is dropped and
+            // only this timer recovers the transaction.
+            retryAfterNack_ = false;
+            eq_.scheduleAfter(retryTimeout_, retryEvent_);
+        }
         return 0;
+    }
 
     if (is_write) {
         stats_.writeHits.inc();
@@ -123,57 +135,6 @@ CacheCtrl::tryHit(BlockId blk, bool is_write)
     l.inProcCache = true;
     l.referenced = true;
     return lat;
-}
-
-void
-CacheCtrl::issueMiss(BlockId blk, bool is_write, MemCompletion &done)
-{
-    panic_if(mshr_.valid, "blocking processor issued a second miss");
-    const Line &l = line(blk);
-    mshr_.valid = true;
-    mshr_.blk = blk;
-    mshr_.write = is_write;
-    mshr_.invalidated = false;
-    mshr_.done = &done;
-    mshr_.issued = eq_.curTick();
-    if (!is_write) {
-        stats_.demandReads.inc();
-        sendRequest(MsgType::GetS, blk, l);
-    } else {
-        stats_.demandWrites.inc();
-        sendRequest(l.state == LineState::Shared ? MsgType::Upgrade
-                                                 : MsgType::GetX,
-                    blk, l);
-    }
-    if (faultsEnabled_) {
-        // Timeout-and-retry: if the home dies with this request (or
-        // its reply) in flight, the message is dropped and only this
-        // timer recovers the transaction.
-        retryAfterNack_ = false;
-        eq_.scheduleAfter(retryTimeout_, retryEvent_);
-    }
-}
-
-void
-CacheCtrl::accessBlock(BlockId blk, bool is_write, MemCompletion &done)
-{
-    if (const Tick lat = tryHit(blk, is_write)) {
-        // Local completion through the cache's own timer (the
-        // processor schedules its own resume for hit-eligible ops
-        // instead and never comes through here on their hits).
-        panic_if(hitEvent_.scheduled(),
-                 "cache ", id_, ": overlapping hit completions");
-        hitDone_ = &done;
-        eq_.scheduleAfter(lat, hitEvent_);
-        return;
-    }
-    issueMiss(blk, is_write, done);
-}
-
-void
-CacheCtrl::access(Addr addr, bool is_write, MemCompletion &done)
-{
-    accessBlock(map_.blockOf(addr), is_write, done);
 }
 
 void

@@ -10,6 +10,12 @@
  * costs one local/remote-cache access (104 cycles) instead of a full
  * remote round trip -- exactly the latency conversion the paper's
  * analytic model assumes (remote -> local).
+ *
+ * The processor side has one entry point, access(): a hit books
+ * itself and returns its latency, which the caller waits out on its
+ * own event; a miss issues the demand request and completes through
+ * the caller's MemCompletion at the fill. The cache owns no timer on
+ * the hit path.
  */
 
 #ifndef MSPDSM_DSM_CACHE_HH
@@ -41,13 +47,14 @@ enum class LineState : std::uint8_t
  *
  * The issuer embeds a MemCompletion (usually as the base of a larger
  * record carrying its own context, e.g. the issue tick) and hands a
- * reference to CacheCtrl::access(); the cache stores only the pointer
- * and invokes complete() when the access finishes. Issuing and
+ * reference to CacheCtrl::access(); on a miss the cache stores only
+ * the pointer and invokes complete() at the fill. Issuing and
  * completing an access therefore allocates nothing and costs one
  * direct call through a function pointer -- no std::function, no
- * virtual dispatch.
+ * virtual dispatch. A hit never touches the record: access() returns
+ * its latency and the issuer resumes itself.
  *
- * The completion fires at the tick the access completes (curTick()).
+ * The completion fires at the tick the fill arrives (curTick()).
  *
  * @param remote true iff the access waited on inter-node coherence
  *        traffic (the paper's "request waiting time"); node-local
@@ -105,7 +112,7 @@ class CacheCtrl
         : id_(id), eq_(eq), net_(net), cfg_(cfg), map_(cfg),
           lines_(map_)
     {
-        // tryHit() signals "miss" with a zero latency, so a zero-cost
+        // access() signals "miss" with a zero latency, so a zero-cost
         // local access is not representable; the paper's machine has
         // none (Table 1 minimums are 1 and 104 cycles).
         fatal_if(cfg.cacheHit == 0 || cfg.memAccess == 0,
@@ -113,33 +120,19 @@ class CacheCtrl
     }
 
     /**
-     * Processor-side access. At most one outstanding miss (blocking
-     * in-order processor); @p done fires when the access completes
-     * and must stay valid until then.
+     * Processor-side access to block @p blk. At most one outstanding
+     * miss (blocking in-order processor).
+     *
+     * On a node-local hit, book the hit (statistics, reference and
+     * residency bits) and return its latency: 1 cycle in the
+     * processor cache, memAccess on the first touch of a
+     * remote-cache resident copy. The caller resumes itself after
+     * that many ticks and @p done is never used.
+     *
+     * On a miss, issue the demand transaction and return 0; @p done
+     * fires at fill time and must stay valid until then.
      */
-    void access(Addr addr, bool is_write, MemCompletion &done);
-
-    /**
-     * access() by precompiled block id. Node-local hits complete
-     * through the cache's own timer as in access().
-     */
-    void accessBlock(BlockId blk, bool is_write, MemCompletion &done);
-
-    /**
-     * Hit probe: if the access can be served node-locally, book the
-     * hit (statistics, reference/residency bits) and return its
-     * latency; the *completion is the caller's to schedule*. On a
-     * miss, return 0 with no side effects beyond creating the line.
-     * The processor absorbs a hit-eligible op's hit into its own step
-     * event this way instead of bouncing through hitEvent_.
-     */
-    Tick tryHit(BlockId blk, bool is_write);
-
-    /**
-     * Issue the demand transaction for an access that tryHit()
-     * declined. @p done fires at fill time.
-     */
-    void issueMiss(BlockId blk, bool is_write, MemCompletion &done);
+    Tick access(BlockId blk, bool is_write, MemCompletion &done);
 
     /** Network-side handler for Inval/Recall/data/SpecData messages. */
     void handle(const CohMsg &msg);
@@ -192,8 +185,8 @@ class CacheCtrl
 
     /**
      * Fail-stop this node's cache: every line is lost, the in-flight
-     * miss (if any) is squashed without completing, and all pending
-     * cache timers are cancelled. The processor side rewinds the
+     * miss (if any) is squashed without completing, and the retry
+     * timer is cancelled. The processor side rewinds the
      * squashed access itself.
      */
     void kill();
@@ -242,20 +235,6 @@ class CacheCtrl
         Tick issued = 0; //!< issue tick (fill latency spans retries)
     };
 
-    /**
-     * Completion timer for node-local hits. The processor is blocking
-     * and in-order, so at most one hit completion is pending at a
-     * time: one pre-allocated event per cache suffices.
-     */
-    struct HitEvent final : public Event
-    {
-        explicit HitEvent(CacheCtrl *c) : cache(c) {}
-
-        void process() override { cache->hitDone(); }
-
-        CacheCtrl *cache;
-    };
-
     /** The block's line (Invalid until first filled). */
     Line &line(BlockId blk) { return lines_[blk]; }
 
@@ -268,9 +247,6 @@ class CacheCtrl
 
         CacheCtrl *cache;
     };
-
-    /** HitEvent fired: deliver the stored completion. */
-    void hitDone();
 
     /** Retry timer expired with the miss still outstanding. */
     void retryFired();
@@ -288,8 +264,6 @@ class CacheCtrl
     AddrMap map_; //!< divide-free blockOf/homeOf snapshot of cfg_
     ShardTable<Line> lines_;
     Mshr mshr_;
-    HitEvent hitEvent_{this};
-    MemCompletion *hitDone_ = nullptr;
     RetryEvent retryEvent_{this};
 
     /** Bounded retries before the node declares the home unreachable

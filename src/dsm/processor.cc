@@ -64,18 +64,11 @@ Processor::step()
         const bool write = op.kind() == OpKind::Write;
         const BlockId blk = op.payload();
         access_.issued = now;
-        if (!op.hitEligible()) {
-            // First-ever touch of the block by this trace, which
-            // cannot be cache-resident (even speculative pushes only
-            // target past readers) -- but stay exact rather than
-            // clever: the full access path re-checks and completes
-            // rare hits through the cache's own timer.
-            cache_.accessBlock(blk, write, access_);
-        } else if (const Tick lat = cache_.tryHit(blk, write)) {
+        if (const Tick lat = cache_.access(blk, write, access_)) {
+            // Node-local hit: resume after its latency. A miss
+            // re-enters step() from the fill instead.
             stats_.memWait += lat;
             eq_.scheduleAfter(lat, stepEvent_);
-        } else {
-            cache_.issueMiss(blk, write, access_);
         }
         return;
       }

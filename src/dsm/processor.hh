@@ -3,11 +3,13 @@
  * Trace-driven blocking processor and the global barrier.
  *
  * Each processor replays its trace in order: compute delays advance
- * local time, memory operations block until the cache controller
- * completes them, and barriers synchronize all processors. The
- * processor classifies each memory stall as remote request waiting
- * time (the quantity Figure 9 breaks out) or computation, using the
- * cache's completion flag.
+ * local time, memory operations go through one call to the cache
+ * controller (a hit returns its latency and the processor resumes
+ * itself; a miss blocks until the fill completes it), and barriers
+ * synchronize all processors. The processor classifies each memory
+ * stall as remote request waiting time (the quantity Figure 9 breaks
+ * out) or computation: hits are always local, and a fill carries the
+ * cache's remote-work flag.
  */
 
 #ifndef MSPDSM_DSM_PROCESSOR_HH
@@ -91,10 +93,10 @@ struct ProcStats
  * completed without allocating or copying a callback.
  *
  * step() executes exactly one op per dispatch, at curTick(): a
- * compute delay or a (hit-eligible) cache hit schedules the step
- * event at its completion tick, a miss hands the access to the cache
- * (whose fill re-enters step()), and a barrier parks the step event
- * at the barrier.
+ * compute delay or a cache hit schedules the step event at its
+ * completion tick (CacheCtrl::access() returns the hit latency), a
+ * miss leaves the access with the cache (whose fill re-enters
+ * step()), and a barrier parks the step event at the barrier.
  */
 class Processor
 {

@@ -1,5 +1,6 @@
 #include "harness/sweep.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -156,7 +157,10 @@ SweepRunner::results()
             records_.push_back(
                 executeJob(j.label, j.app, j.kind, j.topology, j.run));
     } else {
-        ThreadPool pool(opts_.jobs);
+        // No more workers than queued runs; the record still reports
+        // the requested job count.
+        ThreadPool pool(static_cast<unsigned>(
+            std::min<std::size_t>(opts_.jobs, jobs_.size())));
         std::vector<std::future<SweepRecord>> futs;
         futs.reserve(jobs_.size());
         for (const Job &j : jobs_) {

@@ -309,48 +309,8 @@ Network::pushIngress(NodeId dst, Tick arrival, const CohMsg &msg)
 {
     NodeIngress &in = ingress_[dst];
 
-    if (in.slotValid && arrival < in.slotArrival) [[unlikely]] {
-        // Undercut: the optimistic reservation below went to the
-        // wrong message. Unwind it -- restore the NI horizon and the
-        // queueing cycles it booked, and put its message back among
-        // the unreserved arrivals under its original (arrival, seq)
-        // key -- then let the canonical path below re-order both
-        // messages. The slot is always the ready tail while valid
-        // (reserveHead retires it before stacking anything on top),
-        // so dropping the tail removes exactly the speculative entry.
-        ingressFree_[dst] = in.slotPrevFree;
-        queued_.dec(in.slotQueued);
-        in.pq.push_back(
-            Pending{in.slotArrival, in.slotSeq, in.ready.back().msg});
-        std::push_heap(in.pq.begin(), in.pq.end(), PendingLater{});
-        in.ready.popBack();
-        in.slotValid = false;
-    }
-
-    if (in.pq.empty() && !in.slotValid) {
-        // Optimistic single-slot reservation -- the dense-run common
-        // case (the overwhelming share of arrivals find their
-        // destination otherwise quiet). Reserve immediately, with no
-        // heap round trip: the reservation arithmetic depends only on
-        // per-destination order, so it is exact unless a later send
-        // undercuts this arrival (a backlogged egress NI plus jitter
-        // lets a later send arrive earlier) -- and the rollback above
-        // restores state bit-for-bit, so being wrong costs an unwind.
-        // The final reservation order is strict (arrival, seq) either
-        // way, so the cross-source jitter races are preserved.
-        const Tick occ = carriesData(msg.type) ? cfg_.niData
-                                               : cfg_.niControl;
-        in.slotValid = true;
-        in.slotArrival = arrival;
-        in.slotPrevFree = ingressFree_[dst];
-        in.slotQueued =
-            std::max(arrival, in.slotPrevFree) - arrival;
-        in.slotSeq = pushSeq_++;
-        in.ready.push(reserveIngress(dst, arrival, occ), msg);
-    } else {
-        in.pq.push_back(Pending{arrival, pushSeq_++, msg});
-        std::push_heap(in.pq.begin(), in.pq.end(), PendingLater{});
-    }
+    in.pq.push_back(Pending{arrival, pushSeq_++, msg});
+    std::push_heap(in.pq.begin(), in.pq.end(), PendingLater{});
 
     // Inside this destination's own drain loop the push does not
     // arm: the loop re-arms the drain itself on exit.
@@ -372,13 +332,6 @@ Network::pushIngress(NodeId dst, Tick arrival, const CohMsg &msg)
 void
 Network::reserveHead(NodeId n, NodeIngress &in)
 {
-    // A canonical reservation stacking on top retires the optimistic
-    // slot. The only caller is the drain's catch-up sweep, so the
-    // pending head's arrival is in the past, and pq arrivals never
-    // undercut a live slot (such a push unwinds it first), so the
-    // slot's own arrival is in the past too -- beyond any future
-    // send's reach.
-    in.slotValid = false;
     const Pending &p = in.pq.front();
     const Tick occ = carriesData(p.msg.type) ? cfg_.niData
                                              : cfg_.niControl;
@@ -425,8 +378,6 @@ Network::drainFired(NodeId n)
         // send to this very node.
         const CohMsg msg = in.ready.front().msg;
         in.ready.pop();
-        if (in.ready.empty())
-            in.slotValid = false; // the slot (ready tail) delivered
         deliver(msg);
         // Loop on: the handler may have queued more work for this
         // node, and further due deliveries fold into this same

@@ -243,12 +243,6 @@ class Network
         std::size_t size() const { return count_; }
         const ReadyMsg &front() const { return buf_[head_]; }
 
-        const ReadyMsg &
-        back() const
-        {
-            return buf_[(head_ + count_ - 1) & (buf_.size() - 1)];
-        }
-
         void
         push(Tick delivered, const CohMsg &msg)
         {
@@ -265,9 +259,6 @@ class Network
             head_ = (head_ + 1) & (buf_.size() - 1);
             --count_;
         }
-
-        /** Drop the tail (optimistic-slot rollback only). */
-        void popBack() { --count_; }
 
       private:
         void grow();
@@ -298,21 +289,6 @@ class Network
         std::vector<Pending> pq; //!< binary heap (PendingLater)
         ReadyRing ready;
         DrainEvent drain;
-        /**
-         * Single-slot optimistic reservation (see pushIngress). While
-         * set, the ready *tail* holds a reservation made before its
-         * arrival came due; a later send undercutting slotArrival
-         * unwinds it from these saved values. The slot retires --
-         * becomes indistinguishable from a canonical reservation --
-         * when a canonical reservation lands on top of it
-         * (reserveHead, which only happens once its arrival is in
-         * the past) or when it is popped for delivery.
-         */
-        bool slotValid = false;
-        Tick slotArrival = 0;  //!< the speculative entry's arrival
-        Tick slotPrevFree = 0; //!< ingressFree_ before it reserved
-        Tick slotQueued = 0;   //!< queueing cycles it booked
-        std::uint64_t slotSeq = 0; //!< its (arrival, seq) tie-break
     };
 
     /** Deliver every local message due this tick; re-arm at next. */

@@ -31,14 +31,6 @@ EventQueue::schedule(Tick when, Event &ev)
     }
 }
 
-void
-EventQueue::schedule(Tick when, Callback cb)
-{
-    LambdaEvent &e = lambdaPool_.acquire(this);
-    e.fn_ = std::move(cb);
-    schedule(when, e);
-}
-
 bool
 EventQueue::unlinkFromBucket(Bucket &b, Event &ev)
 {

@@ -10,8 +10,7 @@
  *
  *  - Events are *intrusive*: components derive from Event and own
  *    their event objects, so scheduling allocates nothing and firing
- *    is one virtual call. Events scheduled through the legacy
- *    std::function API are wrapped in pooled LambdaEvents.
+ *    is one virtual call. There is no callback API.
  *  - The near wheel covers the current and next 4096-tick "gigatick"
  *    (8192 one-tick buckets), one intrusive FIFO list per tick;
  *    within a tick, events fire in schedule order (the tie-break
@@ -39,11 +38,8 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
-#include <utility>
 #include <vector>
 
-#include "base/chunked_vector.hh"
 #include "base/types.hh"
 
 namespace mspdsm
@@ -80,60 +76,11 @@ class Event
 };
 
 /**
- * Slab-backed free-list pool for one component's event objects:
- * acquire() recycles or carves a new event from chunked storage
- * (stable addresses), release() returns it. The pool owns the slabs;
- * events must not be released twice or used after release.
- */
-template <typename T>
-class EventPool
-{
-  public:
-    /** Get an event; @p args are used only when a new one is carved. */
-    template <typename... Args>
-    T &
-    acquire(Args &&...args)
-    {
-        if (!free_.empty()) {
-            T *e = free_.back();
-            free_.pop_back();
-            return *e;
-        }
-        return slab_.emplace_back(std::forward<Args>(args)...);
-    }
-
-    /** Return an event to the pool. */
-    void release(T &e) { free_.push_back(&e); }
-
-    /**
-     * Visit every event ever carved from this pool, live or free
-     * (free-listed events are never scheduled, so callers that only
-     * care about pending ones filter on Event::scheduled()). This is
-     * the mass-cancellation primitive: a component going down walks
-     * its pool, descheduling and releasing everything still pending.
-     */
-    template <typename F>
-    void
-    forEach(F &&f)
-    {
-        for (std::size_t i = 0; i < slab_.size(); ++i)
-            f(slab_[i]);
-    }
-
-  private:
-    ChunkedVector<T> slab_;
-    std::vector<T *> free_;
-};
-
-/**
  * Global event queue for one simulation instance.
  */
 class EventQueue
 {
   public:
-    /** Legacy callback type; wrapped in a pooled event. */
-    using Callback = std::function<void()>;
-
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -153,16 +100,6 @@ class EventQueue
     scheduleAfter(Tick delay, Event &ev)
     {
         schedule(curTick_ + delay, ev);
-    }
-
-    /** Schedule @p cb at @p when via a pooled wrapper event. */
-    void schedule(Tick when, Callback cb);
-
-    /** Schedule @p cb @p delay ticks from now. */
-    void
-    scheduleAfter(Tick delay, Callback cb)
-    {
-        schedule(curTick_ + delay, std::move(cb));
     }
 
     /**
@@ -245,29 +182,6 @@ class EventQueue
         }
     };
 
-    /** Wrapper carrying a std::function through the intrusive queue. */
-    class LambdaEvent final : public Event
-    {
-      public:
-        explicit LambdaEvent(EventQueue *q) : owner_(q) {}
-
-        void
-        process() override
-        {
-            Callback fn = std::move(fn_);
-            fn_ = nullptr;
-            // Release first: the callback may schedule again and is
-            // allowed to reuse this slot.
-            owner_->lambdaPool_.release(*this);
-            fn();
-        }
-
-        Callback fn_;
-
-      private:
-        EventQueue *owner_;
-    };
-
     /** Gigatick index of a tick. */
     static constexpr Tick
     gigaOf(Tick t)
@@ -343,8 +257,6 @@ class EventQueue
     //! Overflow min-heap (std::push_heap/pop_heap on a vector, so
     //! deschedule() can excise entries exactly).
     std::vector<FarEntry> heap_;
-
-    EventPool<LambdaEvent> lambdaPool_;
 
     Tick curTick_ = 0;
     std::uint64_t nextSeq_ = 0;

@@ -1,7 +1,6 @@
 #include "workload/compiled_trace.hh"
 
 #include <algorithm>
-#include <utility>
 
 #include "base/logging.hh"
 
@@ -10,11 +9,6 @@ namespace mspdsm
 
 namespace
 {
-
-/** Per-block compile-time access history: bit 0 read-or-written,
- * bit 1 written. Drives the hit-eligibility annotation. */
-constexpr std::uint8_t seenBit = 1;
-constexpr std::uint8_t wroteBit = 2;
 
 /**
  * Source block id -> first-touch ordinal, through a direct table over
@@ -52,14 +46,12 @@ class Ordinals
 
 /**
  * Compile one trace, mapping each source block through
- * @p number(raw) -> (compiled id, ordinal); @p history is the per-
- * ordinal hint state of this trace (cleared by the caller).
+ * @p number(raw) -> compiled id.
  */
 template <typename Number>
 std::size_t
 compileTrace(const Trace &t, const AddrMap &map,
-             std::vector<CompiledOp> &out, Number &&number,
-             std::vector<std::uint8_t> &history)
+             std::vector<CompiledOp> &out, Number &&number)
 {
     const std::size_t start = out.size();
     out.reserve(start + t.size());
@@ -70,7 +62,7 @@ compileTrace(const Trace &t, const AddrMap &map,
             if (op.cycles == 0)
                 break; // timing no-op; drop it
             // Validate the operand before any fusion arithmetic:
-            // with both addends capped at payloadMax (2^61-1) the
+            // with both addends capped at payloadMax (2^62-1) the
             // uint64 sum below cannot wrap, so the fused check is
             // exact.
             panic_if(op.cycles > CompiledOp::payloadMax,
@@ -93,22 +85,10 @@ compileTrace(const Trace &t, const AddrMap &map,
           }
           case OpKind::Read:
           case OpKind::Write: {
-            const auto [blk, ord] = number(map.blockOf(op.addr));
+            const BlockId blk = number(map.blockOf(op.addr));
             panic_if(blk > CompiledOp::payloadMax,
                      "block id overflows the packed op");
-            const bool write = op.kind == OpKind::Write;
-            if (ord >= history.size())
-                history.resize(std::max<std::size_t>(
-                    {ord + 1, 2 * history.size(), 1024}));
-            std::uint8_t &h = history[ord];
-            // A read can be served locally once the block has been
-            // touched at all (a demand fill, or a speculative push --
-            // which only ever targets past readers); a write only
-            // ever hits on a Modified copy, which requires an earlier
-            // write by this processor.
-            const bool hint = write ? (h & wroteBit) : (h & seenBit);
-            h |= write ? (seenBit | wroteBit) : seenBit;
-            out.push_back(CompiledOp::make(op.kind, blk, hint));
+            out.push_back(CompiledOp::make(op.kind, blk));
             break;
           }
           case OpKind::Barrier:
@@ -155,15 +135,12 @@ CompiledWorkload::CompiledWorkload(const std::vector<Trace> &traces,
             idOf.push_back(map_.blockAt(h, homeStart_[h + 1]++));
             rawOfOrd.push_back(raw);
         }
-        return std::pair{idOf[o], o};
+        return idOf[o];
     };
-    std::vector<std::uint8_t> history;
     for (const Trace &t : traces) {
         Span s;
         s.offset = arena_.size();
-        // Hit hints are per-trace.
-        std::fill(history.begin(), history.end(), std::uint8_t{0});
-        s.count = compileTrace(t, map_, arena_, number, history);
+        s.count = compileTrace(t, map_, arena_, number);
         spans_.push_back(s);
     }
 

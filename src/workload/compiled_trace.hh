@@ -12,15 +12,7 @@
  *    loop (a memory op's payload IS its block);
  *  - consecutive Compute ops are fused into a single delay -- a pure
  *    timing transformation, since back-to-back delays touch no state
- *    the rest of the machine can observe between them;
- *  - memory ops are annotated with a *hit-eligibility* bit: set iff
- *    this trace accessed the block before (for a write: wrote it
- *    before), i.e. iff the access can possibly be served node-locally.
- *    The bit is a pure optimization hint -- the processor only probes
- *    the cache's fast hit path when it is set, and a hinted op that
- *    lost its copy to an invalidation simply falls through to the
- *    demand path -- so mis-annotation can cost time but never
- *    correctness or timing.
+ *    the rest of the machine can observe between them.
  *
  * A workload compile also *renumbers* the blocks densely per home:
  * the j-th distinct block homed at h (in first-touch order over the
@@ -54,8 +46,7 @@ namespace mspdsm
 {
 
 /**
- * One packed trace operation: 2 bits of kind, 1 bit of hit hint, 61
- * bits of payload (BlockId for memory ops, fused cycle count for
+ * One packed trace operation: 2 bits of kind and 62 bits of payload (BlockId for memory ops, fused cycle count for
  * Compute, 0 for Barrier). The processors stream billions of these,
  * so the layout is a single word: one load, a mask, and a shift per
  * decoded field.
@@ -65,26 +56,20 @@ struct CompiledOp
     std::uint64_t bits = 0;
 
     static constexpr unsigned kindBits = 2;
-    static constexpr unsigned hintShift = kindBits;
-    static constexpr unsigned payloadShift = kindBits + 1;
+    static constexpr unsigned payloadShift = kindBits;
     static constexpr std::uint64_t kindMask = (1u << kindBits) - 1;
     static constexpr std::uint64_t payloadMax =
         ~std::uint64_t{0} >> payloadShift;
 
     static CompiledOp
-    make(OpKind k, std::uint64_t payload, bool hint = false)
+    make(OpKind k, std::uint64_t payload)
     {
         CompiledOp op;
-        op.bits = static_cast<std::uint64_t>(k) |
-                  (std::uint64_t{hint} << hintShift) |
-                  (payload << payloadShift);
+        op.bits = static_cast<std::uint64_t>(k) | (payload << payloadShift);
         return op;
     }
 
     OpKind kind() const { return static_cast<OpKind>(bits & kindMask); }
-
-    /** Hit-eligibility hint (meaningful for Read/Write). */
-    bool hitEligible() const { return bits >> hintShift & 1; }
 
     /** BlockId (Read/Write) or fused delay in cycles (Compute). */
     std::uint64_t payload() const { return bits >> payloadShift; }

@@ -68,27 +68,6 @@ TEST(Pct, ComputesPercentage)
     EXPECT_DOUBLE_EQ(pct(10, 10), 100.0);
 }
 
-TEST(Counter, DecUndoesCountedEvents)
-{
-    Counter c;
-    c.inc(10);
-    c.dec(3);
-    EXPECT_EQ(c.value(), 7u);
-    c.dec(7);
-    EXPECT_EQ(c.value(), 0u);
-}
-
-#ifndef NDEBUG
-TEST(CounterDeathTest, DecBeyondCountedAsserts)
-{
-    // Debug builds catch a dec() that exceeds what was counted;
-    // release builds stay branch-free (the assert compiles out).
-    Counter c;
-    c.inc(2);
-    EXPECT_DEATH(c.dec(3), "exceeds what was counted");
-}
-#endif
-
 TEST(Histogram, StartsEmpty)
 {
     Histogram h;

@@ -106,8 +106,10 @@ TEST(TickLimit, EventsExactlyAtLimitExecute)
     // runs; only strictly later events trip the guard.
     EventQueue eq;
     bool at = false, past = false;
-    eq.schedule(50, [&] { at = true; });
-    eq.schedule(51, [&] { past = true; });
+    test::At atEv([&] { at = true; });
+    test::At pastEv([&] { past = true; });
+    eq.schedule(50, atEv);
+    eq.schedule(51, pastEv);
     EXPECT_FALSE(eq.run(50));
     EXPECT_TRUE(at);
     EXPECT_FALSE(past);

@@ -21,7 +21,9 @@
 
 #include "dsm/cache.hh"
 #include "dsm/directory.hh"
+#include "dsm/processor.hh"
 #include "net/network.hh"
+#include "workload/compiled_trace.hh"
 
 namespace
 {
@@ -129,7 +131,7 @@ struct PingPong
     {
         PingPong *pp = static_cast<ReaderDone &>(self).owner;
         // Node 0 (the home) writes the block next.
-        pp->caches[0]->accessBlock(0, true, pp->writer);
+        pp->caches[0]->access(0, true, pp->writer);
     }
 
     static void
@@ -139,7 +141,7 @@ struct PingPong
         if (--pp->cyclesLeft == 0)
             return;
         // The reader node reads it back: recall + writeback at home.
-        pp->caches[pp->readerNode]->accessBlock(0, false, pp->reader);
+        pp->caches[pp->readerNode]->access(0, false, pp->reader);
     }
 
     /** Run @p cycles full read/write cycles to completion. */
@@ -211,36 +213,31 @@ TEST(ZeroAlloc, MultiHopRoutingDoesNotAllocate)
 
 TEST(ZeroAlloc, HitPathDoesNotAllocate)
 {
-    // Node-local hits: access -> pooled HitEvent -> completion.
+    // Node-local hits through the processor: step -> CacheCtrl::access
+    // returns the hit latency -> the step event resumes the core.
     PingPong warm(4);
     warm.go();
 
-    struct HitLoop final : MemCompletion
-    {
-        explicit HitLoop(CacheCtrl *c)
-            : MemCompletion(&HitLoop::fired), cache(c)
-        {}
+    // Node 0 owns block 0 after go(); repeated writes are hits. The
+    // compiled traces are built before the mark: compilation is
+    // setup, not the per-op path.
+    const AddrMap map(warm.cfg);
+    const CompiledWorkload warmTrace(
+        std::vector<Trace>{Trace(4, TraceOp::write(0))}, map);
+    const CompiledWorkload hotTrace(
+        std::vector<Trace>{Trace(5000, TraceOp::write(0))}, map);
+    ASSERT_EQ(hotTrace.blockOf(0), BlockId{0});
+    GlobalBarrier barrier(warm.eq, 1, 0);
+    Processor proc(0, warm.eq, *warm.caches[0], barrier);
 
-        static void
-        fired(MemCompletion &self, bool)
-        {
-            auto &h = static_cast<HitLoop &>(self);
-            if (--h.left > 0)
-                h.cache->accessBlock(0, true, h);
-        }
-
-        CacheCtrl *cache;
-        int left = 0;
-    } loop(warm.caches[0].get());
-
-    // Node 0 owns the block after go(); repeated writes are hits.
-    loop.left = 1;
-    warm.caches[0]->access(0, true, loop);
+    proc.start(warmTrace.trace(0));
     ASSERT_TRUE(warm.eq.run());
+    ASSERT_TRUE(proc.done());
 
     const std::uint64_t mark = g_allocs;
-    loop.left = 5000;
-    warm.caches[0]->access(0, true, loop);
+    proc.start(hotTrace.trace(0));
     ASSERT_TRUE(warm.eq.run());
     EXPECT_EQ(g_allocs, mark);
+    ASSERT_TRUE(proc.done());
+    EXPECT_EQ(warm.caches[0]->stats().writeHits.value(), 5004u);
 }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "net/network.hh"
+#include "testutil.hh"
 
 using namespace mspdsm;
 
@@ -173,10 +174,8 @@ TEST_F(NetFixture, JitterCanReorderAcrossSources)
         CohMsg a = msg(MsgType::InvAck, 1, 0);
         CohMsg b = msg(MsgType::InvAck, 2, 0);
         n.send(a);
-        q.schedule(1, [&n, b] {
-            CohMsg copy = b;
-            n.send(copy);
-        });
+        test::At sendB([&n, b] { n.send(b); });
+        q.schedule(1, sendB);
         EXPECT_TRUE(q.run());
         ASSERT_EQ(order.size(), 2u);
         if (order[0] == 2)

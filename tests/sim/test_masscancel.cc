@@ -1,20 +1,22 @@
-/** @file Mass-cancellation stress tests for the event queue: the
- * fault layer's failover sweep deschedules whole pools of events at
- * once (EventPool::forEach + deschedule), and the queue must stay
+/** @file Mass-cancellation stress tests for the event queue: a
+ * component going down deschedules whole pools of events at once
+ * (EventPool::forEach + deschedule), and the queue must stay
  * *exact* afterwards -- pending() counts only survivors and the
  * survivors fire in time order -- across all three queue levels.
  */
 
 #include <gtest/gtest.h>
 
-#include <utility>
 #include <vector>
 
 #include "base/random.hh"
 #include "net/network.hh"
 #include "sim/eventq.hh"
+#include "testutil.hh"
 
 using namespace mspdsm;
+using test::At;
+using test::EventPool;
 
 namespace
 {
@@ -37,17 +39,6 @@ struct Stamp final : public Event
 
     EventQueue &eq;
     std::vector<Tick> &log;
-};
-
-/** Fires once at its scheduled tick and runs a callback. */
-template <typename Fn>
-struct At final : public Event
-{
-    explicit At(Fn f) : fn(std::move(f)) {}
-
-    void process() override { fn(); }
-
-    Fn fn;
 };
 
 } // namespace

@@ -3,9 +3,12 @@
 #ifndef MSPDSM_TESTS_TESTUTIL_HH
 #define MSPDSM_TESTS_TESTUTIL_HH
 
+#include <utility>
 #include <vector>
 
+#include "base/chunked_vector.hh"
 #include "dsm/system.hh"
+#include "sim/eventq.hh"
 #include "workload/layout.hh"
 
 namespace mspdsm::test
@@ -47,6 +50,66 @@ soloTrace(unsigned nodes, NodeId who, Trace t)
     ts[who] = std::move(t);
     return ts;
 }
+
+/**
+ * An intrusive event that runs a callable each time it fires: the
+ * test-side stand-in for a component's own Event subclass.
+ */
+template <typename Fn>
+struct At final : public Event
+{
+    explicit At(Fn f) : fn(std::move(f)) {}
+
+    void process() override { fn(); }
+
+    Fn fn;
+};
+
+/**
+ * Slab-backed free-list pool for a test's event objects:
+ * acquire() recycles or carves a new event from chunked storage
+ * (stable addresses), release() returns it. The pool owns the slabs;
+ * events must not be released twice or used after release.
+ */
+template <typename T>
+class EventPool
+{
+  public:
+    /** Get an event; @p args are used only when a new one is carved. */
+    template <typename... Args>
+    T &
+    acquire(Args &&...args)
+    {
+        if (!free_.empty()) {
+            T *e = free_.back();
+            free_.pop_back();
+            return *e;
+        }
+        return slab_.emplace_back(std::forward<Args>(args)...);
+    }
+
+    /** Return an event to the pool. */
+    void release(T &e) { free_.push_back(&e); }
+
+    /**
+     * Visit every event ever carved from this pool, live or free
+     * (free-listed events are never scheduled, so callers that only
+     * care about pending ones filter on Event::scheduled()). This is
+     * the mass-cancellation primitive: a component going down walks
+     * its pool, descheduling and releasing everything still pending.
+     */
+    template <typename F>
+    void
+    forEach(F &&f)
+    {
+        for (std::size_t i = 0; i < slab_.size(); ++i)
+            f(slab_[i]);
+    }
+
+  private:
+    ChunkedVector<T> slab_;
+    std::vector<T *> free_;
+};
 
 } // namespace mspdsm::test
 

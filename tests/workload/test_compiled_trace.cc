@@ -1,6 +1,5 @@
 /** @file Trace compilation: packed-op round trips across the whole
- * app suite, compute fusion, hit-eligibility annotation, and the
- * packed layout itself. */
+ * app suite, compute fusion, and the packed layout itself. */
 
 #include <gtest/gtest.h>
 
@@ -30,12 +29,10 @@ TEST(CompiledOp, PackedLayoutRoundTripsFields)
     const CompiledOp c = CompiledOp::make(OpKind::Compute, 52000);
     EXPECT_EQ(c.kind(), OpKind::Compute);
     EXPECT_EQ(c.payload(), 52000u);
-    EXPECT_FALSE(c.hitEligible());
 
-    const CompiledOp r = CompiledOp::make(OpKind::Read, 0x1234567, true);
+    const CompiledOp r = CompiledOp::make(OpKind::Read, 0x1234567);
     EXPECT_EQ(r.kind(), OpKind::Read);
     EXPECT_EQ(r.payload(), 0x1234567u);
-    EXPECT_TRUE(r.hitEligible());
 
     const CompiledOp b = CompiledOp::make(OpKind::Barrier, 0);
     EXPECT_EQ(b.kind(), OpKind::Barrier);
@@ -80,28 +77,6 @@ TEST(CompiledTrace, OversizedComputeDelaysPanicEvenWhenFused)
     const Trace fused{TraceOp::compute(100), TraceOp::compute(huge)};
     EXPECT_DEATH(CompiledWorkload(std::vector<Trace>{fused}, map),
                  "overflow");
-}
-
-TEST(CompiledTrace, HitHintsReflectTraceHistory)
-{
-    const ProtoConfig cfg;
-    const AddrMap map(cfg);
-    const Addr a = 0, b = Addr{cfg.blockSize} * 7;
-    Trace t{TraceOp::read(a),  // first touch: not eligible
-            TraceOp::read(a),  // seen: eligible
-            TraceOp::write(a), // never written: not eligible
-            TraceOp::write(a), // written: eligible
-            TraceOp::write(b), // first touch
-            TraceOp::read(b)}; // seen (via the write): eligible
-    const CompiledWorkload cw(std::vector<Trace>{t}, map);
-    const CompiledTrace out = cw.trace(0);
-    ASSERT_EQ(out.size(), 6u);
-    EXPECT_FALSE(out[0].hitEligible());
-    EXPECT_TRUE(out[1].hitEligible());
-    EXPECT_FALSE(out[2].hitEligible());
-    EXPECT_TRUE(out[3].hitEligible());
-    EXPECT_FALSE(out[4].hitEligible());
-    EXPECT_TRUE(out[5].hitEligible());
 }
 
 /**
