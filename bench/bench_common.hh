@@ -19,6 +19,7 @@
 #define MSPDSM_BENCH_BENCH_COMMON_HH
 
 #include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -163,32 +164,56 @@ parseArgs(int argc, char **argv, const char *tool, const char *what)
         }
         return x;
     };
-    // --iters and --jobs take a whole integer 0..max. --jobs sizes a
-    // thread pool, so its max keeps a typo from starting thousands of
-    // workers.
-    auto uintOf = [&](const char *flag, const char *s, unsigned max) {
+    // Every numeric flag takes a whole integer 0..max: a typo must
+    // stop the tool here, not run on a garbage value or die mid-sweep.
+    auto wholeOf = [](const char *s, unsigned long long max,
+                      unsigned long long &n) {
         char *end = nullptr;
-        const unsigned long long n = std::strtoull(s, &end, 10);
-        if (!std::isdigit(static_cast<unsigned char>(*s)) ||
-            *end != '\0' || n > max) {
-            std::cerr << tool << ": " << flag
-                      << " must be an integer 0-" << max << ", got '"
-                      << s << "'\n";
+        errno = 0;
+        n = std::strtoull(s, &end, 10);
+        return std::isdigit(static_cast<unsigned char>(*s)) &&
+               *end == '\0' && errno != ERANGE && n <= max;
+    };
+    auto u64Of = [&](const char *flag, const char *s,
+                     unsigned long long max) {
+        unsigned long long n = 0;
+        if (!wholeOf(s, max, n)) {
+            std::cerr << tool << ": " << flag << " must be an integer ";
+            if (max == ~0ull)
+                std::cerr << ">= 0";
+            else
+                std::cerr << "0-" << max;
+            std::cerr << ", got '" << s << "'\n";
             std::exit(2);
         }
-        return static_cast<unsigned>(n);
+        return n;
+    };
+    // --jobs sizes a thread pool, so its max keeps a typo from
+    // starting thousands of workers.
+    auto uintOf = [&](const char *flag, const char *s, unsigned max) {
+        return static_cast<unsigned>(u64Of(flag, s, max));
+    };
+    auto tickOf = [&](const char *flag, const char *s) {
+        return static_cast<Tick>(u64Of(flag, s, maxTick));
+    };
+    // Node ids are range-checked against --procs after the loop.
+    auto nodeOf = [&](const char *flag, const char *s) {
+        return static_cast<NodeId>(uintOf(flag, s, maxNodes - 1));
     };
     // "N@T" for --kill / --restart: node N, tick T.
     auto nodeAtTick = [&](const char *flag, const char *s,
                           NodeId &node, Tick &tick) {
-        char *at = nullptr;
-        node = static_cast<NodeId>(std::strtoul(s, &at, 10));
-        if (!at || *at != '@') {
-            std::cerr << tool << ": " << flag << " expects N@T, got '"
+        const char *at = std::strchr(s, '@');
+        unsigned long long n = 0, t = 0;
+        if (!at || !wholeOf(std::string(s, at).c_str(), maxNodes - 1, n) ||
+            !wholeOf(at + 1, maxTick, t)) {
+            std::cerr << tool << ": " << flag << " expects N@T (node "
+                      << "0-" << maxNodes - 1 << ", integer tick), got '"
                       << s << "'\n";
             std::exit(2);
         }
-        tick = std::strtoull(at + 1, nullptr, 10);
+        node = static_cast<NodeId>(n);
+        tick = static_cast<Tick>(t);
     };
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -202,17 +227,15 @@ parseArgs(int argc, char **argv, const char *tool, const char *what)
             a.ec.iterations = uintOf(arg, value(i), ~0u);
         } else if (!std::strcmp(arg, "--procs")) {
             const char *s = value(i);
-            char *end = nullptr;
-            const unsigned long n = std::strtoul(s, &end, 10);
-            if (*s == '-' || end == s || *end != '\0' || n < 1 ||
-                n > maxNodes) {
+            unsigned long long n = 0;
+            if (!wholeOf(s, maxNodes, n) || n < 1) {
                 std::cerr << tool << ": --procs must be 1-" << maxNodes
                           << ", got '" << s << "'\n";
                 std::exit(2);
             }
             a.ec.numProcs = static_cast<unsigned>(n);
         } else if (!std::strcmp(arg, "--seed")) {
-            a.ec.seed = std::strtoull(value(i), nullptr, 10);
+            a.ec.seed = u64Of(arg, value(i), ~0ull);
         } else if (!std::strcmp(arg, "--topology")) {
             const char *name = value(i);
             if (!mspdsm::parseTopoKind(name, a.ec.topo.kind)) {
@@ -222,21 +245,21 @@ parseArgs(int argc, char **argv, const char *tool, const char *what)
                 std::exit(2);
             }
         } else if (!std::strcmp(arg, "--link-latency")) {
-            a.ec.topo.linkLatency = std::strtoull(value(i), nullptr, 10);
+            a.ec.topo.linkLatency = tickOf(arg, value(i));
         } else if (!std::strcmp(arg, "--tick-limit")) {
-            a.ec.tickLimit = std::strtoull(value(i), nullptr, 10);
+            a.ec.tickLimit = tickOf(arg, value(i));
         } else if (!std::strcmp(arg, "--fail-node")) {
-            a.ec.failNode = static_cast<NodeId>(std::atoi(value(i)));
+            a.ec.failNode = nodeOf(arg, value(i));
         } else if (!std::strcmp(arg, "--fail-tick")) {
-            a.ec.failTick = std::strtoull(value(i), nullptr, 10);
+            a.ec.failTick = tickOf(arg, value(i));
         } else if (!std::strcmp(arg, "--recover-tick")) {
-            a.ec.recoverTick = std::strtoull(value(i), nullptr, 10);
+            a.ec.recoverTick = tickOf(arg, value(i));
         } else if (!std::strcmp(arg, "--backup-node")) {
-            a.ec.backupNode = static_cast<NodeId>(std::atoi(value(i)));
+            a.ec.backupNode = nodeOf(arg, value(i));
         } else if (!std::strcmp(arg, "--warm-restart")) {
             a.ec.warmRestart = true;
         } else if (!std::strcmp(arg, "--ckpt-interval")) {
-            a.ec.ckptInterval = std::strtoull(value(i), nullptr, 10);
+            a.ec.ckptInterval = tickOf(arg, value(i));
         } else if (!std::strcmp(arg, "--kill")) {
             FaultEvent fe{0, invalidNode, FaultKind::Kill};
             nodeAtTick("--kill", value(i), fe.node, fe.tick);
@@ -248,31 +271,34 @@ parseArgs(int argc, char **argv, const char *tool, const char *what)
         } else if (!std::strcmp(arg, "--replicate-shards")) {
             a.ec.replicateShards = true;
         } else if (!std::strcmp(arg, "--retry-limit")) {
-            a.ec.retryLimit =
-                static_cast<unsigned>(std::atoi(value(i)));
+            a.ec.retryLimit = uintOf(arg, value(i), ~0u);
         } else if (!std::strcmp(arg, "--stale-timeout")) {
-            a.ec.staleTimeout = std::strtoull(value(i), nullptr, 10);
+            a.ec.staleTimeout = tickOf(arg, value(i));
         } else if (!std::strcmp(arg, "--lossy-link")) {
             const char *s = value(i);
-            LinkLossRule r;
-            char *p = nullptr;
-            r.link = static_cast<std::uint32_t>(
-                std::strtoul(s, &p, 10));
-            bool ok = p && *p == ',';
-            if (ok)
-                r.from = std::strtoull(p + 1, &p, 10);
-            ok = ok && p && *p == ',';
-            if (ok)
-                r.to = std::strtoull(p + 1, &p, 10);
-            ok = ok && p && *p == ',';
-            if (ok)
-                r.everyNth = static_cast<unsigned>(
-                    std::strtoul(p + 1, &p, 10));
-            if (!ok || (p && *p != '\0')) {
+            // Four comma-separated whole numbers, NTH at least 1.
+            unsigned long long f[4] = {};
+            const char *p = s;
+            bool ok = true;
+            for (int k = 0; k < 4 && ok; ++k) {
+                const char *end =
+                    k < 3 ? std::strchr(p, ',') : p + std::strlen(p);
+                const unsigned long long max =
+                    k == 1 || k == 2 ? maxTick : ~0u;
+                ok = end && wholeOf(std::string(p, end).c_str(), max, f[k]);
+                p = end ? end + 1 : p;
+            }
+            if (!ok || f[3] == 0) {
                 std::cerr << tool << ": --lossy-link expects "
-                          << "L,FROM,TO,NTH, got '" << s << "'\n";
+                          << "L,FROM,TO,NTH (integers, NTH >= 1), got '"
+                          << s << "'\n";
                 std::exit(2);
             }
+            LinkLossRule r;
+            r.link = static_cast<std::uint32_t>(f[0]);
+            r.from = f[1];
+            r.to = f[2];
+            r.everyNth = static_cast<unsigned>(f[3]);
             if (r.to == 0) // 0 = open-ended window
                 r.to = maxTick;
             a.ec.linkLoss.push_back(r);
@@ -302,7 +328,7 @@ parseArgs(int argc, char **argv, const char *tool, const char *what)
                 std::exit(2);
             }
         } else if (!std::strcmp(arg, "--sample-interval")) {
-            a.ec.sampleInterval = std::strtoull(value(i), nullptr, 10);
+            a.ec.sampleInterval = tickOf(arg, value(i));
         } else if (!std::strcmp(arg, "--verbose") ||
                    !std::strcmp(arg, "-v")) {
             setLogVerbosity(1);
@@ -329,6 +355,31 @@ parseArgs(int argc, char **argv, const char *tool, const char *what)
                       << " (try --help)\n";
             std::exit(2);
         }
+    }
+    // Fault plans name nodes: each must exist, and a one-node machine
+    // has no survivor to re-home onto.
+    auto badNode = [&](const char *flag, NodeId n) {
+        if (n != invalidNode && n >= a.ec.numProcs) {
+            std::cerr << tool << ": " << flag << " names node " << n
+                      << " but --procs is " << a.ec.numProcs << "\n";
+            std::exit(2);
+        }
+    };
+    badNode("--fail-node", a.ec.failNode);
+    badNode("--backup-node", a.ec.backupNode);
+    for (const FaultEvent &fe : a.ec.extraFaults)
+        badNode(fe.kind == FaultKind::Kill ? "--kill" : "--restart",
+                fe.node);
+    if (a.ec.retryLimit == 0 || a.ec.staleTimeout == 0) {
+        std::cerr << tool << ": --retry-limit and --stale-timeout must "
+                  << "be at least 1\n";
+        std::exit(2);
+    }
+    if (a.ec.numProcs == 1 &&
+        (a.ec.failNode != invalidNode || !a.ec.extraFaults.empty() ||
+         !a.ec.linkLoss.empty())) {
+        std::cerr << tool << ": a fault plan needs --procs 2 or more\n";
+        std::exit(2);
     }
     if (!a.ec.tracePath.empty() && a.jobs != 1) {
         // Every traced run in a sweep writes to the same file; the

@@ -27,6 +27,7 @@
  * replication-cost axis.
  */
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <string>
@@ -79,9 +80,18 @@ main(int argc, char **argv)
 
     // The fault plan: one mid-run fail-stop with a later restart,
     // identical across every cell so phases are comparable. The
-    // --fail-* flags override each default.
+    // --fail-* flags override each default. The default victim is
+    // node 3, or the last node on a smaller machine; a one-node
+    // machine has no survivor to recover onto.
+    if (args.ec.numProcs < 2) {
+        std::fprintf(stderr, "fig11_recovery: needs --procs 2 or more "
+                             "(one node fails, another adopts it)\n");
+        return 2;
+    }
     const NodeId victim =
-        args.ec.failNode != invalidNode ? args.ec.failNode : NodeId{3};
+        args.ec.failNode != invalidNode
+            ? args.ec.failNode
+            : static_cast<NodeId>(std::min(3u, args.ec.numProcs - 1));
     const Tick failTick = args.ec.failTick ? args.ec.failTick : 40000;
     const Tick recoverTick =
         args.ec.recoverTick ? args.ec.recoverTick : 70000;

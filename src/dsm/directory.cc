@@ -89,31 +89,21 @@ Directory::specObserve(BlockId blk, SymKind kind, NodeId src)
 void
 Directory::flushFired()
 {
-    // Pop-and-dispatch every action due on this tick; (due, seq)
+    // Pop-and-dispatch every action due on this tick; (due, push)
     // order reproduces the schedule order the per-action pooled
     // events fired in. Handlers may queue new actions mid-loop --
     // those are due strictly later (every service latency is
     // positive) and re-arm the flush themselves; the final arm below
-    // keeps the earliest. Copy-then-index: scheduleKind can insert
-    // into (and reallocate) the suffix under us.
+    // keeps the earliest. Copy-then-pop: scheduleKind can insert
+    // into (and reallocate) the queue under us.
     const Tick now = eq_.curTick();
-    while (dueHead_ < dueQ_.size() && dueQ_[dueHead_].due <= now) {
-        const DueAction a = dueQ_[dueHead_];
-        ++dueHead_;
+    while (dueQ_.due(now)) {
+        const DueAction a = dueQ_.front().val;
+        dueQ_.pop();
         dispatch(a.kind, a.msg);
     }
-    if (dueHead_ == dueQ_.size()) {
-        dueQ_.clear(); // keeps capacity
-        dueHead_ = 0;
-    } else {
-        if (dueHead_ >= 64) {
-            dueQ_.erase(dueQ_.begin(),
-                        dueQ_.begin() +
-                            static_cast<std::ptrdiff_t>(dueHead_));
-            dueHead_ = 0;
-        }
-        armFlush(dueQ_[dueHead_].due);
-    }
+    if (!dueQ_.empty())
+        eq_.scheduleBy(dueQ_.front().tick, flush_);
 }
 
 void
@@ -789,18 +779,12 @@ Directory::releaseShard(NodeId home)
     // The shard's pending due-actions reference the state just
     // dropped: cancel them, then re-arm the flush for whatever is
     // left (the filtered queue is still due-sorted).
-    const auto first =
-        dueQ_.begin() + static_cast<std::ptrdiff_t>(dueHead_);
-    dueQ_.erase(std::remove_if(first, dueQ_.end(),
-                               [&](const DueAction &a) {
-                                   return map_.geometricHomeOf(
-                                              a.msg.blk) == home;
-                               }),
-                dueQ_.end());
-    if (flush_.scheduled())
-        eq_.deschedule(flush_);
-    if (dueQ_.size() > dueHead_)
-        armFlush(dueQ_[dueHead_].due);
+    dueQ_.eraseIf([&](const DueAction &a) {
+        return map_.geometricHomeOf(a.msg.blk) == home;
+    });
+    eq_.deschedule(flush_);
+    if (!dueQ_.empty())
+        eq_.schedule(dueQ_.front().tick, flush_);
 }
 
 void
@@ -808,10 +792,8 @@ Directory::failover()
 {
     // Cancel every pending directory action: the due-queue holds
     // them all, behind the single flush event.
-    if (flush_.scheduled())
-        eq_.deschedule(flush_);
+    eq_.deschedule(flush_);
     dueQ_.clear();
-    dueHead_ = 0;
     entries_.clear();
     coldArena_ = ChunkedVector<ColdEntry>{};
 }

@@ -40,6 +40,7 @@
 #include "proto/msg.hh"
 #include "proto/shard_table.hh"
 #include "sim/eventq.hh"
+#include "sim/tick_queue.hh"
 #include "spec/spec.hh"
 
 namespace mspdsm
@@ -271,14 +272,12 @@ class Directory
     /**
      * One deferred FSM action in this home's due-queue. The embedded
      * CohMsg carries either the full message (Send) or just the
-     * block/requester fields the other kinds need. `seq` breaks
-     * same-tick ties in schedule order, which is exactly the
-     * event-queue FIFO the per-action pooled events gave.
+     * block/requester fields the other kinds need. Same-tick actions
+     * pop in schedule order, which is exactly the event-queue FIFO
+     * the per-action pooled events gave.
      */
     struct DueAction
     {
-        Tick due;
-        std::uint64_t seq;
         ActKind kind;
         CohMsg msg;
     };
@@ -313,43 +312,14 @@ class Directory
      */
     void replicate(Entry &e, BlockId blk);
 
-    /**
-     * Arm the flush event for @p t, keeping an already-armed earlier
-     * tick (the flush re-arms itself exactly when it fires early).
-     */
-    void
-    armFlush(Tick t)
-    {
-        if (flush_.scheduled()) {
-            if (flush_.when() <= t)
-                return;
-            eq_.deschedule(flush_);
-        }
-        eq_.schedule(t, flush_);
-    }
-
     /** Queue a deferred action of @p kind at absolute tick @p when.
-     * The queue is a sorted vector (see dueQ_): the common push
-     * appends, and mixed service latencies that land out of order
-     * insert by a short scan from the back. Seq ties are impossible
-     * (dueSeq_ is unique and increasing) and equal dues sort the
-     * newcomer last, so scanning on strict due keeps FIFO order. */
+     * Mixed service latencies stray only a few ticks, so the push is
+     * nearly always an append; equal dues keep schedule order. */
     void
     scheduleKind(ActKind kind, Tick when, const CohMsg &msg)
     {
-        const DueAction a{when, dueSeq_++, kind, msg};
-        if (dueQ_.size() > dueHead_ && when < dueQ_.back().due)
-            [[unlikely]] {
-            auto it = dueQ_.end();
-            const auto first = dueQ_.begin() +
-                               static_cast<std::ptrdiff_t>(dueHead_);
-            while (it != first && when < (it - 1)->due)
-                --it;
-            dueQ_.insert(it, a);
-        } else {
-            dueQ_.push_back(a);
-        }
-        armFlush(when);
+        dueQ_.push(when, DueAction{kind, msg});
+        eq_.scheduleBy(when, flush_);
     }
 
     /** A CohMsg carrying only the block id (due-queue payloads). */
@@ -507,14 +477,7 @@ class Directory
     Vmsp *vmsp_;
     SpecMode mode_;
     SwiTable swiTable_;
-    /** Deferred actions sorted ascending by (due, seq) from
-     * dueHead_ on; [0, dueHead_) is the dispatched prefix, reclaimed
-     * when the queue drains empty (keeping capacity) or compacted
-     * once it outgrows a small bound -- the same consumed-prefix
-     * discipline as the network's local queue. */
-    std::vector<DueAction> dueQ_;
-    std::size_t dueHead_ = 0;  //!< first pending dueQ_ entry
-    std::uint64_t dueSeq_ = 0; //!< same-tick FIFO sequencer
+    TickQueue<DueAction> dueQ_; //!< deferred actions by due tick
     FlushEvent flush_{this};
     ShardTable<Entry> entries_;
     //! Cold records, attached on demand; addresses are stable.

@@ -45,16 +45,6 @@ Network::attach(NodeId n, RawDeliver fn, void *ctx)
 }
 
 void
-Network::ReadyRing::grow()
-{
-    std::vector<ReadyMsg> bigger(buf_.empty() ? 8 : buf_.size() * 2);
-    for (std::size_t i = 0; i < count_; ++i)
-        bigger[i] = buf_[(head_ + i) & (buf_.size() - 1)];
-    buf_.swap(bigger);
-    head_ = 0;
-}
-
-void
 Network::deliver(const CohMsg &msg)
 {
     // Before the fault screens: a message dropped or bounced below
@@ -74,22 +64,12 @@ Network::deliver(const CohMsg &msg)
             return;
         }
         if (faults_->dead(msg.dst)) {
-            if (isRequest(msg.type)) {
-                // Bounce requests so the sender's retry FSM backs
-                // off and re-resolves the (re-homed) home instead of
-                // waiting out its full timeout. The Nack is sent as
-                // the dead node with its *current* epoch, so it
-                // passes the stale screen above.
-                faults_->noteNackSent();
-                CohMsg nack;
-                nack.type = MsgType::Nack;
-                nack.src = msg.dst;
-                nack.dst = msg.src;
-                nack.blk = msg.blk;
-                send(nack);
-            } else {
+            // Requests bounce instead of waiting out the sender's
+            // full timeout; everything else to a dead node is lost.
+            if (isRequest(msg.type))
+                bounce(msg);
+            else
                 faults_->noteDeadDropped();
-            }
             return;
         }
         if (routesToDirectory(msg.type) &&
@@ -100,17 +80,10 @@ Network::deliver(const CohMsg &msg)
             // the block's shard. Requests bounce (the sender's retry
             // FSM re-resolves the home); acks and writebacks for the
             // abandoned transaction vanish.
-            if (isRequest(msg.type)) {
-                faults_->noteNackSent();
-                CohMsg nack;
-                nack.type = MsgType::Nack;
-                nack.src = msg.dst;
-                nack.dst = msg.src;
-                nack.blk = msg.blk;
-                send(nack);
-            } else {
+            if (isRequest(msg.type))
+                bounce(msg);
+            else
                 faults_->noteMisrouted();
-            }
             return;
         }
     }
@@ -129,6 +102,18 @@ Network::deliver(const CohMsg &msg)
 }
 
 void
+Network::bounce(const CohMsg &msg)
+{
+    faults_->noteNackSent();
+    CohMsg nack;
+    nack.type = MsgType::Nack;
+    nack.src = msg.dst;
+    nack.dst = msg.src;
+    nack.blk = msg.blk;
+    send(nack);
+}
+
+void
 Network::sendImpl(CohMsg msg, unsigned attempt)
 {
     panic_if(msg.src >= cfg_.numNodes || msg.dst >= cfg_.numNodes,
@@ -144,15 +129,14 @@ Network::sendImpl(CohMsg msg, unsigned attempt)
     if (msg.src == msg.dst) {
         // Local traffic (processor to its own home directory and
         // back) crosses only the node's bus.
-        localQ_.push_back(LocalPending{now + 1, msg});
+        localQ_.push(now + 1, msg);
         if (obs_) [[unlikely]]
             obs_->msgSent(msg);
-        armLocal(now + 1);
+        eq_.scheduleBy(now + 1, localFlush_);
         return;
     }
 
-    const Tick occ = carriesData(msg.type) ? cfg_.niData
-                                           : cfg_.niControl;
+    const Tick occ = occupancy(msg.type);
 
     // Egress NI: serialize injection.
     const Tick inject_start = std::max(now, egressFree_[msg.src]);
@@ -206,10 +190,10 @@ Network::sendImpl(CohMsg msg, unsigned attempt)
         arrival = pairLast_[pair] + 1;
     pairLast_[pair] = arrival;
 
-    // Hand the message to the destination's ingress FIFO. Its drain
-    // event books the ingress NI in (arrival, push seq) order -- the
-    // exact firing order of the retired per-message arrival events --
-    // and delivers; no per-message event is scheduled at all.
+    // Hand the message to the destination's ingress queue. Its drain
+    // event books the ingress NI in arrival order, ties in push order
+    // -- the exact firing order of the retired per-message arrival
+    // events -- and delivers; no per-message event is scheduled.
     if (obs_) [[unlikely]]
         obs_->msgSent(msg);
     pushIngress(msg.dst, arrival, msg);
@@ -308,36 +292,18 @@ void
 Network::pushIngress(NodeId dst, Tick arrival, const CohMsg &msg)
 {
     NodeIngress &in = ingress_[dst];
-
-    in.pq.push_back(Pending{arrival, pushSeq_++, msg});
-    std::push_heap(in.pq.begin(), in.pq.end(), PendingLater{});
+    in.q.push(arrival, msg);
 
     // Inside this destination's own drain loop the push does not
     // arm: the loop re-arms the drain itself on exit.
     if (dst == draining_)
         return;
-    // Arm the drain for the node's next *delivery*: the head reserved
-    // delivery when one is in flight, else the pending head's
-    // projected delivery tick. Unreserved arrivals need no wake of
-    // their own -- reservation is deferred arithmetic that the
-    // delivery dispatch batches, and if a later send undercuts the
-    // head this very function re-arms the earlier tick. The max()
-    // only matters after an external deschedule (the fault-suite
-    // scenario): this push heals it.
-    const Tick next = !in.ready.empty() ? in.ready.front().delivered
-                                        : projectedDelivery(dst, in);
-    armDrain(in, std::max(next, eq_.curTick()));
-}
-
-void
-Network::reserveHead(NodeId n, NodeIngress &in)
-{
-    const Pending &p = in.pq.front();
-    const Tick occ = carriesData(p.msg.type) ? cfg_.niData
-                                             : cfg_.niControl;
-    in.ready.push(reserveIngress(n, p.arrival, occ), p.msg);
-    std::pop_heap(in.pq.begin(), in.pq.end(), PendingLater{});
-    in.pq.pop_back();
+    // Arm the drain for the head's delivery tick. A push that
+    // undercuts the head becomes the head and moves the arm earlier;
+    // any other push leaves it. The max() only matters after an
+    // external deschedule (the fault-suite scenario): this push heals
+    // it.
+    eq_.scheduleBy(std::max(headDelivery(dst), eq_.curTick()), in.drain);
 }
 
 void
@@ -350,35 +316,24 @@ Network::drainFired(NodeId n)
     // this node); the loop re-arms it once on exit instead of around
     // every delivery.
     draining_ = n;
-    for (;;) {
-        // Batched ingress reservation: book the NI for every arrival
-        // whose time has come, in (arrival, push seq) order. During a
-        // backlog this folds what used to be one arrival event per
-        // message into the delivery dispatch they queued behind.
-        while (!in.pq.empty() && in.pq.front().arrival <= now)
-            reserveHead(n, in);
-
-        if (in.ready.empty()) {
-            // Sleep straight to the pending head's projected delivery
-            // tick; pushIngress re-arms earlier if a later send
-            // undercuts the head. The projection lies past its
-            // arrival, hence past now.
-            if (!in.pq.empty())
-                armDrain(in, projectedDelivery(n, in));
-            break; // idle: the next push re-arms the drain
-        }
-
-        const Tick d = in.ready.front().delivered;
+    while (!in.q.empty()) {
+        const Tick d = headDelivery(n);
         if (d > now) {
-            armDrain(in, d);
-            break;
+            eq_.schedule(d, in.drain);
+            break; // an empty queue stays idle: the next push arms
         }
-
-        // Deliver the head. Copy and pop first -- the handler may
-        // send to this very node.
-        const CohMsg msg = in.ready.front().msg;
-        in.ready.pop();
-        deliver(msg);
+        // Book the ingress NI for the head as it delivers. Its
+        // arrival lies strictly before d <= now, and every send from
+        // here on arrives after now, so nothing can undercut it: the
+        // NI is booked in arrival order, ties in push order, and
+        // booking is order-only arithmetic, so booking at delivery
+        // gives the ticks booking at arrival would. Copy and pop first -- the
+        // handler may send to this very node.
+        const TickQueue<CohMsg>::Item head = in.q.front();
+        in.q.pop();
+        queued_.inc(d - occupancy(head.val.type) - head.tick);
+        ingressFree_[n] = d;
+        deliver(head.val);
         // Loop on: the handler may have queued more work for this
         // node, and further due deliveries fold into this same
         // dispatch instead of costing one each.
@@ -392,30 +347,15 @@ Network::localFlushFired()
     // Deliver everything due on this tick in push order -- the same
     // order the retired per-message events fired in for any one
     // node's stream. Handlers may push new locals mid-loop; those are
-    // due next tick and never fold into this flush. Copy-then-index
-    // throughout: deliver() can push new locals, which may
-    // reallocate the queue under us.
+    // due next tick and never fold into this flush.
     const Tick now = eq_.curTick();
-    while (localHead_ < localQ_.size() && localQ_[localHead_].due <= now) {
-        const CohMsg msg = localQ_[localHead_].msg;
-        ++localHead_;
+    while (localQ_.due(now)) {
+        const CohMsg msg = localQ_.front().val;
+        localQ_.pop();
         deliver(msg);
     }
-    if (localHead_ == localQ_.size()) {
-        localQ_.clear(); // keeps capacity: steady state allocates nothing
-        localHead_ = 0;
-    } else {
-        if (localHead_ >= 64) {
-            // Backstop for a queue that never fully drains: slide
-            // the live suffix down so the flushed prefix cannot grow
-            // without bound.
-            localQ_.erase(localQ_.begin(),
-                          localQ_.begin() +
-                              static_cast<std::ptrdiff_t>(localHead_));
-            localHead_ = 0;
-        }
-        armLocal(localQ_[localHead_].due);
-    }
+    if (!localQ_.empty())
+        eq_.scheduleBy(localQ_.front().tick, localFlush_);
 }
 
 } // namespace mspdsm

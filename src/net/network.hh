@@ -26,6 +26,7 @@
 #ifndef MSPDSM_NET_NETWORK_HH
 #define MSPDSM_NET_NETWORK_HH
 
+#include <algorithm>
 #include <deque>
 #include <memory>
 #include <vector>
@@ -35,6 +36,7 @@
 #include "proto/config.hh"
 #include "proto/msg.hh"
 #include "sim/eventq.hh"
+#include "sim/tick_queue.hh"
 #include "topo/topology.hh"
 
 namespace mspdsm
@@ -50,16 +52,17 @@ struct LinkLossRule;
  * The interconnect. Owns no protocol state; it only moves CohMsg
  * values between nodes with appropriate delays.
  *
- * Remote message motion is *drain-batched*: each destination keeps an
- * arrival-ordered FIFO of in-flight messages, and a single
- * self-rescheduling drain event per node books the ingress NI for
- * every message whose arrival has come and delivers the due one --
- * O(busy periods) event dispatches instead of the former O(messages)
- * arrival+delivery pair per message (see docs/ARCHITECTURE.md,
- * "Batched NI drain"). Local (src == dst) messages share one
- * machine-wide flush event instead. Every send injects at curTick()
- * and every delivery happens at curTick(): nothing in the network
- * runs ahead of the clock.
+ * Remote message motion is *drain-batched*: each destination keeps
+ * its in-flight messages in one TickQueue keyed by arrival, and a
+ * single self-rescheduling drain event per node wakes at the head's
+ * delivery tick, books the ingress NI for it and delivers it -- one
+ * dispatch per delivery, folding every further due head into the
+ * same dispatch, instead of the former arrival+delivery event pair
+ * per message (see docs/ARCHITECTURE.md, "Batched NI drain"). Local
+ * (src == dst) messages share one machine-wide flush event over a
+ * TickQueue instead. Every send injects at curTick() and every
+ * delivery happens at curTick(): nothing in the network runs ahead
+ * of the clock.
  *
  * Delivery is statically dispatched: a node attaches its concrete
  * cache controller and home directory, and the network routes each
@@ -124,11 +127,7 @@ class Network
     Event &drainEvent(NodeId n) { return ingress_[n].drain; }
 
     /** In-flight remote messages bound for node @p n (tests). */
-    std::size_t
-    inFlightTo(NodeId n) const
-    {
-        return ingress_[n].pq.size() + ingress_[n].ready.size();
-    }
+    std::size_t inFlightTo(NodeId n) const { return ingress_[n].q.size(); }
 
     /**
      * Configure deterministic link loss plus the transport recovery
@@ -177,95 +176,16 @@ class Network
     };
 
     /**
-     * One in-flight *local* message (src == dst): a single bus cycle
-     * straight to delivery, no NI involvement. All nodes' local
-     * traffic shares one FIFO behind one flush event -- handlers
+     * The single machine-wide local-delivery flush event. Handlers
      * running on the same tick across the machine each put their
-     * loopback on the bus together, so flushing them in one dispatch
-     * replaces the densest per-message event population left after
-     * the ingress drain. Remote messages ride the per-destination
-     * drain instead.
+     * loopback on the bus together, so one dispatch delivers them
+     * all. Remote messages ride the per-destination drain instead.
      */
-    struct LocalPending
-    {
-        Tick due;
-        CohMsg msg;
-    };
-
-    /** The single machine-wide local-delivery flush event. */
     struct LocalFlushEvent final : public Event
     {
         void process() override { net->localFlushFired(); }
 
         Network *net = nullptr;
-    };
-
-    /** A remote message waiting for its ingress NI reservation. */
-    struct Pending
-    {
-        Tick arrival;
-        std::uint64_t seq; //!< global push order; breaks arrival ties
-        CohMsg msg;
-    };
-
-    /** Min-heap order for Pending: earliest (arrival, seq) on top --
-     * the same order the retired per-message arrival events fired in
-     * (event-queue per-tick FIFO == schedule == push order). */
-    struct PendingLater
-    {
-        bool
-        operator()(const Pending &a, const Pending &b) const
-        {
-            if (a.arrival != b.arrival)
-                return a.arrival > b.arrival;
-            return a.seq > b.seq;
-        }
-    };
-
-    /** A reserved message riding out its NI occupancy window. */
-    struct ReadyMsg
-    {
-        Tick delivered;
-        CohMsg msg;
-    };
-
-    /**
-     * FIFO of reserved messages: reservations happen in arrival
-     * order against a monotone ingressFree_, so delivery ticks are
-     * nondecreasing front to back. A ring over a power-of-two vector;
-     * it grows to the busy-period high-water mark once, then the
-     * steady-state path is allocation-free.
-     */
-    class ReadyRing
-    {
-      public:
-        bool empty() const { return count_ == 0; }
-        std::size_t size() const { return count_; }
-        const ReadyMsg &front() const { return buf_[head_]; }
-
-        void
-        push(Tick delivered, const CohMsg &msg)
-        {
-            if (count_ == buf_.size()) [[unlikely]]
-                grow();
-            buf_[(head_ + count_) & (buf_.size() - 1)] =
-                ReadyMsg{delivered, msg};
-            ++count_;
-        }
-
-        void
-        pop()
-        {
-            head_ = (head_ + 1) & (buf_.size() - 1);
-            --count_;
-        }
-
-      private:
-        void grow();
-
-        std::vector<ReadyMsg> buf_;
-        std::size_t head_ = 0;
-        std::size_t count_ = 0;
     };
 
     /** The per-destination self-rescheduling drain event. */
@@ -278,108 +198,66 @@ class Network
     };
 
     /**
-     * One destination's ingress state: unreserved arrivals ordered by
-     * (arrival, push seq), reserved messages in delivery order, and
-     * the drain event that works both down. Invariant outside a drain
-     * dispatch: whenever either queue is non-empty, the drain is
-     * scheduled at or before the node's next delivery.
+     * One destination's ingress state: its in-flight messages keyed
+     * by arrival (equal arrivals in push order -- the order the
+     * retired per-message arrival events fired in) and the drain
+     * event that delivers them. Invariant outside a drain dispatch:
+     * whenever the queue is non-empty, the drain is scheduled at or
+     * before the head's delivery tick.
      */
     struct NodeIngress
     {
-        std::vector<Pending> pq; //!< binary heap (PendingLater)
-        ReadyRing ready;
+        TickQueue<CohMsg> q;
         DrainEvent drain;
     };
+
+    /** Ingress/egress NI occupancy of a message of @p type. */
+    Tick
+    occupancy(MsgType type) const
+    {
+        return carriesData(type) ? cfg_.niData : cfg_.niControl;
+    }
+
+    /**
+     * The delivery tick of node @p n's ingress head:
+     * max(arrival, ingressFree) + occupancy. The NI is booked in
+     * queue order at delivery, so the value is final unless a later
+     * send undercuts the head's arrival -- which pushIngress answers
+     * by re-arming earlier, and which cannot happen once the tick
+     * has come (see drainFired).
+     */
+    Tick
+    headDelivery(NodeId n) const
+    {
+        const TickQueue<CohMsg>::Item &h = ingress_[n].q.front();
+        return std::max(h.tick, ingressFree_[n]) + occupancy(h.val.type);
+    }
 
     /** Deliver every local message due this tick; re-arm at next. */
     void localFlushFired();
 
-    /**
-     * Arm the local flush for @p t, keeping an already-armed earlier
-     * tick (same discipline as armDrain).
-     */
-    void
-    armLocal(Tick t)
-    {
-        if (localFlush_.scheduled()) {
-            if (localFlush_.when() <= t)
-                return;
-            eq_.deschedule(localFlush_);
-        }
-        eq_.schedule(t, localFlush_);
-    }
-
     /** Enqueue a remote arrival and keep the drain invariant. */
     void pushIngress(NodeId dst, Tick arrival, const CohMsg &msg);
 
-    /** The drain dispatch: batch reservations, deliver what is due. */
+    /** The drain dispatch: book the NI for and deliver every head
+     * whose delivery tick has come; re-arm at the next one. */
     void drainFired(NodeId n);
-
-    /** Reserve the earliest pending arrival of @p in at node @p n. */
-    void reserveHead(NodeId n, NodeIngress &in);
-
-    /**
-     * The delivery tick the pending head *will* get when reserved,
-     * assuming no earlier arrival is pushed first: the same
-     * max(arrival, ingressFree) + occupancy arithmetic reserveHead
-     * performs, computed without committing it. Exact unless a later
-     * send undercuts the head's arrival -- and pushIngress re-arms
-     * the drain earlier whenever that happens, so the drain can
-     * sleep straight through to this tick instead of waking at the
-     * arrival first.
-     */
-    Tick
-    projectedDelivery(NodeId n, const NodeIngress &in) const
-    {
-        const Pending &p = in.pq.front();
-        const Tick occ = carriesData(p.msg.type) ? cfg_.niData
-                                                 : cfg_.niControl;
-        return std::max(p.arrival, ingressFree_[n]) + occ;
-    }
-
-    /**
-     * Schedule the drain at @p t, keeping an already-armed earlier
-     * tick (the drain never needs to fire later than any tick it is
-     * already set for -- a too-early wake re-arms itself exactly).
-     */
-    void
-    armDrain(NodeIngress &in, Tick t)
-    {
-        if (in.drain.scheduled()) {
-            if (in.drain.when() <= t)
-                return;
-            eq_.deschedule(in.drain);
-        }
-        eq_.schedule(t, in.drain);
-    }
 
     /** Hand @p msg to its destination sink (defined in network.cc). */
     void deliver(const CohMsg &msg);
 
     /**
-     * Contend for the destination's ingress NI as of @p arrival:
-     * books the queueing delay and the occupancy window, and returns
-     * the delivery tick. Pure arithmetic on (arrival, occ) and the
-     * monotone ingressFree_ -- its result depends only on the
-     * per-destination reservation *order*, never on the wall tick it
-     * runs at, which is what lets the drain defer reservations and
-     * batch them (the timing-equivalence argument in
-     * docs/ARCHITECTURE.md).
+     * Answer request @p msg, which its destination cannot serve, with
+     * a Nack from that destination so the sender's retry FSM backs
+     * off and re-resolves the home. Sent as the destination with its
+     * *current* epoch, so it passes the stale-epoch screen.
      */
-    Tick
-    reserveIngress(NodeId dst, Tick arrival, Tick occ)
-    {
-        const Tick start = std::max(arrival, ingressFree_[dst]);
-        queued_.inc(start - arrival);
-        const Tick delivered = start + occ;
-        ingressFree_[dst] = delivered;
-        return delivered;
-    }
+    void bounce(const CohMsg &msg);
 
     /**
      * One scheduled re-injection of a dropped transmission. Pooled
-     * (with a free list) like the local-delivery events: loss runs
-     * reach a steady state where the pool stops growing.
+     * (with a free list): loss runs reach a steady state where the
+     * pool stops growing.
      */
     struct RetransmitEvent final : public Event
     {
@@ -459,22 +337,16 @@ class Network
     std::vector<Tick> pairLast_; //!< last arrival per (src,dst) pair
     std::vector<NodeIngress> ingress_; //!< per-destination drain state
     /**
-     * Machine-wide local traffic in push order from localHead_ on;
-     * [0, localHead_) is the flushed prefix. Every push is due at
-     * curTick() + 1 and the clock never moves backwards, so push
-     * order is due order: pushes append and the flush pops by
-     * bumping the index. The prefix is reclaimed whenever the queue
-     * drains empty (the common case, keeping capacity), or compacted
-     * in place once it outgrows a small bound.
+     * Machine-wide local traffic, keyed by due tick. Every push is
+     * due at curTick() + 1 and the clock never moves backwards, so
+     * every push appends.
      */
-    std::vector<LocalPending> localQ_;
-    std::size_t localHead_ = 0; //!< first unflushed localQ_ entry
+    TickQueue<CohMsg> localQ_;
     LocalFlushEvent localFlush_;
     FaultManager *faults_ = nullptr; //!< fault layer; null = fault-free
     ObsManager *obs_ = nullptr; //!< observability; null = untraced
     std::unique_ptr<LossState> loss_; //!< null = lossless (the default)
     NodeId draining_ = noNode; //!< node whose drain loop is on stack
-    std::uint64_t pushSeq_ = 0; //!< global arrival-tie sequencer
     Counter sent_;
     Counter queued_;
     Counter linkQueued_;

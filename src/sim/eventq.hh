@@ -103,6 +103,24 @@ class EventQueue
     }
 
     /**
+     * Make @p ev fire no later than @p when: arm it unless it is
+     * already pending at or before @p when, moving a later arm
+     * earlier. The one arming rule of every batch event -- it never
+     * needs to fire later than any tick it is already set for, and
+     * one that wakes early re-arms itself at its real next tick.
+     */
+    void
+    scheduleBy(Tick when, Event &ev)
+    {
+        if (ev.scheduled()) {
+            if (ev.when() <= when)
+                return;
+            deschedule(ev);
+        }
+        schedule(when, ev);
+    }
+
+    /**
      * Remove a pending event from the queue (any level: near wheel,
      * far wheel, or overflow heap). The event may be rescheduled
      * afterwards. No-op on an event that is not scheduled.
