@@ -135,6 +135,28 @@ printUsage(std::ostream &os, const char *tool, const char *what)
 }
 
 /**
+ * Exit 2 with one stderr line if a fault flag in @p ec names a node a
+ * @p procs-node machine lacks; @p bound ends the line ("--procs is").
+ */
+inline void
+requireFaultNodesBelow(const ExperimentConfig &ec, unsigned procs,
+                       const char *tool, const char *bound)
+{
+    auto check = [&](const char *flag, NodeId n) {
+        if (n != invalidNode && n >= procs) {
+            std::cerr << tool << ": " << flag << " names node " << n
+                      << " but " << bound << " " << procs << "\n";
+            std::exit(2);
+        }
+    };
+    check("--fail-node", ec.failNode);
+    check("--backup-node", ec.backupNode);
+    for (const FaultEvent &fe : ec.extraFaults)
+        check(fe.kind == FaultKind::Kill ? "--kill" : "--restart",
+              fe.node);
+}
+
+/**
  * Parse the uniform bench command line; exits on --help (0) and on a
  * malformed or unknown argument (2).
  */
@@ -358,18 +380,7 @@ parseArgs(int argc, char **argv, const char *tool, const char *what)
     }
     // Fault plans name nodes: each must exist, and a one-node machine
     // has no survivor to re-home onto.
-    auto badNode = [&](const char *flag, NodeId n) {
-        if (n != invalidNode && n >= a.ec.numProcs) {
-            std::cerr << tool << ": " << flag << " names node " << n
-                      << " but --procs is " << a.ec.numProcs << "\n";
-            std::exit(2);
-        }
-    };
-    badNode("--fail-node", a.ec.failNode);
-    badNode("--backup-node", a.ec.backupNode);
-    for (const FaultEvent &fe : a.ec.extraFaults)
-        badNode(fe.kind == FaultKind::Kill ? "--kill" : "--restart",
-                fe.node);
+    requireFaultNodesBelow(a.ec, a.ec.numProcs, tool, "--procs is");
     if (a.ec.retryLimit == 0 || a.ec.staleTimeout == 0) {
         std::cerr << tool << ": --retry-limit and --stale-timeout must "
                   << "be at least 1\n";
@@ -379,6 +390,13 @@ parseArgs(int argc, char **argv, const char *tool, const char *what)
         (a.ec.failNode != invalidNode || !a.ec.extraFaults.empty() ||
          !a.ec.linkLoss.empty())) {
         std::cerr << tool << ": a fault plan needs --procs 2 or more\n";
+        std::exit(2);
+    }
+    // Link loss drops crossings of shared links; the crossbar (also
+    // the default that widens fig10/fig11's topology axis) has none.
+    if (!a.ec.linkLoss.empty() && a.ec.topo.kind == TopoKind::Crossbar) {
+        std::cerr << tool << ": --lossy-link needs --topology ring, "
+                  << "mesh2d or torus2d (the crossbar has no links)\n";
         std::exit(2);
     }
     if (!a.ec.tracePath.empty() && a.jobs != 1) {

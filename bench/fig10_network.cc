@@ -47,6 +47,11 @@ main(int argc, char **argv)
     const std::vector<unsigned> procCounts =
         args.ec.numProcs != 16 ? std::vector<unsigned>{args.ec.numProcs}
                                : std::vector<unsigned>{8, 16, 32};
+    // The parse checked fault nodes against --procs; every machine
+    // swept must have them.
+    bench::requireFaultNodesBelow(args.ec, procCounts.front(),
+                                  "fig10_network",
+                                  "the smallest swept --procs is");
     // --link-latency narrows the latency axis likewise.
     const std::vector<Tick> linkLats =
         args.ec.topo.linkLatency

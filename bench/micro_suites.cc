@@ -54,8 +54,9 @@ eventqThroughput()
 
 /**
  * Distant-event stress: ticks spread across a 65536-tick horizon,
- * far beyond any protocol latency. Tracks the kernel's fallback
- * ordering structure rather than the common path.
+ * far beyond any protocol latency. Times the kernel's far list --
+ * 20000 entries, far longer than any protocol run keeps, moved into
+ * the near wheel a gigatick at a time -- rather than the common path.
  */
 [[gnu::flatten]] std::uint64_t
 eventqFar()

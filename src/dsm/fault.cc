@@ -35,8 +35,7 @@ FaultManager::FaultManager(EventQueue &eq, Network &net,
     if (plan_.replicateShards)
         deltaBacklog_.assign(n, 0);
     if (!plan_.linkLoss.empty())
-        net_.setLinkLoss(plan_.linkLoss, plan_.retransmitBudget,
-                         plan_.retransmitDelay);
+        net_.setLinkLoss(plan_.linkLoss);
 
     // Wire the whole machine: epoch screen at the network, shared
     // re-map table and retry FSM at every node, progress reporting at

@@ -141,12 +141,6 @@ struct FaultPlan
     /** Deterministic per-link message-drop schedule. */
     std::vector<LinkLossRule> linkLoss;
 
-    /** Retransmits per message before the transport gives up. */
-    unsigned retransmitBudget = 8;
-
-    /** Ack-timeout before a dropped crossing is retransmitted. */
-    Tick retransmitDelay = 400;
-
     bool empty() const { return events.empty() && linkLoss.empty(); }
 };
 

@@ -31,8 +31,7 @@ DsmSystem::DsmSystem(const DsmConfig &cfg)
 
     Rng root(cfg_.proto.seed);
     net_ = std::make_unique<Network>(eq_, cfg_.proto, root.split());
-    barrier_ = std::make_unique<GlobalBarrier>(eq_, n,
-                                               cfg_.barrierCost);
+    barrier_ = std::make_unique<GlobalBarrier>(eq_, n, barrierCost);
 
     const AddrMap map(cfg_.proto);
     auto make_pred = [n, &map](PredKind kind, std::size_t depth)

@@ -66,7 +66,6 @@ struct DsmConfig
      * protocol (the paper's Base-DSM accuracy methodology).
      */
     std::vector<ObserverSpec> observers;
-    Tick barrierCost = 50;               //!< barrier release latency
     Tick tickLimit = Tick{1} << 40;      //!< deadlock guard
     /**
      * Fault schedule; empty (the default) means no FaultManager is
@@ -274,6 +273,9 @@ class DsmSystem
     const DsmConfig &config() const { return cfg_; }
 
   private:
+    /** Barrier release latency, cycles. */
+    static constexpr Tick barrierCost = 50;
+
     DsmConfig cfg_;
     EventQueue eq_;
     std::unique_ptr<Network> net_;

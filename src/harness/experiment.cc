@@ -55,8 +55,6 @@ baseConfig(const ExperimentConfig &ec, Tick netJitter)
         cfg.faults.warmRestart = ec.warmRestart;
         cfg.faults.ckptInterval = ec.ckptInterval;
         cfg.faults.replicateShards = ec.replicateShards;
-        cfg.faults.retransmitBudget = ec.retransmitBudget;
-        cfg.faults.retransmitDelay = ec.retransmitDelay;
     }
     cfg.obs.tracePath = ec.tracePath;
     cfg.obs.traceFrom = ec.traceFrom;

@@ -69,10 +69,6 @@ struct ExperimentConfig
     std::vector<FaultEvent> extraFaults;
     /** Deterministic link-loss schedule (--lossy-link). */
     std::vector<LinkLossRule> linkLoss;
-    /** Transmissions allowed per message under loss. */
-    unsigned retransmitBudget = 8;
-    /** Drop-to-reinjection latency, ticks. */
-    Tick retransmitDelay = 400;
 
     // ---- Observability (--trace / --sample-interval). All defaults
     // are inert: an empty ObsConfig builds no ObsManager and the run

@@ -200,19 +200,14 @@ Network::sendImpl(CohMsg msg, unsigned attempt)
 }
 
 void
-Network::setLinkLoss(const std::vector<LinkLossRule> &rules,
-                     unsigned budget, Tick delay)
+Network::setLinkLoss(const std::vector<LinkLossRule> &rules)
 {
     if (rules.empty())
         return;
     fatal_if(topo_.numLinks() == 0,
              "link-loss rules need a link topology; the crossbar has "
              "no shared links to drop on");
-    fatal_if(budget == 0, "transport retransmit budget must be >= 1");
-    fatal_if(delay == 0, "transport retransmit delay must be >= 1");
     loss_ = std::make_unique<LossState>();
-    loss_->budget = budget;
-    loss_->delay = delay;
     loss_->rules.reserve(rules.size());
     for (const LinkLossRule &r : rules) {
         fatal_if(r.everyNth == 0,
@@ -256,8 +251,8 @@ void
 Network::dropTransmission(const CohMsg &msg, unsigned attempt, Tick when)
 {
     loss_->drops.inc();
-    fatal_if(attempt + 1 >= loss_->budget,
-             "transport: retransmit budget (", loss_->budget,
+    fatal_if(attempt + 1 >= retransmitBudget,
+             "transport: retransmit budget (", retransmitBudget,
              ") exhausted for ", msg.toString(),
              " -- the loss schedule starves this flow");
     RetransmitEvent *ev = loss_->freeList;
@@ -268,7 +263,7 @@ Network::dropTransmission(const CohMsg &msg, unsigned attempt, Tick when)
     ev->net = this;
     ev->msg = msg;
     ev->attempt = attempt + 1;
-    eq_.schedule(when + loss_->delay, *ev);
+    eq_.schedule(when + retransmitDelay, *ev);
 }
 
 void

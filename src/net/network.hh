@@ -134,15 +134,15 @@ class Network
      * layer that makes it survivable (fault runs only; the rules come
      * from FaultPlan::linkLoss). Each rule drops every Nth message
      * head crossing one directed link inside a tick window; a dropped
-     * transmission is re-injected at its source after @p delay cycles
-     * and re-pays the full egress/link/ingress path. A message that
-     * exceeds @p budget transmissions is fatal -- the schedule is a
-     * test input, not weather, so exhaustion means the experiment is
-     * misconfigured. Never call this on a fault-free run: the member
-     * stays null and every send takes the unchecked path.
+     * transmission is re-injected at its source after retransmitDelay
+     * cycles and re-pays the full egress/link/ingress path. A message
+     * that exceeds retransmitBudget transmissions is fatal -- the
+     * schedule is a test input, not weather, so exhaustion means the
+     * experiment is misconfigured. Never call this on a fault-free
+     * run: the member stays null and every send takes the unchecked
+     * path.
      */
-    void setLinkLoss(const std::vector<LinkLossRule> &rules,
-                     unsigned budget, Tick delay);
+    void setLinkLoss(const std::vector<LinkLossRule> &rules);
 
     /** Transmissions dropped by the loss schedule (0 when inert). */
     std::uint64_t linkDrops() const;
@@ -269,6 +269,11 @@ class Network
         RetransmitEvent *nextFree = nullptr;
     };
 
+    /** Max transmissions per message under link loss. */
+    static constexpr unsigned retransmitBudget = 8;
+    /** Drop-to-reinjection latency, ticks. */
+    static constexpr Tick retransmitDelay = 400;
+
     /**
      * The loss schedule and the transport state recovering from it.
      * Allocated only by setLinkLoss; the null pointer is the
@@ -288,8 +293,6 @@ class Network
         };
 
         std::vector<Rule> rules;
-        unsigned budget = 8; //!< max transmissions per message
-        Tick delay = 400;    //!< drop-to-reinjection latency
         std::deque<RetransmitEvent> pool;
         RetransmitEvent *freeList = nullptr;
         Counter drops;

@@ -2,11 +2,11 @@
  * @file
  * Discrete-event simulation kernel.
  *
- * A single EventQueue drives the whole simulated machine. The kernel
- * is built for the protocol's event profile -- tens of millions of
- * events, almost all scheduled a few hundred ticks out -- so the
- * ordering structure is a hierarchy of timing wheels rather than a
- * binary heap:
+ * A single EventQueue drives the whole simulated machine. The
+ * protocol keeps few events pending (tens at a time, a couple of
+ * hundred at most) and schedules almost all of them a few hundred
+ * ticks out, so the ordering structure is one timing wheel plus a
+ * short list for the rare distant event:
  *
  *  - Events are *intrusive*: components derive from Event and own
  *    their event objects, so scheduling allocates nothing and firing
@@ -16,16 +16,12 @@
  *    within a tick, events fire in schedule order (the tie-break
  *    determinism the whole test suite depends on). A bitmap over the
  *    buckets makes "next occupied tick" a few word scans.
- *  - Events two to 255 gigaticks out (up to ~1M ticks) sit in the
- *    *far wheel*: 256 buckets of one gigatick each, again intrusive
- *    FIFO lists. When the near window first enters gigatick G-1, the
- *    far bucket for G is cascaded wholesale into the near wheel --
- *    before any tick of G can accept a direct insert, so per-tick
- *    FIFO order is preserved end-to-end. Far scheduling and
- *    cascading are O(1) per event; no comparisons.
- *  - Only events beyond the far horizon (> ~1M ticks, e.g. deadlock
- *    guards) take a small overflow heap ordered by (tick, seq); they
- *    migrate into the far wheel as the window advances.
+ *  - Events two or more gigaticks out (fault-run retry timers, long
+ *    guards) are appended to the *far list* in schedule order. When
+ *    the window enters a new gigatick, every far event now inside it
+ *    moves into the near wheel in list order -- before any tick of
+ *    its gigatick can accept a direct insert, so per-tick FIFO order
+ *    is preserved end-to-end.
  *
  * The clock is the machine's only timing base: an event fires at
  * curTick() and its handler acts at curTick(). Nothing runs ahead of
@@ -71,7 +67,6 @@ class Event
 
     Event *next_ = nullptr; //!< intrusive bucket list link
     Tick when_ = 0;
-    std::uint64_t seq_ = 0; //!< schedule order; breaks ties
     bool scheduled_ = false;
 };
 
@@ -121,9 +116,9 @@ class EventQueue
     }
 
     /**
-     * Remove a pending event from the queue (any level: near wheel,
-     * far wheel, or overflow heap). The event may be rescheduled
-     * afterwards. No-op on an event that is not scheduled.
+     * Remove a pending event from the queue (near wheel or far
+     * list). The event may be rescheduled afterwards. No-op on an
+     * event that is not scheduled.
      * @return true iff the event was pending and has been removed
      */
     bool deschedule(Event &ev);
@@ -132,7 +127,7 @@ class EventQueue
     std::size_t
     pending() const
     {
-        return wheelCount_ + farCount_ + heap_.size();
+        return wheelCount_ + far_.size();
     }
 
     /**
@@ -148,10 +143,9 @@ class EventQueue
 
   private:
     /**
-     * One gigatick: the granularity of the far wheel and half the
-     * near wheel. Sized to cover not just the protocol's raw
-     * latencies (all < 512) but the NI backlog a contended interface
-     * can accumulate.
+     * One gigatick: the window step and half the near wheel. Sized to
+     * cover not just the protocol's raw latencies (all < 512) but the
+     * NI backlog a contended interface can accumulate.
      */
     static constexpr unsigned gigaBits = 12;
     static constexpr Tick gigaSize = Tick{1} << gigaBits;
@@ -160,21 +154,12 @@ class EventQueue
      * Near wheel: one bucket per tick over two gigaticks, so every
      * event within the current or next gigatick inserts directly
      * (the sliding 4096-tick near window of the protocol always fits)
-     * and a cascaded gigatick lands beside the live one. 8192 buckets
-     * cost 128KB + a 1KB bitmap.
+     * and a gigatick moved in from the far list lands beside the live
+     * one. 8192 buckets cost 128KB + a 1KB bitmap.
      */
     static constexpr std::size_t wheelSize = 2 * gigaSize;
     static constexpr std::size_t wheelMask = wheelSize - 1;
     static constexpr std::size_t wheelWords = wheelSize / 64;
-
-    /**
-     * Far wheel: one bucket per gigatick. Live buckets span gigaticks
-     * (cascadedG_, curG + farSize - 1], strictly fewer than farSize
-     * values, so a bucket index maps to exactly one live gigatick.
-     */
-    static constexpr std::size_t farSize = 256;
-    static constexpr std::size_t farMask = farSize - 1;
-    static constexpr std::size_t farWords = farSize / 64;
 
     struct Bucket
     {
@@ -182,22 +167,11 @@ class EventQueue
         Event *tail = nullptr;
     };
 
+    /** A far-list entry; the tick is copied out for the scans. */
     struct FarEntry
     {
         Tick when;
-        std::uint64_t seq;
         Event *ev;
-    };
-
-    struct FarLater
-    {
-        bool
-        operator()(const FarEntry &a, const FarEntry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
     };
 
     /** Gigatick index of a tick. */
@@ -222,62 +196,32 @@ class EventQueue
         ++wheelCount_;
     }
 
-    /** Append to the far-wheel bucket for ev.when_'s gigatick. */
-    void
-    enqueueFar(Event &ev)
-    {
-        const std::size_t b = gigaOf(ev.when_) & farMask;
-        Bucket &fb = farBuckets_[b];
-        if (fb.tail)
-            fb.tail->next_ = &ev;
-        else
-            fb.head = &ev;
-        fb.tail = &ev;
-        farOccupied_[b / 64] |= std::uint64_t{1} << (b & 63);
-        ++farCount_;
-    }
-
     /** Unlink @p ev from @p b (must be a member). @return emptied */
     static bool unlinkFromBucket(Bucket &b, Event &ev);
-
-    /** Fold far bucket @p b wholesale into the near wheel. */
-    void drainFarBucket(std::size_t b);
 
     /** Smallest occupied wheel tick >= curTick_ (wheel non-empty). */
     Tick nextWheelTick() const;
 
-    /** Earliest far event (far wheel or heap; one of them non-empty). */
+    /** Earliest far-list tick (list non-empty). */
     Tick nextFarTick() const;
 
     /**
-     * Move to tick @p t: advance the window, cascading far-wheel
-     * buckets and migrating heap events that now fit lower levels.
+     * Move to tick @p t; on entering a new gigatick, move every far
+     * event now inside the window into the near wheel.
      */
     void advanceTo(Tick t);
 
-    /** Cascade/migrate after the window entered gigatick @p newG. */
-    void cascadeTo(Tick newG);
-
     std::array<Bucket, wheelSize> buckets_{};
     std::array<std::uint64_t, wheelWords> occupied_{};
-    std::array<Bucket, farSize> farBuckets_{};
-    std::array<std::uint64_t, farWords> farOccupied_{};
-    Tick wheelBase_ = 0; //!< window start; == curTick_ while running
     std::size_t wheelCount_ = 0;
-    std::size_t farCount_ = 0;
     /**
-     * Far-wheel buckets for gigaticks <= cascadedG_ have been folded
-     * into the near wheel; always curG + 1 after an advance, so a
-     * gigatick's bucket empties before any of its ticks accepts a
-     * direct near-wheel insert (the FIFO invariant).
+     * Events beyond gigatick curG + 1, in schedule order. Stable
+     * removal keeps that order, which is what makes moving them into
+     * the wheel in list order FIFO-safe.
      */
-    Tick cascadedG_ = 1;
-    //! Overflow min-heap (std::push_heap/pop_heap on a vector, so
-    //! deschedule() can excise entries exactly).
-    std::vector<FarEntry> heap_;
+    std::vector<FarEntry> far_;
 
-    Tick curTick_ = 0;
-    std::uint64_t nextSeq_ = 0;
+    Tick curTick_ = 0; //!< also the near window's start
     std::uint64_t executed_ = 0;
 };
 

@@ -1,11 +1,13 @@
-/** @file Stress tests for the hierarchical event queue: dense and
- * sparse far schedules, cancel/reschedule across wheel levels, and
- * the per-tick FIFO tie-break surviving cascades and migrations.
+/** @file Stress tests for the event queue's far path: dense and
+ * sparse far schedules, cancel/reschedule between the near wheel and
+ * the far list, and the per-tick FIFO tie-break surviving the move
+ * from list to wheel.
  *
- * Level geometry under test (see sim/eventq.hh): near wheel covers
- * gigaticks curG and curG+1 (one gigatick = 4096 ticks), the far
- * wheel gigaticks curG+2 .. curG+255, and the overflow heap
- * everything beyond (~1M+ ticks).
+ * Geometry under test (see sim/eventq.hh): the near wheel covers
+ * gigaticks curG and curG+1 (one gigatick = 4096 ticks); every later
+ * event waits in the far list, in schedule order, until the window
+ * enters the gigatick before its own. Some cases schedule millions
+ * of ticks out (the deadlock-guard range).
  */
 
 #include <gtest/gtest.h>
@@ -71,17 +73,18 @@ TEST(FarWheel, DenseFarScheduleFiresInTimeOrder)
 
 TEST(FarWheel, SparseSchedulesAcrossAllLevels)
 {
-    // One event per level plus one far past the far-wheel horizon.
+    // Both halves of the near wheel plus a near and a very distant
+    // far-list event.
     EventQueue eq;
     std::vector<int> order;
     Probe near(&order, 0);
     Probe nextGiga(&order, 1);
-    Probe farWheel(&order, 2);
-    Probe heap(&order, 3);
+    Probe farList(&order, 2);
+    Probe distant(&order, 3);
     eq.schedule(5, near);
     eq.schedule(giga + 7, nextGiga);         // near wheel, gigatick 1
-    eq.schedule(40 * giga + 3, farWheel);    // far wheel
-    eq.schedule(5000 * giga + 1, heap);      // overflow heap
+    eq.schedule(40 * giga + 3, farList);     // far list
+    eq.schedule(5000 * giga + 1, distant);   // far list, ~20M ticks
     EXPECT_EQ(eq.pending(), 4u);
     EXPECT_TRUE(eq.run());
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
@@ -91,9 +94,9 @@ TEST(FarWheel, SparseSchedulesAcrossAllLevels)
 TEST(FarWheel, FifoTieBreakSurvivesCascade)
 {
     // Two events for the same distant tick, scheduled far apart in
-    // time: A goes through the far wheel, B is inserted directly
+    // time: A goes through the far list, B is inserted directly
     // once the window is close. A was scheduled first and must fire
-    // first, even though it reaches the near wheel via a cascade.
+    // first, even though it reaches the near wheel from the list.
     EventQueue eq;
     std::vector<int> order;
     const Tick target = 50 * giga + 123;
@@ -113,13 +116,13 @@ TEST(FarWheel, FifoTieBreakSurvivesCascade)
         Event *later;
     } inserter;
 
-    eq.schedule(target, a); // far wheel
-    eq.schedule(target, c); // far wheel, same bucket, after a
+    eq.schedule(target, a); // far list
+    eq.schedule(target, c); // far list, after a
     inserter.eq = &eq;
     inserter.when_ = target;
     inserter.later = &b;
-    // Fires in the same gigatick as the target: a and c have been
-    // cascaded by then, b lands behind them.
+    // Fires in the same gigatick as the target: a and c have moved
+    // into the wheel by then, b lands behind them.
     eq.schedule(target - 100, inserter);
 
     EXPECT_TRUE(eq.run());
@@ -128,8 +131,9 @@ TEST(FarWheel, FifoTieBreakSurvivesCascade)
 
 TEST(FarWheel, FifoTieBreakSurvivesHeapMigration)
 {
-    // Same-tick events in the overflow heap migrate to the far wheel
-    // and then cascade, preserving schedule order throughout.
+    // Same-tick events wait in the far list across many window
+    // advances (each compacts the list) and then move into the
+    // wheel, preserving schedule order throughout.
     EventQueue eq;
     std::vector<int> order;
     const Tick target = 400 * giga + 9;
@@ -139,8 +143,8 @@ TEST(FarWheel, FifoTieBreakSurvivesHeapMigration)
         probes.emplace_back(&order, i);
         eq.schedule(target, probes[i]);
     }
-    // A pacemaker walks the window forward so the heap events migrate
-    // through the far wheel rather than jumping straight to the near
+    // A pacemaker walks the window forward so the far events survive
+    // several compactions rather than jumping straight to the near
     // wheel.
     struct Pacer final : public Event
     {
@@ -166,16 +170,16 @@ TEST(FarWheel, FifoTieBreakSurvivesHeapMigration)
 TEST(FarWheel, DescheduleAcrossLevels)
 {
     EventQueue eq;
-    Probe near, farw, heap, keep;
-    eq.schedule(10, near);
-    eq.schedule(30 * giga, farw);
-    eq.schedule(3000 * giga, heap);
+    Probe near, farw, distant, keep;
+    eq.schedule(10, near);           // near wheel
+    eq.schedule(30 * giga, farw);    // far list
+    eq.schedule(3000 * giga, distant); // far list, ~12M ticks
     eq.schedule(20, keep);
     EXPECT_EQ(eq.pending(), 4u);
 
     EXPECT_TRUE(eq.deschedule(near));
     EXPECT_TRUE(eq.deschedule(farw));
-    EXPECT_TRUE(eq.deschedule(heap));
+    EXPECT_TRUE(eq.deschedule(distant));
     EXPECT_FALSE(near.scheduled());
     EXPECT_FALSE(eq.deschedule(near)); // no-op the second time
     EXPECT_EQ(eq.pending(), 1u);
@@ -183,20 +187,20 @@ TEST(FarWheel, DescheduleAcrossLevels)
     EXPECT_TRUE(eq.run());
     EXPECT_EQ(near.fired, 0);
     EXPECT_EQ(farw.fired, 0);
-    EXPECT_EQ(heap.fired, 0);
+    EXPECT_EQ(distant.fired, 0);
     EXPECT_EQ(keep.fired, 1);
     EXPECT_EQ(eq.curTick(), 20u);
 }
 
 TEST(FarWheel, RescheduleMovesBetweenLevels)
 {
-    // One event object walks heap -> far wheel -> near wheel via
+    // One event object walks far list -> far list -> near wheel via
     // deschedule + reschedule, then fires exactly once.
     EventQueue eq;
     Probe p;
-    eq.schedule(4000 * giga, p); // heap
+    eq.schedule(4000 * giga, p); // far list
     EXPECT_TRUE(eq.deschedule(p));
-    eq.schedule(100 * giga, p); // far wheel
+    eq.schedule(100 * giga, p); // far list again
     EXPECT_TRUE(eq.deschedule(p));
     eq.schedule(42, p); // near wheel
     EXPECT_EQ(eq.pending(), 1u);
@@ -208,13 +212,14 @@ TEST(FarWheel, RescheduleMovesBetweenLevels)
 
 TEST(FarWheel, DescheduleMidBucketPreservesRemainingOrder)
 {
-    // Five same-tick events; the middle one is cancelled before the
-    // tick arrives. The rest keep their schedule order.
+    // Five same-tick far events; the middle one is cancelled before
+    // the tick arrives. The erase from the list is stable, so the
+    // rest keep their schedule order.
     EventQueue eq;
     std::vector<int> order;
     std::vector<Probe> probes;
     probes.reserve(5);
-    const Tick target = 20 * giga + 5; // far wheel
+    const Tick target = 20 * giga + 5; // far list
     for (int i = 0; i < 5; ++i) {
         probes.emplace_back(&order, i);
         eq.schedule(target, probes[i]);
@@ -256,16 +261,16 @@ TEST(FarWheel, RunLimitStopsBeforeFarEvents)
 
 TEST(FarWheel, BigJumpCascadesEverything)
 {
-    // The window leaps past the entire far horizon in one advance
-    // (empty near wheel): every live far bucket and the heap must
-    // fold over correctly.
+    // The window leaps hundreds of gigaticks in one advance (empty
+    // near wheel): every far event must move into the wheel at once,
+    // tick-ordered and FIFO within a tick.
     EventQueue eq;
     std::vector<int> order;
     std::vector<Probe> probes;
     probes.reserve(8);
     for (int i = 0; i < 8; ++i) {
         probes.emplace_back(&order, i);
-        // All land in the overflow heap, two adjacent distant ticks.
+        // All land in the far list, two adjacent distant ticks.
         const Tick when = 600 * giga + 50 * (i % 2);
         eq.schedule(when, probes[i]);
     }
@@ -276,7 +281,7 @@ TEST(FarWheel, BigJumpCascadesEverything)
 
 TEST(FarWheel, SelfRescheduleWalksThroughGigatickBoundaries)
 {
-    // A component-timer pattern crossing many cascade points.
+    // A component-timer pattern crossing many gigatick boundaries.
     EventQueue eq;
     struct Timer final : public Event
     {

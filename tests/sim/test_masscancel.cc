@@ -2,7 +2,8 @@
  * component going down deschedules whole pools of events at once
  * (EventPool::forEach + deschedule), and the queue must stay
  * *exact* afterwards -- pending() counts only survivors and the
- * survivors fire in time order -- across all three queue levels.
+ * survivors fire in time order -- in the near wheel and the far
+ * list alike.
  */
 
 #include <gtest/gtest.h>
@@ -71,17 +72,17 @@ TEST(MassCancel, CancellingTheMinimumFiresTheRest)
 
 TEST(MassCancel, CancellingAcrossLevelsFiresTheRest)
 {
-    // Cancel the minimum at each level in turn; the next survivor may
-    // live one level further out every time, and the queue must find
-    // it there.
+    // Cancel the earliest event in turn; the next survivor may live
+    // further out every time (near wheel, then the far list), and the
+    // queue must find it there.
     for (int cancelled = 0; cancelled <= 3; ++cancelled) {
         EventQueue eq;
         std::vector<Tick> fired;
-        Stamp near(eq, fired), farw(eq, fired), heap(eq, fired);
-        eq.schedule(42, near);             // near wheel
-        eq.schedule(80 * giga + 7, farw);  // far wheel
-        eq.schedule(5000 * giga, heap);    // overflow heap
-        Stamp *order[] = {&near, &farw, &heap};
+        Stamp near(eq, fired), farw(eq, fired), distant(eq, fired);
+        eq.schedule(42, near);              // near wheel
+        eq.schedule(80 * giga + 7, farw);   // far list
+        eq.schedule(5000 * giga, distant);  // far list, ~20M ticks
+        Stamp *order[] = {&near, &farw, &distant};
         for (int i = 0; i < cancelled; ++i)
             EXPECT_TRUE(eq.deschedule(*order[i]));
         EXPECT_EQ(eq.pending(), std::size_t(3 - cancelled));
@@ -97,9 +98,9 @@ TEST(MassCancel, CancellingAcrossLevelsFiresTheRest)
 
 TEST(MassCancel, BulkCancelKeepsSurvivorsAndOrder)
 {
-    // Kill every third event of a dense schedule spanning near wheel,
-    // far wheel, and heap; the survivors fire exactly once, in time
-    // order, and the executed count is exact.
+    // Kill every third event of a dense schedule spanning the near
+    // wheel and a long far list; the survivors fire exactly once, in
+    // time order, and the executed count is exact.
     constexpr int n = 3000;
     EventQueue eq;
     std::vector<Probe> probes(n);
@@ -149,7 +150,7 @@ TEST(MassCancel, PoolSweepFromInsideProcess)
         Probe &p = pool.acquire();
         carved.push_back(&p);
         // Same tick as the sweeper (still in the current bucket when
-        // the sweep runs), near wheel, far wheel, overflow heap.
+        // the sweep runs), near wheel, far list, distant far list.
         const Tick when = i % 4 == 0   ? 100
                           : i % 4 == 1 ? 3000
                           : i % 4 == 2 ? 90 * giga
@@ -169,7 +170,7 @@ TEST(MassCancel, SweepInsideProcessFindsTheFarSurvivor)
 {
     // After an in-process() mass cancel, the queue's own main loop
     // must skip every cancelled near-wheel tick and find the lone
-    // surviving event in the far wheel.
+    // surviving event in the far list.
     EventQueue eq;
     Probe victims[8];
     Probe survivor;
@@ -255,8 +256,8 @@ TEST(MassCancel, ForeignPoolSweepLeavesTheDrainFifoIntact)
         EventPool<Probe> pool;
         auto sweeper = At([&] {
             // The backlog is in flight: pending arrivals queued, the
-            // drain armed. Sweep a 64-event pool spanning all three
-            // queue levels, failover-style.
+            // drain armed. Sweep a 64-event pool spanning the near
+            // wheel and the far list, failover-style.
             EXPECT_GT(net.inFlightTo(0), 0u);
             EXPECT_TRUE(net.drainEvent(0).scheduled());
             pool.forEach([&](Probe &p) {
