@@ -114,9 +114,6 @@ FaultManager::planFired(PlanEvent &e)
       case FaultKind::Restart:
         restartNode(e.node);
         break;
-      case FaultKind::PredLoss:
-        predLoss(e.node);
-        break;
     }
 }
 
@@ -284,16 +281,6 @@ FaultManager::restartNode(NodeId v)
     procs_[v]->restart();
     outcome_.restartTick = now;
     outcome_.opsAtRestart = totalOps();
-}
-
-void
-FaultManager::predLoss(NodeId v)
-{
-    if (obs_) [[unlikely]]
-        obs_->faultInstant("pred loss", v);
-    for (PredictorBase *p : nodePreds_[v])
-        p->reset();
-    ++outcome_.predLosses;
 }
 
 void

@@ -80,9 +80,8 @@ class Processor;
 /** What happens to a node at a scheduled fault tick. */
 enum class FaultKind : std::uint8_t
 {
-    Kill,     //!< fail-stop: processor, cache, and directory shard
-    Restart,  //!< resume the processor, cold cache, bumped epoch
-    PredLoss, //!< drop the node's predictor state only (no crash)
+    Kill,    //!< fail-stop: processor, cache, and directory shard
+    Restart, //!< resume the processor, cold cache, bumped epoch
 };
 
 /** One scheduled fault. */
@@ -169,7 +168,6 @@ struct FaultOutcome
     std::uint64_t rehomeSyncs = 0;  //!< reconstruction sync messages
     std::uint64_t ckptSnapshots = 0; //!< predictor checkpoints taken
     std::uint64_t ckptMessages = 0;  //!< CkptData replication messages
-    std::uint64_t predLosses = 0;    //!< PredLoss events fired
 
     // Shard replication (FaultPlan::replicateShards).
     std::uint64_t shardDeltas = 0; //!< directory deltas mirrored
@@ -311,7 +309,6 @@ class FaultManager
     void planFired(PlanEvent &e);
     void killNode(NodeId v);
     void restartNode(NodeId v);
-    void predLoss(NodeId v);
     void checkpointFired();
 
     /** The node adopting @p v's shard under this plan. */

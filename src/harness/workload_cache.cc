@@ -87,6 +87,8 @@ WorkloadCache::get(const std::string &app, const AppParams &p)
             {
                 std::lock_guard<std::mutex> lock(c.mu);
                 c.stats.genSeconds += secs;
+                c.stats.compiledBytes +=
+                    cw->totalOps() * sizeof(CompiledOp);
             }
             promise.set_value(std::move(cw));
         } catch (...) {

@@ -16,7 +16,8 @@
  * requester generates (generation happens outside the table lock, so
  * distinct apps still generate in parallel). Entries are never
  * evicted -- a sweep touches a handful of workloads, each a few
- * hundred KB of packed ops -- but clear() exists for tests.
+ * hundred KB to a few MB of 4-byte ops (compiledBytes counts them) --
+ * but clear() exists for tests.
  */
 
 #ifndef MSPDSM_HARNESS_WORKLOAD_CACHE_HH
@@ -34,12 +35,15 @@ namespace mspdsm
 /** Observability counters for the cache (sweep JSON, CI). */
 struct WorkloadCacheStats
 {
-    std::uint64_t generations = 0; //!< makeApp+compile actually run
-    std::uint64_t hits = 0;        //!< requests served from the cache
-    std::uint64_t failures = 0;    //!< generations that threw (the
-                                   //!< entry is dropped so later
-                                   //!< requests retry)
-    double genSeconds = 0.0;       //!< wall time spent generating
+    std::uint64_t generations = 0;   //!< makeApp+compile actually run
+    std::uint64_t hits = 0;          //!< requests served from the cache
+    std::uint64_t failures = 0;      //!< generations that threw (the
+                                     //!< entry is dropped so later
+                                     //!< requests retry)
+    double genSeconds = 0.0;         //!< wall time spent generating
+    std::uint64_t compiledBytes = 0; //!< compiled ops held, summed over
+                                     //!< generations: totalOps() *
+                                     //!< sizeof(CompiledOp)
 };
 
 class WorkloadCache

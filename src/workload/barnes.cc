@@ -71,6 +71,7 @@ makeBarnes(const AppParams &p)
     }
 
     std::vector<TraceBuilder> tb(n);
+    std::vector<PhaseSchedule> sched(n); // emptied by each emit()
     for (unsigned it = 0; it < iters; ++it) {
         for (unsigned q = 0; q < n; ++q)
             tb[q].barrier();
@@ -83,62 +84,56 @@ makeBarnes(const AppParams &p)
                             : static_cast<unsigned>(
                                   rng.uniform(0, n - 1));
         }
-        {
-            std::vector<PhaseSchedule> sched(n);
-            for (unsigned c = 0; c < cells; ++c) {
-                const Tick t = rng.uniform(0, 4000);
-                sched[writer[c]].at(t,
-                                    TraceOp::write(cell[c].addr(0)));
-                // Tree construction touches a cell repeatedly as
-                // children are inserted: a silent re-write in the
-                // base system, but the multiple-writes behaviour
-                // that defeats SWI (Section 7.4).
-                sched[writer[c]].at(t + 600 + rng.uniform(0, 400),
-                                    TraceOp::write(cell[c].addr(0)));
-            }
-            for (unsigned q = 0; q < n; ++q)
-                sched[q].emit(tb[q]);
+        for (unsigned c = 0; c < cells; ++c) {
+            const Tick t = rng.uniform(0, 4000);
+            sched[writer[c]].at(t,
+                                TraceOp::write(cell[c].addr(0)));
+            // Tree construction touches a cell repeatedly as
+            // children are inserted: a silent re-write in the
+            // base system, but the multiple-writes behaviour
+            // that defeats SWI (Section 7.4).
+            sched[writer[c]].at(t + 600 + rng.uniform(0, 400),
+                                TraceOp::write(cell[c].addr(0)));
         }
+        for (unsigned q = 0; q < n; ++q)
+            sched[q].emit(tb[q]);
 
         for (unsigned q = 0; q < n; ++q)
             tb[q].barrier();
 
         // Force traversal.
-        {
-            std::vector<PhaseSchedule> sched(n);
-            for (unsigned c = 0; c < cells; ++c) {
-                if (c < stable_cells) {
-                    // Stable arrival order: rank stagger dominates.
-                    unsigned rank = 0;
-                    for (unsigned q : fixed_readers[c]) {
-                        sched[q].at(1 + rank * 1200 +
-                                        rng.uniform(0, 200),
-                                    TraceOp::read(cell[c].addr(0)));
-                        ++rank;
-                    }
-                } else if (c < fixed_end) {
-                    // Same readers, workload-dependent order.
-                    for (unsigned q : fixed_readers[c]) {
-                        sched[q].at(rng.uniform(0, 9000),
-                                    TraceOp::read(cell[c].addr(0)));
-                    }
-                } else {
-                    // Rebuilt subtree: fresh reader subset.
-                    const unsigned deg =
-                        1 + static_cast<unsigned>(rng.uniform(0, 3));
-                    for (unsigned r = 0; r < deg; ++r) {
-                        unsigned q = static_cast<unsigned>(
-                            rng.uniform(0, n - 1));
-                        if (q == writer[c])
-                            q = (q + 1) % n;
-                        sched[q].at(rng.uniform(0, 9000),
-                                    TraceOp::read(cell[c].addr(0)));
-                    }
+        for (unsigned c = 0; c < cells; ++c) {
+            if (c < stable_cells) {
+                // Stable arrival order: rank stagger dominates.
+                unsigned rank = 0;
+                for (unsigned q : fixed_readers[c]) {
+                    sched[q].at(1 + rank * 1200 +
+                                    rng.uniform(0, 200),
+                                TraceOp::read(cell[c].addr(0)));
+                    ++rank;
+                }
+            } else if (c < fixed_end) {
+                // Same readers, workload-dependent order.
+                for (unsigned q : fixed_readers[c]) {
+                    sched[q].at(rng.uniform(0, 9000),
+                                TraceOp::read(cell[c].addr(0)));
+                }
+            } else {
+                // Rebuilt subtree: fresh reader subset.
+                const unsigned deg =
+                    1 + static_cast<unsigned>(rng.uniform(0, 3));
+                for (unsigned r = 0; r < deg; ++r) {
+                    unsigned q = static_cast<unsigned>(
+                        rng.uniform(0, n - 1));
+                    if (q == writer[c])
+                        q = (q + 1) % n;
+                    sched[q].at(rng.uniform(0, 9000),
+                                TraceOp::read(cell[c].addr(0)));
                 }
             }
-            for (unsigned q = 0; q < n; ++q)
-                sched[q].emit(tb[q]);
         }
+        for (unsigned q = 0; q < n; ++q)
+            sched[q].emit(tb[q]);
 
         // Barnes is computation-bound: long per-body force work.
         for (unsigned q = 0; q < n; ++q)

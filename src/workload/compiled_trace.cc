@@ -57,15 +57,16 @@ compileTrace(const Trace &t, const AddrMap &map,
     out.reserve(start + t.size());
 
     for (const TraceOp &op : t) {
-        switch (op.kind) {
+        switch (op.kind()) {
           case OpKind::Compute: {
-            if (op.cycles == 0)
+            const Tick cycles = op.cycles();
+            if (cycles == 0)
                 break; // timing no-op; drop it
             // Validate the operand before any fusion arithmetic:
-            // with both addends capped at payloadMax (2^62-1) the
+            // with both addends capped at payloadMax (2^30-1) the
             // uint64 sum below cannot wrap, so the fused check is
             // exact.
-            panic_if(op.cycles > CompiledOp::payloadMax,
+            panic_if(cycles > CompiledOp::payloadMax,
                      "compute delay overflows the packed op");
             if (out.size() > start &&
                 out.back().kind() == OpKind::Compute) {
@@ -74,21 +75,21 @@ compileTrace(const Trace &t, const AddrMap &map,
                 // every other component (nothing observes the
                 // processor between them).
                 const std::uint64_t fused =
-                    out.back().payload() + op.cycles;
+                    out.back().payload() + cycles;
                 panic_if(fused > CompiledOp::payloadMax,
                          "fused compute delay overflows the packed op");
                 out.back() = CompiledOp::make(OpKind::Compute, fused);
                 break;
             }
-            out.push_back(CompiledOp::make(OpKind::Compute, op.cycles));
+            out.push_back(CompiledOp::make(OpKind::Compute, cycles));
             break;
           }
           case OpKind::Read:
           case OpKind::Write: {
-            const BlockId blk = number(map.blockOf(op.addr));
+            const BlockId blk = number(map.blockOf(op.addr()));
             panic_if(blk > CompiledOp::payloadMax,
                      "block id overflows the packed op");
-            out.push_back(CompiledOp::make(op.kind, blk));
+            out.push_back(CompiledOp::make(op.kind(), blk));
             break;
           }
           case OpKind::Barrier:
@@ -199,21 +200,23 @@ canonicalTrace(const Trace &t, const AddrMap &map)
     out.reserve(t.size());
     const Addr blockSize = map.blockSizeBytes();
     for (const TraceOp &op : t) {
-        switch (op.kind) {
+        switch (op.kind()) {
           case OpKind::Compute:
-            if (op.cycles == 0)
+            if (op.cycles() == 0)
                 break;
-            if (!out.empty() && out.back().kind == OpKind::Compute) {
-                out.back().cycles += op.cycles;
+            if (!out.empty() && out.back().kind() == OpKind::Compute) {
+                out.back() = TraceOp::compute(out.back().cycles() +
+                                              op.cycles());
                 break;
             }
             out.push_back(op);
             break;
           case OpKind::Read:
           case OpKind::Write: {
-            TraceOp aligned = op;
-            aligned.addr = map.blockOf(op.addr) * blockSize;
-            out.push_back(aligned);
+            const Addr aligned = map.blockOf(op.addr()) * blockSize;
+            out.push_back(op.kind() == OpKind::Read
+                              ? TraceOp::read(aligned)
+                              : TraceOp::write(aligned));
             break;
           }
           case OpKind::Barrier:

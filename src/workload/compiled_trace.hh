@@ -2,10 +2,10 @@
  * @file
  * Trace compilation: the workload front end the processors execute.
  *
- * Generators keep emitting 24-byte TraceOps (convenient to build and
- * to test against), but the simulator never executes them directly
- * any more. Before a run, each Trace is *compiled* into a flat arena
- * of packed 8-byte ops:
+ * Generators emit 8-byte TraceOps (a byte address or a cycle count in
+ * each), but the simulator never executes them directly. Before a
+ * run, each Trace is *compiled* into a flat arena of packed 4-byte
+ * ops:
  *
  *  - the BlockId is precomputed from the run's AddrMap, so the
  *    per-access address-to-block mapping disappears from the hot
@@ -46,40 +46,47 @@ namespace mspdsm
 {
 
 /**
- * One packed trace operation: 2 bits of kind and 62 bits of payload (BlockId for memory ops, fused cycle count for
- * Compute, 0 for Barrier). The processors stream billions of these,
- * so the layout is a single word: one load, a mask, and a shift per
- * decoded field.
+ * One packed trace operation: 2 bits of kind and 30 bits of payload
+ * (BlockId for memory ops, fused cycle count for Compute, 0 for
+ * Barrier). The processors stream billions of these and every cached
+ * workload holds its whole arena, so the layout is a single 32-bit
+ * word: one load, a mask, and a shift per decoded field. The largest
+ * payload the suite produces (a dense block id at 61 nodes and scale
+ * 8, or barnes' 200,000-cycle force phase) is far below payloadMax;
+ * the compiler panics on anything above it.
  */
 struct CompiledOp
 {
-    std::uint64_t bits = 0;
+    std::uint32_t bits = 0;
 
     static constexpr unsigned kindBits = 2;
     static constexpr unsigned payloadShift = kindBits;
-    static constexpr std::uint64_t kindMask = (1u << kindBits) - 1;
-    static constexpr std::uint64_t payloadMax =
-        ~std::uint64_t{0} >> payloadShift;
+    static constexpr std::uint32_t kindMask = (1u << kindBits) - 1;
+    static constexpr std::uint32_t payloadMax =
+        ~std::uint32_t{0} >> payloadShift;
 
+    /** @p payload must be <= payloadMax (the compiler checks). */
     static CompiledOp
     make(OpKind k, std::uint64_t payload)
     {
         CompiledOp op;
-        op.bits = static_cast<std::uint64_t>(k) | (payload << payloadShift);
+        op.bits = static_cast<std::uint32_t>(
+            static_cast<std::uint32_t>(k) | payload << payloadShift);
         return op;
     }
 
     OpKind kind() const { return static_cast<OpKind>(bits & kindMask); }
 
     /** BlockId (Read/Write) or fused delay in cycles (Compute). */
-    std::uint64_t payload() const { return bits >> payloadShift; }
+    std::uint32_t payload() const { return bits >> payloadShift; }
 
     bool operator==(const CompiledOp &) const = default;
 };
 
-static_assert(sizeof(CompiledOp) == 8,
+static_assert(sizeof(CompiledOp) == 4,
               "packed compiled op is streamed once per executed trace "
-              "operation; keep it one word");
+              "operation and held by every cached workload; keep it "
+              "one 32-bit word");
 
 /**
  * A per-processor view into the compiled arena: pointer + length,

@@ -54,16 +54,16 @@ PhaseSchedule::emit(TraceBuilder &trace)
             trace.compute(it.t - now);
             now = it.t;
         }
-        switch (it.op.kind) {
+        switch (it.op.kind()) {
           case OpKind::Compute:
-            trace.compute(it.op.cycles);
-            now += it.op.cycles;
+            trace.compute(it.op.cycles());
+            now += it.op.cycles();
             break;
           case OpKind::Read:
-            trace.read(it.op.addr);
+            trace.read(it.op.addr());
             break;
           case OpKind::Write:
-            trace.write(it.op.addr);
+            trace.write(it.op.addr());
             break;
           case OpKind::Barrier:
             trace.barrier();
@@ -71,7 +71,6 @@ PhaseSchedule::emit(TraceBuilder &trace)
         }
     }
     items_.clear();
-    seq_ = 0;
 }
 
 Region

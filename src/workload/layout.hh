@@ -9,6 +9,10 @@
  * early-write-invalidate table is per home node, so consecutive
  * writes by a producer only trigger SWI when they reach the same
  * home, exactly as in a hardware implementation.
+ *
+ * The builders below append packed 8-byte TraceOps; a PhaseSchedule
+ * item is an offset plus one op (16 bytes) and is meant to be reused
+ * phase after phase, so a generator's transient memory is its traces.
  */
 
 #ifndef MSPDSM_WORKLOAD_LAYOUT_HH
@@ -106,22 +110,25 @@ class PhaseSchedule
     void
     at(Tick t, TraceOp op)
     {
-        items_.push_back(Item{t, seq_++, op});
+        items_.push_back(Item{t, op});
     }
 
-    /** Sort by offset (stable) and append to @p trace. */
+    /**
+     * Sort by offset (stable, so equal offsets keep registration
+     * order) and append to @p trace, then clear for the next phase.
+     * The buffer keeps its capacity, so a generator reuses one
+     * schedule per processor across all its phases.
+     */
     void emit(class TraceBuilder &trace);
 
   private:
     struct Item
     {
         Tick t;
-        std::uint64_t seq;
         TraceOp op;
     };
 
     std::vector<Item> items_;
-    std::uint64_t seq_ = 0;
 };
 
 /**

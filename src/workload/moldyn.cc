@@ -44,6 +44,7 @@ makeMoldyn(const AppParams &p)
         mig[h] = layout.allocAt(NodeId(h), chunk);
 
     std::vector<TraceBuilder> tb(n);
+    std::vector<PhaseSchedule> sched(n); // emptied by each emit()
     for (unsigned it = 0; it < iters; ++it) {
         for (unsigned q = 0; q < n; ++q)
             tb[q].barrier();
@@ -88,7 +89,6 @@ makeMoldyn(const AppParams &p)
         // order is stable across iterations, and a visitor works
         // through the whole chunk at each slot (back-to-back writes
         // to one home).
-        std::vector<PhaseSchedule> sched(n);
         for (unsigned h = 0; h < n; ++h) {
             for (unsigned j = 0; j < hops; ++j) {
                 const unsigned q = (h + j * 3) % n;

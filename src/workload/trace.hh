@@ -8,6 +8,10 @@
  * coherence studies (the paper's own WWT2 runs real binaries, but the
  * predictors only ever see the per-block coherence request stream that
  * such traces induce).
+ *
+ * Generators emit TraceOps (one packed word each); before a run the
+ * harness compiles them into the smaller CompiledOp stream the
+ * processors execute (workload/compiled_trace.hh).
  */
 
 #ifndef MSPDSM_WORKLOAD_TRACE_HH
@@ -17,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "base/logging.hh"
 #include "base/types.hh"
 
 namespace mspdsm
@@ -31,50 +36,63 @@ enum class OpKind : std::uint8_t
     Barrier, //!< global barrier across all processors
 };
 
-/** One trace operation. */
-struct TraceOp
+/**
+ * One trace operation, packed into one word: 2 bits of kind, then a
+ * 62-bit payload -- the byte address for Read/Write, the cycle count
+ * for Compute, 0 for Barrier. The generators build millions of these
+ * before a workload is compiled, so the transient trace set costs 8
+ * bytes an op. A factory given a payload above payloadMax panics:
+ * nothing is silently truncated.
+ */
+class TraceOp
 {
-    OpKind kind = OpKind::Compute;
-    Addr addr = 0;   //!< byte address (Read/Write)
-    Tick cycles = 0; //!< delay (Compute)
+    static constexpr unsigned kindBits = 2;
+    static constexpr std::uint64_t kindMask = (1u << kindBits) - 1;
+
+  public:
+    static constexpr std::uint64_t payloadMax =
+        ~std::uint64_t{0} >> kindBits;
+
+    /** A zero-cycle compute. */
+    TraceOp() = default;
+
+    OpKind kind() const { return static_cast<OpKind>(bits_ & kindMask); }
+
+    /** Byte address of a Read/Write; 0 for any other kind. */
+    Addr
+    addr() const
+    {
+        return kind() == OpKind::Read || kind() == OpKind::Write
+                   ? payload()
+                   : 0;
+    }
+
+    /** Delay of a Compute; 0 for any other kind. */
+    Tick cycles() const { return kind() == OpKind::Compute ? payload() : 0; }
 
     bool operator==(const TraceOp &) const = default;
 
-    static TraceOp
-    compute(Tick c)
+    static TraceOp compute(Tick c) { return TraceOp(OpKind::Compute, c); }
+    static TraceOp read(Addr a) { return TraceOp(OpKind::Read, a); }
+    static TraceOp write(Addr a) { return TraceOp(OpKind::Write, a); }
+    static TraceOp barrier() { return TraceOp(OpKind::Barrier, 0); }
+
+  private:
+    TraceOp(OpKind k, std::uint64_t payload)
+        : bits_(static_cast<std::uint64_t>(k) | payload << kindBits)
     {
-        TraceOp op;
-        op.kind = OpKind::Compute;
-        op.cycles = c;
-        return op;
+        panic_if(payload > payloadMax, "trace op payload ", payload,
+                 " overflows the packed op");
     }
 
-    static TraceOp
-    read(Addr a)
-    {
-        TraceOp op;
-        op.kind = OpKind::Read;
-        op.addr = a;
-        return op;
-    }
+    std::uint64_t payload() const { return bits_ >> kindBits; }
 
-    static TraceOp
-    write(Addr a)
-    {
-        TraceOp op;
-        op.kind = OpKind::Write;
-        op.addr = a;
-        return op;
-    }
-
-    static TraceOp
-    barrier()
-    {
-        TraceOp op;
-        op.kind = OpKind::Barrier;
-        return op;
-    }
+    std::uint64_t bits_ = 0;
 };
+
+static_assert(sizeof(TraceOp) == 8,
+              "a trace op is one word; whole traces are built in "
+              "memory before they are compiled");
 
 /** A full per-processor trace. */
 using Trace = std::vector<TraceOp>;

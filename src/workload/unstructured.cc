@@ -46,6 +46,7 @@ makeUnstructured(const AppParams &p)
 
     Rng rng(p.seed);
     std::vector<TraceBuilder> tb(n);
+    std::vector<PhaseSchedule> sched(n); // emptied by each emit()
 
     for (unsigned it = 0; it < iters; ++it) {
         for (unsigned q = 0; q < n; ++q)
@@ -67,22 +68,19 @@ makeUnstructured(const AppParams &p)
         // that the per-iteration workload perturbs, so neighbouring
         // requests frequently swap ("high read request re-ordering")
         // while the global order stays roughly front-to-back.
-        {
-            std::vector<PhaseSchedule> sched(n);
-            for (unsigned q = 0; q < n; ++q) {
-                for (unsigned i = 0; i < pc_blocks; ++i) {
-                    for (unsigned r = 1; r <= readers; ++r) {
-                        const unsigned reader = (q + r) % n;
-                        const Tick t = Tick(r) * 150 +
-                                       rng.uniform(0, 700);
-                        sched[reader].at(
-                            t, TraceOp::read(pc[q].addr(i)));
-                    }
+        for (unsigned q = 0; q < n; ++q) {
+            for (unsigned i = 0; i < pc_blocks; ++i) {
+                for (unsigned r = 1; r <= readers; ++r) {
+                    const unsigned reader = (q + r) % n;
+                    const Tick t = Tick(r) * 150 +
+                                   rng.uniform(0, 700);
+                    sched[reader].at(
+                        t, TraceOp::read(pc[q].addr(i)));
                 }
             }
-            for (unsigned q = 0; q < n; ++q)
-                sched[q].emit(tb[q]);
         }
+        for (unsigned q = 0; q < n; ++q)
+            sched[q].emit(tb[q]);
 
         for (unsigned q = 0; q < n; ++q)
             tb[q].barrier();
@@ -94,29 +92,26 @@ makeUnstructured(const AppParams &p)
         // alternate participating"). The hand-offs around the
         // skippers flip between two sequences -- unpredictable at
         // depth 1, captured by a deeper history (Sections 7.1-7.2).
-        {
-            std::vector<PhaseSchedule> sched(n);
-            for (unsigned h = 0; h < n; ++h) {
-                unsigned slot = 0;
-                for (unsigned j = 0; j < 6; ++j) {
-                    const unsigned q = (h + j * 2) % n;
-                    const bool skipper = j == 2 || j == 4;
-                    if (skipper && (it % 2) == 1)
-                        continue; // zero contribution this time
-                    for (unsigned k = 0; k < chunk; ++k) {
-                        const Tick t =
-                            Tick(slot) * 1600 + k * 120;
-                        sched[q].at(t,
-                                    TraceOp::read(red[h].addr(k)));
-                        sched[q].at(t + 30,
-                                    TraceOp::write(red[h].addr(k)));
-                    }
-                    ++slot;
+        for (unsigned h = 0; h < n; ++h) {
+            unsigned slot = 0;
+            for (unsigned j = 0; j < 6; ++j) {
+                const unsigned q = (h + j * 2) % n;
+                const bool skipper = j == 2 || j == 4;
+                if (skipper && (it % 2) == 1)
+                    continue; // zero contribution this time
+                for (unsigned k = 0; k < chunk; ++k) {
+                    const Tick t =
+                        Tick(slot) * 1600 + k * 120;
+                    sched[q].at(t,
+                                TraceOp::read(red[h].addr(k)));
+                    sched[q].at(t + 30,
+                                TraceOp::write(red[h].addr(k)));
                 }
+                ++slot;
             }
-            for (unsigned q = 0; q < n; ++q)
-                sched[q].emit(tb[q]);
         }
+        for (unsigned q = 0; q < n; ++q)
+            sched[q].emit(tb[q]);
 
         for (unsigned q = 0; q < n; ++q)
             tb[q].compute(40000); // per-face local flux computation

@@ -155,8 +155,8 @@ TEST(Fault, RecoveredMachineStateIsCoherent)
         std::set<Addr> addrs;
         for (const Trace &t : w.traces)
             for (const TraceOp &op : t)
-                if (op.kind == OpKind::Read || op.kind == OpKind::Write)
-                    addrs.insert(op.addr);
+                if (op.kind() == OpKind::Read || op.kind() == OpKind::Write)
+                    addrs.insert(op.addr());
         std::size_t live = 0;
         for (const Addr a : addrs) {
             const BlockId blk = sys.blockOf(a);

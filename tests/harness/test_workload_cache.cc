@@ -53,6 +53,18 @@ TEST_F(CacheTest, DifferingSeedGeneratesSeparately)
     EXPECT_EQ(WorkloadCache::stats().hits, 0u);
 }
 
+TEST_F(CacheTest, CompiledBytesCountEachGenerationOnce)
+{
+    // The deterministic footprint readout: packed bytes of every
+    // generated workload, with hits adding nothing.
+    const auto a = WorkloadCache::get("em3d", params(42));
+    const auto b = WorkloadCache::get("em3d", params(43));
+    WorkloadCache::get("em3d", params(42));
+    EXPECT_EQ(WorkloadCache::stats().compiledBytes,
+              (a->totalOps() + b->totalOps()) * sizeof(CompiledOp));
+    EXPECT_GT(a->totalOps(), 0u);
+}
+
 TEST_F(CacheTest, DifferingAppOrScaleGeneratesSeparately)
 {
     const auto a = WorkloadCache::get("em3d", params());

@@ -57,8 +57,8 @@ touchedBlocks(const ProtoConfig &proto, const std::vector<Trace> &ts)
     std::set<Addr> blocks;
     for (const Trace &t : ts)
         for (const TraceOp &op : t)
-            if (op.kind == OpKind::Read || op.kind == OpKind::Write)
-                blocks.insert(proto.blockOf(op.addr) * proto.blockSize);
+            if (op.kind() == OpKind::Read || op.kind() == OpKind::Write)
+                blocks.insert(proto.blockOf(op.addr()) * proto.blockSize);
     return blocks;
 }
 

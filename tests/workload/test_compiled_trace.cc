@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "workload/compiled_trace.hh"
@@ -23,6 +24,48 @@ params(double scale, unsigned iters = 2)
 }
 
 } // namespace
+
+TEST(TraceOp, PackedLayoutRoundTripsFields)
+{
+    // Each field reads back from the one-word layout, and the fields
+    // of the other kinds read as zero (what a default TraceOp held).
+    const TraceOp zero = TraceOp::compute(0);
+    EXPECT_EQ(zero, TraceOp());
+    EXPECT_EQ(zero.kind(), OpKind::Compute);
+    EXPECT_EQ(zero.cycles(), 0u);
+
+    const TraceOp c = TraceOp::compute(200000);
+    EXPECT_EQ(c.kind(), OpKind::Compute);
+    EXPECT_EQ(c.cycles(), 200000u);
+    EXPECT_EQ(c.addr(), 0u);
+
+    const TraceOp r = TraceOp::read(0x12345640);
+    EXPECT_EQ(r.kind(), OpKind::Read);
+    EXPECT_EQ(r.addr(), 0x12345640u);
+    EXPECT_EQ(r.cycles(), 0u);
+
+    const TraceOp w = TraceOp::write(0);
+    EXPECT_EQ(w.kind(), OpKind::Write);
+    EXPECT_EQ(w.addr(), 0u);
+    EXPECT_NE(w, TraceOp::read(0));
+
+    const TraceOp b = TraceOp::barrier();
+    EXPECT_EQ(b.kind(), OpKind::Barrier);
+    EXPECT_EQ(b.addr(), 0u);
+    EXPECT_EQ(b.cycles(), 0u);
+
+    // The largest payload survives in every field.
+    const std::uint64_t max = (std::uint64_t{1} << 62) - 1;
+    ASSERT_EQ(TraceOp::payloadMax, max);
+    EXPECT_EQ(TraceOp::compute(max).cycles(), max);
+    EXPECT_EQ(TraceOp::read(max).addr(), max);
+    EXPECT_EQ(TraceOp::write(max).kind(), OpKind::Write);
+    EXPECT_EQ(TraceOp::write(max).addr(), max);
+
+    // One more does not fit; it dies rather than wrap.
+    EXPECT_DEATH(TraceOp::compute(max + 1), "overflows the packed op");
+    EXPECT_DEATH(TraceOp::read(max + 1), "overflows the packed op");
+}
 
 TEST(CompiledOp, PackedLayoutRoundTripsFields)
 {
@@ -66,17 +109,53 @@ TEST(CompiledTrace, ComputeFusionMergesRuns)
 TEST(CompiledTrace, OversizedComputeDelaysPanicEvenWhenFused)
 {
     // Regression: the fused branch used to sum payloads before the
-    // range check, so a near-2^64 delay following a small one wrapped
-    // the uint64 sum below payloadMax and compiled silently into a
-    // tiny delay. Every compute operand must be validated first.
+    // range check, so an oversized delay following a small one could
+    // compile silently. Every compute operand is validated first, and
+    // the fused sum is checked again.
     const AddrMap map((ProtoConfig{}));
-    const Tick huge = ~Tick{0} - 60; // wraps to 39 if summed with 100
+    const Tick huge = Tick{CompiledOp::payloadMax} + 1;
     const Trace first{TraceOp::compute(huge)};
     EXPECT_DEATH(CompiledWorkload(std::vector<Trace>{first}, map),
                  "overflow");
     const Trace fused{TraceOp::compute(100), TraceOp::compute(huge)};
     EXPECT_DEATH(CompiledWorkload(std::vector<Trace>{fused}, map),
                  "overflow");
+    // Two in-range delays whose sum is not.
+    const Trace sum{TraceOp::compute(CompiledOp::payloadMax),
+                    TraceOp::compute(1)};
+    EXPECT_DEATH(CompiledWorkload(std::vector<Trace>{sum}, map),
+                 "fused compute delay overflows");
+    // The largest delay itself still compiles.
+    const CompiledWorkload ok(
+        std::vector<Trace>{{TraceOp::compute(CompiledOp::payloadMax)}},
+        map);
+    EXPECT_EQ(ok.trace(0)[0].payload(), CompiledOp::payloadMax);
+}
+
+/**
+ * The packed op's headroom: every app at the node cap and the largest
+ * scale CI runs compiles without truncating a payload (the round trip
+ * holds), and the largest payload stays far below payloadMax.
+ */
+TEST(CompiledTrace, LargestSuiteConfigFitsThePackedOp)
+{
+    AppParams p = params(8.0, 2);
+    p.numProcs = 61;
+    p.proto.numNodes = 61;
+    const AddrMap map(p.proto);
+    for (const AppInfo &info : appSuite()) {
+        const Workload w = info.make(p);
+        const CompiledWorkload cw(w, map);
+        std::uint32_t largest = 0;
+        for (std::size_t i = 0; i < cw.numTraces(); ++i) {
+            for (const CompiledOp &op : cw.trace(i))
+                largest = std::max(largest, op.payload());
+            ASSERT_EQ(decodeTrace(cw, i), canonicalTrace(w.traces[i], map))
+                << info.name << " proc " << i;
+        }
+        EXPECT_GT(largest, 0u) << info.name;
+        EXPECT_LE(largest, CompiledOp::payloadMax / 1024) << info.name;
+    }
 }
 
 /**
@@ -111,14 +190,14 @@ TEST(CompiledTrace, RoundTripAcrossAppSuiteAtTwoScales)
                 Tick cyc_orig = 0, cyc_canon = 0;
                 std::size_t mem_orig = 0, mem_canon = 0;
                 for (const TraceOp &op : w.traces[i]) {
-                    cyc_orig += op.cycles;
-                    mem_orig += op.kind == OpKind::Read ||
-                                op.kind == OpKind::Write;
+                    cyc_orig += op.cycles();
+                    mem_orig += op.kind() == OpKind::Read ||
+                                op.kind() == OpKind::Write;
                 }
                 for (const TraceOp &op : canon) {
-                    cyc_canon += op.cycles;
-                    mem_canon += op.kind == OpKind::Read ||
-                                 op.kind == OpKind::Write;
+                    cyc_canon += op.cycles();
+                    mem_canon += op.kind() == OpKind::Read ||
+                                 op.kind() == OpKind::Write;
                 }
                 EXPECT_EQ(cyc_orig, cyc_canon) << info.name;
                 EXPECT_EQ(mem_orig, mem_canon) << info.name;
@@ -176,10 +255,10 @@ TEST(CompiledTrace, DenseNumberingKeepsHomesAcrossSuite)
                         if (op.kind() != OpKind::Read &&
                             op.kind() != OpKind::Write)
                             continue;
-                        while (src[k].kind != OpKind::Read &&
-                               src[k].kind != OpKind::Write)
+                        while (src[k].kind() != OpKind::Read &&
+                               src[k].kind() != OpKind::Write)
                             ++k;
-                        const BlockId raw = map.blockOf(src[k++].addr);
+                        const BlockId raw = map.blockOf(src[k++].addr());
                         const BlockId blk = op.payload();
                         ASSERT_EQ(map.geometricHomeOf(blk),
                                   map.geometricHomeOf(raw))

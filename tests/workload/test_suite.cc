@@ -33,7 +33,7 @@ count(const Workload &w)
     OpCounts c;
     for (const Trace &t : w.traces) {
         for (const TraceOp &op : t) {
-            switch (op.kind) {
+            switch (op.kind()) {
               case OpKind::Read:
                 ++c.reads;
                 break;
@@ -109,7 +109,7 @@ TEST(Suite, BarrierCountsMatchAcrossProcessors)
         for (const Trace &t : w.traces) {
             std::uint64_t n = 0;
             for (const TraceOp &op : t)
-                n += op.kind == OpKind::Barrier;
+                n += op.kind() == OpKind::Barrier;
             if (expected == ~0ull)
                 expected = n;
             EXPECT_EQ(n, expected) << info.name;
@@ -137,10 +137,10 @@ TEST(Suite, DeterministicForFixedSeed)
             ASSERT_EQ(a.traces[q].size(), b.traces[q].size())
                 << info.name;
             for (std::size_t i = 0; i < a.traces[q].size(); ++i) {
-                EXPECT_EQ(a.traces[q][i].kind, b.traces[q][i].kind);
-                EXPECT_EQ(a.traces[q][i].addr, b.traces[q][i].addr);
-                EXPECT_EQ(a.traces[q][i].cycles,
-                          b.traces[q][i].cycles);
+                EXPECT_EQ(a.traces[q][i].kind(), b.traces[q][i].kind());
+                EXPECT_EQ(a.traces[q][i].addr(), b.traces[q][i].addr());
+                EXPECT_EQ(a.traces[q][i].cycles(),
+                          b.traces[q][i].cycles());
             }
         }
     }
@@ -173,14 +173,14 @@ TEST(Suite, ScaleGrowsFootprint)
         const Workload wb = makeApp(info.name, big);
         for (const Trace &t : ws.traces)
             for (const TraceOp &op : t)
-                if (op.kind == OpKind::Read ||
-                    op.kind == OpKind::Write)
-                    saddr.insert(op.addr / 32);
+                if (op.kind() == OpKind::Read ||
+                    op.kind() == OpKind::Write)
+                    saddr.insert(op.addr() / 32);
         for (const Trace &t : wb.traces)
             for (const TraceOp &op : t)
-                if (op.kind == OpKind::Read ||
-                    op.kind == OpKind::Write)
-                    baddr.insert(op.addr / 32);
+                if (op.kind() == OpKind::Read ||
+                    op.kind() == OpKind::Write)
+                    baddr.insert(op.addr() / 32);
         EXPECT_GT(baddr.size(), saddr.size()) << info.name;
     }
 }
@@ -193,8 +193,8 @@ TEST(Suite, Em3dProducersOwnTheirRegions)
     const Workload w = makeApp("em3d", smallParams());
     for (unsigned q = 0; q < w.traces.size(); ++q) {
         for (const TraceOp &op : w.traces[q]) {
-            if (op.kind == OpKind::Write) {
-                EXPECT_EQ(proto.homeOf(proto.blockOf(op.addr)), q);
+            if (op.kind() == OpKind::Write) {
+                EXPECT_EQ(proto.homeOf(proto.blockOf(op.addr())), q);
             }
         }
     }
