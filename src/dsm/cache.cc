@@ -240,16 +240,24 @@ CacheCtrl::handle(const CohMsg &msg)
       case MsgType::DataShared:
       case MsgType::DataExcl:
       case MsgType::UpgradeAck: {
-        if (faultsEnabled_ && (!mshr_.valid || mshr_.blk != msg.blk)) {
+        // A fill answers the outstanding miss only if it names its
+        // block *and* its kind: DataShared answers a read miss,
+        // DataExcl/UpgradeAck a write miss.
+        const bool matches =
+            mshr_.valid && mshr_.blk == msg.blk &&
+            mshr_.write == (msg.type != MsgType::DataShared);
+        if (faultsEnabled_ && !matches) {
             // A fill for a miss this node no longer has outstanding:
             // the node was killed (squashing the miss) and restarted
             // while the reply was in flight from a pre-crash request
-            // epoch boundary, or a retry raced its own late reply.
+            // epoch boundary, or a retry raced its own late reply. A
+            // pre-crash read's DataShared must not complete the
+            // restarted node's write miss on the same block: the line
+            // would end up Shared while the home records an owner.
             stats_.staleFills.inc();
             return;
         }
-        panic_if(!mshr_.valid || mshr_.blk != msg.blk,
-                 "unexpected fill ", msg.toString());
+        panic_if(!matches, "unexpected fill ", msg.toString());
         if (mshr_.invalidated && msg.type == MsgType::DataShared) {
             // Consume the value for the blocked access but do not
             // keep the (already invalidated) copy.

@@ -52,19 +52,29 @@ Processor::step()
         return;
     }
 
-    const CompiledOp op = trace_.ops[pc_++];
+    const CompiledOp op = trace_.ops[pc_];
     ++stats_.ops;
     switch (op.kind()) {
       case OpKind::Compute:
+        ++pc_;
         eq_.scheduleAfter(op.payload(), stepEvent_);
         return;
 
       case OpKind::Read:
       case OpKind::Write: {
+        if (op.delay() != 0 && !prefixDone_) {
+            // The folded compute prefix runs as its own step, exactly
+            // as a standalone Compute op would; the access issues on
+            // the next dispatch.
+            prefixDone_ = true;
+            eq_.scheduleAfter(op.delay(), stepEvent_);
+            return;
+        }
+        ++pc_;
+        prefixDone_ = false;
         const bool write = op.kind() == OpKind::Write;
-        const BlockId blk = op.payload();
         access_.issued = now;
-        if (const Tick lat = cache_.access(blk, write, access_)) {
+        if (const Tick lat = cache_.access(op.block(), write, access_)) {
             // Node-local hit: resume after its latency. A miss
             // re-enters step() from the fill instead.
             stats_.memWait += lat;
@@ -74,6 +84,7 @@ Processor::step()
       }
 
       case OpKind::Barrier:
+        ++pc_;
         barrier_.arrive(stepEvent_);
         return;
     }
@@ -104,18 +115,23 @@ Processor::kill()
         return;
     }
     if (stepEvent_.scheduled()) {
-        // Between ops (compute expiry, hit resume, or a
+        // Between ops (compute or prefix expiry, hit resume, or a
         // released barrier's resume): remember when it would have
-        // continued; no op is lost.
+        // continued; no op is lost. A pending prefix expiry keeps
+        // prefixDone_, so the restart issues the access without a
+        // second delay.
         resumeAt_ = stepEvent_.when();
         eq_.deschedule(stepEvent_);
         return;
     }
     // Blocked on a memory access; the cache kill squashes it and its
     // completion never fires. Rewind so the restarted processor
-    // re-issues it against its cold cache.
+    // re-issues it against its cold cache. Its compute prefix has
+    // already run (as a standalone Compute op before it would have),
+    // so the restart re-issues only the access.
     --pc_;
     --stats_.ops;
+    prefixDone_ = trace_.ops[pc_].delay() != 0;
     resumeAt_ = 0;
 }
 

@@ -2,14 +2,15 @@
  * @file
  * Trace-driven blocking processor and the global barrier.
  *
- * Each processor replays its trace in order: compute delays advance
- * local time, memory operations go through one call to the cache
- * controller (a hit returns its latency and the processor resumes
- * itself; a miss blocks until the fill completes it), and barriers
- * synchronize all processors. The processor classifies each memory
- * stall as remote request waiting time (the quantity Figure 9 breaks
- * out) or computation: hits are always local, and a fill carries the
- * cache's remote-work flag.
+ * Each processor replays its trace in order: compute delays (a
+ * standalone Compute op, or the prefix folded into a Read/Write)
+ * advance local time, memory operations go through one call to the
+ * cache controller (a hit returns its latency and the processor
+ * resumes itself; a miss blocks until the fill completes it), and
+ * barriers synchronize all processors. The processor classifies each
+ * memory stall as remote request waiting time (the quantity Figure 9
+ * breaks out) or computation: hits are always local, and a fill
+ * carries the cache's remote-work flag.
  */
 
 #ifndef MSPDSM_DSM_PROCESSOR_HH
@@ -76,8 +77,8 @@ struct ProcStats
     Tick requestWait = 0; //!< stall on remote coherence transactions
     Tick memWait = 0;     //!< all memory stall (incl. local)
     Tick finishTick = 0;  //!< completion time
-    std::uint64_t ops = 0; //!< compiled ops executed (fused computes
-                           //!< count once)
+    std::uint64_t ops = 0; //!< ops executed (fused computes count
+                           //!< once, a folded prefix as its own op)
 };
 
 /**
@@ -96,7 +97,12 @@ struct ProcStats
  * compute delay or a cache hit schedules the step event at its
  * completion tick (CacheCtrl::access() returns the hit latency), a
  * miss leaves the access with the cache (whose fill re-enters
- * step()), and a barrier parks the step event at the barrier.
+ * step()), and a barrier parks the step event at the barrier. A
+ * Read/Write with a compute prefix takes two dispatches: the first
+ * counts and waits out the prefix exactly as a standalone Compute op
+ * did and sets prefixDone_, the second issues the access. The flag
+ * is the only state the fold adds, and kill() keeps it across a
+ * rewind, so a restart re-issues only the access.
  */
 class Processor
 {
@@ -115,6 +121,7 @@ class Processor
         started_ = true;
         pc_ = 0;
         done_ = false;
+        prefixDone_ = false;
         eq_.scheduleAfter(0, stepEvent_);
     }
 
@@ -200,6 +207,7 @@ class Processor
     std::size_t pc_ = 0;
     bool started_ = false;
     bool done_ = false;
+    bool prefixDone_ = false; //!< trace_[pc_]'s compute prefix ran
     FaultManager *faults_ = nullptr; //!< fault layer; null = fault-free
     ObsManager *obs_ = nullptr; //!< observability; null = untraced
     Tick resumeAt_ = 0;        //!< descheduled resume tick (kill)

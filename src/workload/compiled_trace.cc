@@ -1,6 +1,7 @@
 #include "workload/compiled_trace.hh"
 
 #include <algorithm>
+#include <new>
 
 #include "base/logging.hh"
 
@@ -45,59 +46,59 @@ class Ordinals
 };
 
 /**
- * Compile one trace, mapping each source block through
- * @p number(raw) -> compiled id.
+ * Compile one trace to @p out, advancing it past the ops written and
+ * mapping each source block through @p number(raw) -> compiled id.
+ * At most t.size() ops are written. Runs of computes are fused,
+ * zero-cycle computes vanish, and a fused delay of at most delayMax
+ * directly before an access folds into it as its prefix; any other
+ * delay is emitted as a standalone Compute.
  */
 template <typename Number>
 std::size_t
 compileTrace(const Trace &t, const AddrMap &map,
-             std::vector<CompiledOp> &out, Number &&number)
+             CompiledOp *&out, Number &&number)
 {
-    const std::size_t start = out.size();
-    out.reserve(start + t.size());
-
+    const CompiledOp *const start = out;
+    std::uint64_t pending = 0; // fused delay not yet emitted
     for (const TraceOp &op : t) {
         switch (op.kind()) {
-          case OpKind::Compute: {
-            const Tick cycles = op.cycles();
-            if (cycles == 0)
-                break; // timing no-op; drop it
+          case OpKind::Compute:
             // Validate the operand before any fusion arithmetic:
             // with both addends capped at payloadMax (2^30-1) the
             // uint64 sum below cannot wrap, so the fused check is
-            // exact.
-            panic_if(cycles > CompiledOp::payloadMax,
+            // exact. Back-to-back delays are indistinguishable from
+            // their sum to every other component (nothing observes
+            // the processor between them).
+            panic_if(op.cycles() > CompiledOp::payloadMax,
                      "compute delay overflows the packed op");
-            if (out.size() > start &&
-                out.back().kind() == OpKind::Compute) {
-                // Fuse into the previous delay: two back-to-back
-                // delays are indistinguishable from their sum to
-                // every other component (nothing observes the
-                // processor between them).
-                const std::uint64_t fused =
-                    out.back().payload() + cycles;
-                panic_if(fused > CompiledOp::payloadMax,
-                         "fused compute delay overflows the packed op");
-                out.back() = CompiledOp::make(OpKind::Compute, fused);
-                break;
-            }
-            out.push_back(CompiledOp::make(OpKind::Compute, cycles));
+            pending += op.cycles();
+            panic_if(pending > CompiledOp::payloadMax,
+                     "fused compute delay overflows the packed op");
             break;
-          }
           case OpKind::Read:
           case OpKind::Write: {
+            if (pending > CompiledOp::delayMax) [[unlikely]] {
+                *out++ = CompiledOp::make(OpKind::Compute, pending);
+                pending = 0;
+            }
             const BlockId blk = number(map.blockOf(op.addr()));
-            panic_if(blk > CompiledOp::payloadMax,
-                     "block id overflows the packed op");
-            out.push_back(CompiledOp::make(op.kind(), blk));
+            panic_if(blk > CompiledOp::blockMax, "block id ", blk,
+                     " overflows the packed op");
+            *out++ = CompiledOp::access(op.kind(), blk, pending);
+            pending = 0;
             break;
           }
           case OpKind::Barrier:
-            out.push_back(CompiledOp::make(OpKind::Barrier, 0));
+            if (pending != 0)
+                *out++ = CompiledOp::make(OpKind::Compute, pending);
+            pending = 0;
+            *out++ = CompiledOp::make(OpKind::Barrier, 0);
             break;
         }
     }
-    return out.size() - start;
+    if (pending != 0)
+        *out++ = CompiledOp::make(OpKind::Compute, pending);
+    return static_cast<std::size_t>(out - start);
 }
 
 } // namespace
@@ -114,11 +115,16 @@ CompiledWorkload::CompiledWorkload(const std::vector<Trace> &traces,
     : blockSize_(map.blockSizeBytes()), map_(map),
       homeStart_(map.numNodes() + 1, 0)
 {
-    std::size_t total = 0;
     for (const Trace &t : traces)
-        total += t.size();
-    sourceOps_ = total;
-    arena_.reserve(total);
+        sourceOps_ += t.size();
+    // Fusion and folding only ever shrink a trace, so the source op
+    // count bounds the arena: compile into one allocation of that
+    // bound, then trim it to the exact size in place below.
+    arena_.reset(static_cast<CompiledOp *>(std::malloc(
+        std::max<std::size_t>(sourceOps_, 1) * sizeof(CompiledOp))));
+    if (!arena_)
+        throw std::bad_alloc();
+    CompiledOp *out = arena_.get();
     spans_.reserve(traces.size());
 
     // Dense renumbering, in first-touch order over the traces: the
@@ -140,9 +146,22 @@ CompiledWorkload::CompiledWorkload(const std::vector<Trace> &traces,
     };
     for (const Trace &t : traces) {
         Span s;
-        s.offset = arena_.size();
-        s.count = compileTrace(t, map_, arena_, number);
+        s.offset = static_cast<std::uint64_t>(out - arena_.get());
+        s.count = compileTrace(t, map_, out, number);
         spans_.push_back(s);
+    }
+
+    // Trim the arena to its exact size. Shrinking with realloc copies
+    // nothing (glibc splits the chunk or remaps it), where a counting
+    // pass to size the arena up front or a std::vector's
+    // shrink_to_fit copy each cost measurable set-up time. On failure
+    // the untrimmed arena stays valid.
+    totalOps_ = static_cast<std::size_t>(out - arena_.get());
+    if (auto *trimmed = static_cast<CompiledOp *>(std::realloc(
+            arena_.get(),
+            std::max<std::size_t>(totalOps_, 1) * sizeof(CompiledOp)))) {
+        arena_.release();
+        arena_.reset(trimmed);
     }
 
     for (std::size_t h = 1; h < homeStart_.size(); ++h)
@@ -178,13 +197,14 @@ decodeTrace(const CompiledWorkload &w, std::size_t i)
             out.push_back(TraceOp::compute(op.payload()));
             break;
           case OpKind::Read:
-            out.push_back(
-                TraceOp::read(w.rawBlock(op.payload()) * blockSize));
+          case OpKind::Write: {
+            if (op.delay() != 0)
+                out.push_back(TraceOp::compute(op.delay()));
+            const Addr a = w.rawBlock(op.block()) * blockSize;
+            out.push_back(op.kind() == OpKind::Read ? TraceOp::read(a)
+                                                    : TraceOp::write(a));
             break;
-          case OpKind::Write:
-            out.push_back(
-                TraceOp::write(w.rawBlock(op.payload()) * blockSize));
-            break;
+          }
           case OpKind::Barrier:
             out.push_back(TraceOp::barrier());
             break;

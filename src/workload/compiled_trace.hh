@@ -9,10 +9,17 @@
  *
  *  - the BlockId is precomputed from the run's AddrMap, so the
  *    per-access address-to-block mapping disappears from the hot
- *    loop (a memory op's payload IS its block);
+ *    loop (a memory op carries its block);
  *  - consecutive Compute ops are fused into a single delay -- a pure
  *    timing transformation, since back-to-back delays touch no state
- *    the rest of the machine can observe between them.
+ *    the rest of the machine can observe between them;
+ *  - a fused delay of at most CompiledOp::delayMax cycles directly
+ *    before a Read/Write is folded into that access as its compute
+ *    *prefix* (98% of them in the Figure 9 workloads), so the access
+ *    and the delay it waits out share one word. Larger delays, and
+ *    delays before a barrier or at the end of a trace, stay
+ *    standalone Compute ops. The processor still runs a prefix as
+ *    its own step (dsm/processor.hh), so folding changes no event.
  *
  * A workload compile also *renumbers* the blocks densely per home:
  * the j-th distinct block homed at h (in first-touch order over the
@@ -28,13 +35,17 @@
  * decode(compile(t)) == canonicalTrace(t), where the canonical form
  * differs from the original only by compute fusion and block
  * alignment of addresses, both timing-invariant (every generator
- * emits block-aligned addresses already).
+ * emits block-aligned addresses already). Folding is not visible in
+ * the canonical form: the decoder expands each prefix back into its
+ * Compute op.
  */
 
 #ifndef MSPDSM_WORKLOAD_COMPILED_TRACE_HH
 #define MSPDSM_WORKLOAD_COMPILED_TRACE_HH
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -46,14 +57,17 @@ namespace mspdsm
 {
 
 /**
- * One packed trace operation: 2 bits of kind and 30 bits of payload
- * (BlockId for memory ops, fused cycle count for Compute, 0 for
- * Barrier). The processors stream billions of these and every cached
- * workload holds its whole arena, so the layout is a single 32-bit
- * word: one load, a mask, and a shift per decoded field. The largest
- * payload the suite produces (a dense block id at 61 nodes and scale
- * 8, or barnes' 200,000-cycle force phase) is far below payloadMax;
- * the compiler panics on anything above it.
+ * One packed trace operation: 2 bits of kind and 30 bits of payload.
+ * A Compute's payload is its fused cycle count and a Barrier's is 0;
+ * a Read/Write splits it into a 22-bit dense BlockId (low bits) and
+ * an 8-bit compute prefix (high bits), the delay the processor waits
+ * out before it issues the access. The processors stream billions of
+ * these and every cached workload holds its whole arena, so the
+ * layout is a single 32-bit word: one load, a mask, and a shift per
+ * decoded field. The largest dense block the suite produces (62,367
+ * at 61 nodes and scale 8) is 67x below blockMax, and barnes'
+ * 200,000-cycle force phase far below payloadMax; the compiler panics
+ * on anything above either.
  */
 struct CompiledOp
 {
@@ -65,7 +79,16 @@ struct CompiledOp
     static constexpr std::uint32_t payloadMax =
         ~std::uint32_t{0} >> payloadShift;
 
-    /** @p payload must be <= payloadMax (the compiler checks). */
+    static constexpr unsigned blockBits = 22;
+    static constexpr unsigned delayShift = payloadShift + blockBits;
+    static constexpr std::uint32_t blockMax = (1u << blockBits) - 1;
+    static constexpr std::uint32_t delayMax =
+        ~std::uint32_t{0} >> delayShift;
+
+    /**
+     * A Compute or Barrier op; @p payload must be <= payloadMax (the
+     * compiler checks).
+     */
     static CompiledOp
     make(OpKind k, std::uint64_t payload)
     {
@@ -75,10 +98,31 @@ struct CompiledOp
         return op;
     }
 
+    /**
+     * A Read/Write of @p blk after a compute prefix of @p delay
+     * cycles; @p blk <= blockMax and @p delay <= delayMax (the
+     * compiler checks).
+     */
+    static CompiledOp
+    access(OpKind k, BlockId blk, Tick delay)
+    {
+        CompiledOp op;
+        op.bits = static_cast<std::uint32_t>(
+            static_cast<std::uint32_t>(k) | blk << payloadShift |
+            delay << delayShift);
+        return op;
+    }
+
     OpKind kind() const { return static_cast<OpKind>(bits & kindMask); }
 
-    /** BlockId (Read/Write) or fused delay in cycles (Compute). */
+    /** Fused delay in cycles (Compute); 0 (Barrier). */
     std::uint32_t payload() const { return bits >> payloadShift; }
+
+    /** BlockId of a Read/Write. */
+    BlockId block() const { return bits >> payloadShift & blockMax; }
+
+    /** Compute prefix of a Read/Write, in cycles (0: none). */
+    Tick delay() const { return bits >> delayShift; }
 
     bool operator==(const CompiledOp &) const = default;
 };
@@ -135,11 +179,11 @@ class CompiledWorkload
     trace(std::size_t i) const
     {
         const Span &s = spans_[i];
-        return CompiledTrace{arena_.data() + s.offset, s.count};
+        return CompiledTrace{arena_.get() + s.offset, s.count};
     }
 
     /** Total packed ops across all processors. */
-    std::size_t totalOps() const { return arena_.size(); }
+    std::size_t totalOps() const { return totalOps_; }
 
     /** TraceOps in the source workload (compile ratio diagnostics). */
     std::size_t sourceOps() const { return sourceOps_; }
@@ -187,6 +231,12 @@ class CompiledWorkload
         std::uint64_t count = 0;
     };
 
+    /** Releases the arena, which is malloc'd so it can be trimmed. */
+    struct FreeArena
+    {
+        void operator()(CompiledOp *p) const { std::free(p); }
+    };
+
     std::string name_;
     Tick netJitter_ = 0;
     unsigned blockSize_ = 0;
@@ -196,14 +246,17 @@ class CompiledWorkload
     std::vector<BlockId> rawOf_;
     std::vector<std::size_t> homeStart_;
     std::size_t sourceOps_ = 0;
-    std::vector<CompiledOp> arena_;
+    std::unique_ptr<CompiledOp[], FreeArena> arena_;
+    std::size_t totalOps_ = 0;
     std::vector<Span> spans_;
 };
 
 /**
  * Decode processor @p i's compiled span back into TraceOps, through
  * the workload's dense -> raw table. Addresses come back
- * block-aligned (raw block * blockSize); fused computes stay fused.
+ * block-aligned (raw block * blockSize); fused computes stay fused,
+ * and an access's compute prefix comes back as the Compute op before
+ * it.
  */
 Trace decodeTrace(const CompiledWorkload &w, std::size_t i);
 

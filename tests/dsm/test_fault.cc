@@ -12,6 +12,7 @@
 #include "dsm/system.hh"
 #include "harness/experiment.hh"
 #include "harness/sweep.hh"
+#include "workload/suite.hh"
 
 using namespace mspdsm;
 
@@ -332,6 +333,32 @@ TEST(Fault, RestartInsideTheRehomeWindow)
     const RunResult again =
         runSpec("em3d", SpecMode::SwiFirstRead, ec);
     expectIdentical(r, again);
+}
+
+TEST(Fault, ShortOutageFillsMatchTheirMiss)
+{
+    // Regression: a 50-tick outage early in the run. A DataShared
+    // answering a read the victim issued before the kill used to
+    // complete the restarted node's write miss on the same block,
+    // leaving the line Shared while the home recorded the node as
+    // owner; the next Recall then panicked. A fill must match its
+    // miss's kind as well as its block. This is fig9's whole sweep
+    // under `--kill 3@1000 --restart 3@1050`.
+    ExperimentConfig ec = tiny();
+    ec.extraFaults = {{1000, 3, FaultKind::Kill},
+                      {1050, 3, FaultKind::Restart}};
+    std::uint64_t stale = 0;
+    for (const AppInfo &info : appSuite()) {
+        for (const SpecMode m : {SpecMode::None, SpecMode::FirstRead,
+                                 SpecMode::SwiFirstRead}) {
+            const RunResult r = runSpec(info.name, m, ec);
+            EXPECT_EQ(r.status, RunStatus::Completed)
+                << info.name << " mode " << static_cast<int>(m);
+            EXPECT_EQ(r.fault.failbacks, 1u) << info.name;
+            stale += r.fault.staleFills;
+        }
+    }
+    EXPECT_GT(stale, 0u);
 }
 
 TEST(Fault, LossyLinksRetransmitDeterministically)

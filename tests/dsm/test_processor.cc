@@ -1,8 +1,8 @@
-/** @file Processor unit tests: the single hit path. A Processor runs a
- * hand-built CompiledWorkload against a real CacheCtrl, Directory and
- * Network. Every memory op goes through CacheCtrl::access(); a hit
- * returns its latency and the processor resumes itself, a miss
- * completes at the fill. */
+/** @file Processor unit tests: the single hit path and the folded
+ * compute prefix. A Processor runs a hand-built CompiledWorkload
+ * against a real CacheCtrl, Directory and Network. Every memory op
+ * goes through CacheCtrl::access(); a hit returns its latency and the
+ * processor resumes itself, a miss completes at the fill. */
 
 #include <gtest/gtest.h>
 
@@ -159,4 +159,88 @@ TEST_F(ProcFixture, KillDuringHitResumeRestartsWithoutReexecuting)
     EXPECT_EQ(proc->stats().ops, 1u);
     EXPECT_EQ(cache().stats().readHits.value(), 1u);
     EXPECT_EQ(cache().stats().demandReads.value(), 0u);
+}
+
+/** A 100-cycle compute that the compiler folds into the read after it. */
+constexpr Tick prefix = 100;
+
+TEST_F(ProcFixture, KillDuringPrefixResumesTheAccessWithoutSecondDelay)
+{
+    compile(Trace{TraceOp::compute(prefix), TraceOp::read(homeZeroBlock)});
+    ASSERT_EQ(cw->trace(1).size(), 1u);
+    ASSERT_EQ(cw->trace(1)[0].delay(), prefix);
+    pushSpec(cw->blockOf(homeZeroBlock));
+    const Tick start = eq.curTick();
+
+    proc->start(cw->trace(1));
+    ASSERT_FALSE(eq.run(start + prefix / 2));
+    // The prefix ran as its own op; the access has not issued.
+    ASSERT_EQ(proc->stats().ops, 1u);
+    ASSERT_EQ(cache().stats().readHits.value(), 0u);
+
+    proc->kill();
+    cache().kill();
+    EXPECT_EQ(eq.pending(), 0u);
+
+    proc->restart();
+    ASSERT_TRUE(eq.run());
+    ASSERT_TRUE(proc->done());
+    // The access issued at the remembered tick (the line is gone with
+    // the cache, so it misses) and the delay was not waited out twice.
+    EXPECT_EQ(proc->stats().ops, 2u);
+    EXPECT_EQ(cache().stats().demandReads.value(), 1u);
+    EXPECT_EQ(proc->stats().finishTick,
+              start + prefix + proc->stats().memWait);
+}
+
+TEST_F(ProcFixture, KillWhileBlockedReissuesOnlyTheAccess)
+{
+    caches[1]->enableFaults(); // drops the dead incarnation's fill
+    compile(Trace{TraceOp::compute(prefix), TraceOp::read(homeZeroBlock)});
+    const Tick start = eq.curTick();
+
+    proc->start(cw->trace(1));
+    ASSERT_FALSE(eq.run(start + prefix + 1));
+    ASSERT_TRUE(cache().missOutstanding());
+    ASSERT_EQ(proc->stats().ops, 2u);
+
+    proc->kill();
+    cache().kill();
+    // Let the first request's reply land on the killed cache.
+    ASSERT_TRUE(eq.run());
+    EXPECT_EQ(cache().stats().staleFills.value(), 1u);
+
+    const Tick restart = eq.curTick();
+    proc->restart();
+    ASSERT_FALSE(eq.run(restart));
+    // Re-issued at the restart tick itself, with no second prefix.
+    EXPECT_TRUE(cache().missOutstanding());
+    EXPECT_EQ(cache().stats().demandReads.value(), 2u);
+    ASSERT_TRUE(eq.run());
+    ASSERT_TRUE(proc->done());
+    // The prefix counts once and the access once: the squashed issue
+    // was rewound.
+    EXPECT_EQ(proc->stats().ops, 2u);
+    EXPECT_EQ(cache().lineState(cw->blockOf(homeZeroBlock)),
+              LineState::Shared);
+}
+
+TEST_F(ProcFixture, PrefixedAccessRightAfterBarrierRelease)
+{
+    compile(Trace{TraceOp::barrier(), TraceOp::compute(prefix),
+                  TraceOp::read(homeZeroBlock)});
+    ASSERT_EQ(cw->trace(1).size(), 2u);
+    pushSpec(cw->blockOf(homeZeroBlock));
+    const Tick start = eq.curTick();
+
+    proc->start(cw->trace(1));
+    ASSERT_TRUE(eq.run());
+    ASSERT_TRUE(proc->done());
+    // The release resumes the processor at once (one party, no
+    // cost); the prefix then runs in full before the access.
+    EXPECT_EQ(barrier.episodes(), 1u);
+    EXPECT_EQ(proc->stats().ops, 3u);
+    EXPECT_EQ(proc->stats().finishTick, start + prefix + cfg.memAccess);
+    EXPECT_EQ(proc->stats().memWait, cfg.memAccess);
+    EXPECT_EQ(cache().stats().specServedSwi.value(), 1u);
 }

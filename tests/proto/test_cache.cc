@@ -297,6 +297,41 @@ TEST_F(CacheFixture, UpgradeConvertedToDataExclFill)
     EXPECT_EQ(cache->lineState(0), LineState::Modified);
 }
 
+TEST_F(CacheFixture, FillOfTheWrongKindIsStaleInFaultRuns)
+{
+    // After a kill and restart, a DataShared answering the dead
+    // incarnation's read can arrive while the restarted node's write
+    // miss on the same block is outstanding. It must not complete
+    // that miss; only an exclusive grant can.
+    cache->enableFaults();
+    EXPECT_EQ(cache->access(0, true, done()), 0u); // write miss
+    deliver(MsgType::DataShared, 0);
+    ASSERT_FALSE(eq.run(eq.curTick() + 1000)); // retry timer pending
+    EXPECT_EQ(cache->stats().staleFills.value(), 1u);
+    EXPECT_EQ(completions, 0);
+    EXPECT_TRUE(cache->missOutstanding());
+    EXPECT_EQ(cache->lineState(0), LineState::Invalid);
+
+    deliver(MsgType::DataExcl, 0);
+    settle(); // the fill disarms the retry timer
+    EXPECT_EQ(completions, 1);
+    EXPECT_FALSE(cache->missOutstanding());
+    EXPECT_EQ(cache->lineState(0), LineState::Modified);
+    EXPECT_EQ(cache->stats().staleFills.value(), 1u);
+    EXPECT_EQ(cache->stats().retries.value(), 0u);
+}
+
+using CacheFixtureDeathTest = CacheFixture;
+
+TEST_F(CacheFixtureDeathTest, FillOfTheWrongKindPanicsWithoutFaults)
+{
+    // Without a fault plan no reply can outlive its miss, so a
+    // mismatch is a protocol bug.
+    cache->access(0, true, done());
+    deliver(MsgType::DataShared, 0);
+    EXPECT_DEATH(settle(), "unexpected fill");
+}
+
 TEST_F(CacheFixture, WriteHitOnModifiedIsSilent)
 {
     cache->access(0, true, done());

@@ -1,5 +1,6 @@
 /** @file Trace compilation: packed-op round trips across the whole
- * app suite, compute fusion, and the packed layout itself. */
+ * app suite, compute fusion and prefix folding, and the packed layout
+ * itself. */
 
 #include <gtest/gtest.h>
 
@@ -73,19 +74,39 @@ TEST(CompiledOp, PackedLayoutRoundTripsFields)
     EXPECT_EQ(c.kind(), OpKind::Compute);
     EXPECT_EQ(c.payload(), 52000u);
 
-    const CompiledOp r = CompiledOp::make(OpKind::Read, 0x1234567);
+    const CompiledOp r = CompiledOp::access(OpKind::Read, 0x234567, 0);
     EXPECT_EQ(r.kind(), OpKind::Read);
-    EXPECT_EQ(r.payload(), 0x1234567u);
+    EXPECT_EQ(r.block(), 0x234567u);
+    EXPECT_EQ(r.delay(), 0u);
+
+    const CompiledOp p = CompiledOp::access(OpKind::Read, 7, 200);
+    EXPECT_EQ(p.kind(), OpKind::Read);
+    EXPECT_EQ(p.block(), 7u);
+    EXPECT_EQ(p.delay(), 200u);
 
     const CompiledOp b = CompiledOp::make(OpKind::Barrier, 0);
     EXPECT_EQ(b.kind(), OpKind::Barrier);
 
-    // The payload field holds the largest block id / fused delay the
-    // compiler accepts.
-    const CompiledOp m =
-        CompiledOp::make(OpKind::Write, CompiledOp::payloadMax);
-    EXPECT_EQ(m.payload(), CompiledOp::payloadMax);
+    // The payload field holds the largest fused delay the compiler
+    // accepts, and an access's two fields their largest values
+    // without bleeding into each other or the kind.
+    ASSERT_EQ(CompiledOp::blockMax, (1u << 22) - 1);
+    ASSERT_EQ(CompiledOp::delayMax, 255u);
+    const CompiledOp c2 =
+        CompiledOp::make(OpKind::Compute, CompiledOp::payloadMax);
+    EXPECT_EQ(c2.payload(), CompiledOp::payloadMax);
+    EXPECT_EQ(c2.kind(), OpKind::Compute);
+    const CompiledOp m = CompiledOp::access(
+        OpKind::Write, CompiledOp::blockMax, CompiledOp::delayMax);
+    EXPECT_EQ(m.block(), CompiledOp::blockMax);
+    EXPECT_EQ(m.delay(), CompiledOp::delayMax);
     EXPECT_EQ(m.kind(), OpKind::Write);
+    const CompiledOp m0 =
+        CompiledOp::access(OpKind::Write, CompiledOp::blockMax, 0);
+    EXPECT_EQ(m0.delay(), 0u);
+    const CompiledOp d0 =
+        CompiledOp::access(OpKind::Read, 0, CompiledOp::delayMax);
+    EXPECT_EQ(d0.block(), 0u);
 }
 
 TEST(CompiledTrace, ComputeFusionMergesRuns)
@@ -97,13 +118,86 @@ TEST(CompiledTrace, ComputeFusionMergesRuns)
             TraceOp::compute(500), TraceOp::barrier()};
     const CompiledWorkload cw(std::vector<Trace>{t}, map);
     const CompiledTrace out = cw.trace(0);
-    ASSERT_EQ(out.size(), 4u);
-    EXPECT_EQ(out[0].kind(), OpKind::Compute);
-    EXPECT_EQ(out[0].payload(), 158u);
-    EXPECT_EQ(out[1].kind(), OpKind::Read);
-    EXPECT_EQ(out[2].kind(), OpKind::Compute);
-    EXPECT_EQ(out[2].payload(), 506u);
-    EXPECT_EQ(out[3].kind(), OpKind::Barrier);
+    // 8 + 150 fuse, then fold into the read as its prefix; 6 + 500
+    // fuse but stay standalone before the barrier.
+    ASSERT_EQ(out.size(), 3u);
+    EXPECT_EQ(out[0].kind(), OpKind::Read);
+    EXPECT_EQ(out[0].delay(), 158u);
+    EXPECT_EQ(out[1].kind(), OpKind::Compute);
+    EXPECT_EQ(out[1].payload(), 506u);
+    EXPECT_EQ(out[2].kind(), OpKind::Barrier);
+}
+
+TEST(CompiledTrace, PrefixFoldStopsAtDelayMax)
+{
+    const AddrMap map((ProtoConfig{}));
+    const auto compile = [&](Trace t) {
+        const CompiledWorkload cw(std::vector<Trace>{t}, map);
+        const CompiledTrace out = cw.trace(0);
+        EXPECT_EQ(decodeTrace(cw, 0), canonicalTrace(t, map));
+        return std::vector<CompiledOp>(out.begin(), out.end());
+    };
+
+    // delayMax folds, also when fused from a run.
+    for (const Trace &t :
+         {Trace{TraceOp::compute(255), TraceOp::write(64)},
+          Trace{TraceOp::compute(200), TraceOp::compute(55),
+                TraceOp::write(64)}}) {
+        const std::vector<CompiledOp> ops = compile(t);
+        ASSERT_EQ(ops.size(), 1u);
+        EXPECT_EQ(ops[0].kind(), OpKind::Write);
+        EXPECT_EQ(ops[0].delay(), 255u);
+    }
+
+    // One more stays a standalone Compute before an unprefixed access.
+    const std::vector<CompiledOp> big =
+        compile({TraceOp::compute(200), TraceOp::compute(56),
+                 TraceOp::read(64)});
+    ASSERT_EQ(big.size(), 2u);
+    EXPECT_EQ(big[0].kind(), OpKind::Compute);
+    EXPECT_EQ(big[0].payload(), 256u);
+    EXPECT_EQ(big[1].kind(), OpKind::Read);
+    EXPECT_EQ(big[1].delay(), 0u);
+
+    // Small delays before a barrier or at the end stay standalone;
+    // an access with no compute before it carries no prefix.
+    const std::vector<CompiledOp> rest =
+        compile({TraceOp::read(0), TraceOp::compute(3),
+                 TraceOp::barrier(), TraceOp::compute(4)});
+    ASSERT_EQ(rest.size(), 4u);
+    EXPECT_EQ(rest[0].delay(), 0u);
+    EXPECT_EQ(rest[1], CompiledOp::make(OpKind::Compute, 3));
+    EXPECT_EQ(rest[2].kind(), OpKind::Barrier);
+    EXPECT_EQ(rest[3], CompiledOp::make(OpKind::Compute, 4));
+}
+
+/**
+ * The block field's edge: with 1024 nodes of 4096 blocks a page, home
+ * 1023's 4096th block is dense id 2^22 - 1 and home 0's 4097th is
+ * 2^22, the first id the packed access cannot hold.
+ */
+TEST(CompiledTrace, BlockIdsUpToBlockMaxCompile)
+{
+    ProtoConfig cfg;
+    cfg.numNodes = 1024;
+    cfg.pageSize = 4096 * cfg.blockSize;
+    const AddrMap map(cfg);
+    const Addr page = cfg.pageSize;
+
+    Trace last;
+    for (Addr b = 0; b < 4096; ++b)
+        last.push_back(TraceOp::read(1023 * page + b * cfg.blockSize));
+    const CompiledWorkload ok(std::vector<Trace>{last}, map);
+    EXPECT_EQ(ok.trace(0)[4095].block(), CompiledOp::blockMax);
+    EXPECT_EQ(decodeTrace(ok, 0), last);
+
+    Trace over;
+    for (Addr b = 0; b < 4096; ++b)
+        over.push_back(TraceOp::read(b * cfg.blockSize));
+    over.push_back(TraceOp::read(1024 * page));
+    ASSERT_EQ(map.blockAt(0, 4096), BlockId{CompiledOp::blockMax} + 1);
+    EXPECT_DEATH(CompiledWorkload(std::vector<Trace>{over}, map),
+                 "block id 4194304 overflows the packed op");
 }
 
 TEST(CompiledTrace, OversizedComputeDelaysPanicEvenWhenFused)
@@ -134,8 +228,10 @@ TEST(CompiledTrace, OversizedComputeDelaysPanicEvenWhenFused)
 
 /**
  * The packed op's headroom: every app at the node cap and the largest
- * scale CI runs compiles without truncating a payload (the round trip
- * holds), and the largest payload stays far below payloadMax.
+ * scale CI runs compiles without truncating a field (the round trip
+ * holds), the largest block stays 64x below blockMax and the largest
+ * compute far below payloadMax, and the fold is complete: no Compute
+ * the fold could hold is left standing before an access.
  */
 TEST(CompiledTrace, LargestSuiteConfigFitsThePackedOp)
 {
@@ -146,15 +242,33 @@ TEST(CompiledTrace, LargestSuiteConfigFitsThePackedOp)
     for (const AppInfo &info : appSuite()) {
         const Workload w = info.make(p);
         const CompiledWorkload cw(w, map);
-        std::uint32_t largest = 0;
+        BlockId largestBlock = 0;
+        std::uint32_t largestCompute = 0;
         for (std::size_t i = 0; i < cw.numTraces(); ++i) {
-            for (const CompiledOp &op : cw.trace(i))
-                largest = std::max(largest, op.payload());
+            const CompiledTrace t = cw.trace(i);
+            for (std::size_t k = 0; k < t.size(); ++k) {
+                if (t[k].kind() == OpKind::Compute) {
+                    largestCompute =
+                        std::max(largestCompute, t[k].payload());
+                    const bool beforeAccess =
+                        k + 1 < t.size() &&
+                        (t[k + 1].kind() == OpKind::Read ||
+                         t[k + 1].kind() == OpKind::Write);
+                    ASSERT_FALSE(beforeAccess &&
+                                 t[k].payload() <= CompiledOp::delayMax)
+                        << info.name << " proc " << i << " op " << k;
+                } else if (t[k].kind() != OpKind::Barrier) {
+                    largestBlock = std::max(largestBlock, t[k].block());
+                }
+            }
             ASSERT_EQ(decodeTrace(cw, i), canonicalTrace(w.traces[i], map))
                 << info.name << " proc " << i;
         }
-        EXPECT_GT(largest, 0u) << info.name;
-        EXPECT_LE(largest, CompiledOp::payloadMax / 1024) << info.name;
+        EXPECT_GT(largestBlock, 0u) << info.name;
+        EXPECT_LE(largestBlock, CompiledOp::blockMax / 64) << info.name;
+        EXPECT_GT(largestCompute, 0u) << info.name;
+        EXPECT_LE(largestCompute, CompiledOp::payloadMax / 1024)
+            << info.name;
     }
 }
 
@@ -211,7 +325,7 @@ TEST(CompiledTrace, ArenaIsPackedAndSpansPartitionIt)
     const AppParams p = params(0.25);
     const Workload w = makeEm3d(p);
     const CompiledWorkload cw(w, AddrMap(p.proto));
-    // Compute fusion only ever shrinks the stream.
+    // Compute fusion and prefix folding only ever shrink the stream.
     EXPECT_LE(cw.totalOps(), cw.sourceOps());
     EXPECT_GT(cw.totalOps(), 0u);
     std::size_t sum = 0;
@@ -259,7 +373,7 @@ TEST(CompiledTrace, DenseNumberingKeepsHomesAcrossSuite)
                                src[k].kind() != OpKind::Write)
                             ++k;
                         const BlockId raw = map.blockOf(src[k++].addr());
-                        const BlockId blk = op.payload();
+                        const BlockId blk = op.block();
                         ASSERT_EQ(map.geometricHomeOf(blk),
                                   map.geometricHomeOf(raw))
                             << info.name << " procs " << procs;
