@@ -18,6 +18,7 @@
 #ifndef MSPDSM_BENCH_BENCH_COMMON_HH
 #define MSPDSM_BENCH_BENCH_COMMON_HH
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
@@ -55,6 +56,13 @@ struct BenchArgs
     unsigned jobs = 1;    //!< --jobs N (0 = hardware concurrency)
     std::string jsonPath; //!< --json FILE / -o FILE ("" = no JSON)
     bool smoke = false;   //!< --smoke: shorten micro benches for CI
+
+    // The --fail-node/--fail-tick/--recover-tick outage, kept apart
+    // from ec.faults until it is folded in ahead of the --kill/
+    // --restart events (parseArgs, or fig11 with its own defaults).
+    NodeId failNode = invalidNode;
+    Tick failTick = 0;
+    Tick recoverTick = 0; //!< 0 = never restarted
 };
 
 /** Print the shared usage text for @p tool. */
@@ -88,10 +96,10 @@ printUsage(std::ostream &os, const char *tool, const char *what)
        << "               barrier and the run reports partial results)\n"
        << "  --backup-node N  adopter of the victim's directory\n"
        << "               shard (default (victim+1) mod procs)\n"
-       << "  --warm-restart  merge the victim's replicated predictor\n"
-       << "               checkpoint into the backup on the kill\n"
-       << "  --ckpt-interval T  predictor checkpoint period, ticks\n"
-       << "               (0 = no checkpointing)\n"
+       << "  --ckpt-interval T  warm restart: checkpoint each victim's\n"
+       << "               predictor every T ticks and merge the last\n"
+       << "               checkpoint into the backup on the kill and\n"
+       << "               into the victim at restart (0 = cold)\n"
        << "  --kill N@T   fail-stop node N at tick T (repeatable;\n"
        << "               combines with --fail-node for concurrent\n"
        << "               and cascading failures)\n"
@@ -99,9 +107,10 @@ printUsage(std::ostream &os, const char *tool, const char *what)
        << "               the victim re-adopts its original shard\n"
        << "               (fail-back)\n"
        << "  --replicate-shards  stream directory-shard deltas to the\n"
-       << "               backup (batched ShardSync messages) so\n"
-       << "               failover installs replicated state instead\n"
-       << "               of sweeping the survivors' caches\n"
+       << "               backup (batched ShardSync messages) during\n"
+       << "               normal operation, so failover's rebuild\n"
+       << "               from the survivors' caches sends no\n"
+       << "               RehomeSync messages\n"
        << "  --retry-limit N  cache retry FSM bound before the fatal\n"
        << "               (default 16)\n"
        << "  --stale-timeout T  silence, in ticks, before a cache\n"
@@ -135,11 +144,11 @@ printUsage(std::ostream &os, const char *tool, const char *what)
 }
 
 /**
- * Exit 2 with one stderr line if a fault flag in @p ec names a node a
+ * Exit 2 with one stderr line if a fault flag in @p a names a node a
  * @p procs-node machine lacks; @p bound ends the line ("--procs is").
  */
 inline void
-requireFaultNodesBelow(const ExperimentConfig &ec, unsigned procs,
+requireFaultNodesBelow(const BenchArgs &a, unsigned procs,
                        const char *tool, const char *bound)
 {
     auto check = [&](const char *flag, NodeId n) {
@@ -149,19 +158,64 @@ requireFaultNodesBelow(const ExperimentConfig &ec, unsigned procs,
             std::exit(2);
         }
     };
-    check("--fail-node", ec.failNode);
-    check("--backup-node", ec.backupNode);
-    for (const FaultEvent &fe : ec.extraFaults)
+    check("--fail-node", a.failNode);
+    check("--backup-node", a.ec.faults.backup);
+    for (const FaultEvent &fe : a.ec.faults.events)
         check(fe.kind == FaultKind::Kill ? "--kill" : "--restart",
               fe.node);
 }
 
 /**
+ * Put the outage (kill @p node at @p killTick, restart it at
+ * @p restartTick unless that is 0) ahead of the --kill/--restart
+ * events in @p a.ec.faults, then exit 2 with one stderr line unless
+ * the plan is well formed: walked in tick order, then plan order (the
+ * order its same-tick events fire), every kill must hit a live node
+ * and every restart a dead one.
+ */
+inline void
+foldOutage(BenchArgs &a, NodeId node, Tick killTick, Tick restartTick,
+           const char *tool)
+{
+    std::vector<FaultEvent> &ev = a.ec.faults.events;
+    if (node != invalidNode) {
+        if (restartTick > 0)
+            ev.insert(ev.begin(),
+                      FaultEvent{restartTick, node, FaultKind::Restart});
+        ev.insert(ev.begin(), FaultEvent{killTick, node, FaultKind::Kill});
+    }
+    std::vector<FaultEvent> byTick = ev;
+    std::stable_sort(byTick.begin(), byTick.end(),
+                     [](const FaultEvent &x, const FaultEvent &y) {
+                         return x.tick < y.tick;
+                     });
+    NodeSet down;
+    for (const FaultEvent &fe : byTick) {
+        const bool kill = fe.kind == FaultKind::Kill;
+        if (kill == down.contains(fe.node)) {
+            std::cerr << tool << ": the fault plan "
+                      << (kill ? "kills" : "restarts") << " node "
+                      << fe.node << " at tick " << fe.tick
+                      << " while it is " << (kill ? "down" : "up")
+                      << "\n";
+            std::exit(2);
+        }
+        if (kill)
+            down.add(fe.node);
+        else
+            down.remove(fe.node);
+    }
+}
+
+/**
  * Parse the uniform bench command line; exits on --help (0) and on a
- * malformed or unknown argument (2).
+ * malformed or unknown argument or fault plan (2). The --fail-*
+ * outage is folded into ec.faults, unless @p ownOutage: then the
+ * caller composes its default outage and calls foldOutage() itself.
  */
 inline BenchArgs
-parseArgs(int argc, char **argv, const char *tool, const char *what)
+parseArgs(int argc, char **argv, const char *tool, const char *what,
+          bool ownOutage = false)
 {
     BenchArgs a;
     int positional = 0;
@@ -271,27 +325,25 @@ parseArgs(int argc, char **argv, const char *tool, const char *what)
         } else if (!std::strcmp(arg, "--tick-limit")) {
             a.ec.tickLimit = tickOf(arg, value(i));
         } else if (!std::strcmp(arg, "--fail-node")) {
-            a.ec.failNode = nodeOf(arg, value(i));
+            a.failNode = nodeOf(arg, value(i));
         } else if (!std::strcmp(arg, "--fail-tick")) {
-            a.ec.failTick = tickOf(arg, value(i));
+            a.failTick = tickOf(arg, value(i));
         } else if (!std::strcmp(arg, "--recover-tick")) {
-            a.ec.recoverTick = tickOf(arg, value(i));
+            a.recoverTick = tickOf(arg, value(i));
         } else if (!std::strcmp(arg, "--backup-node")) {
-            a.ec.backupNode = nodeOf(arg, value(i));
-        } else if (!std::strcmp(arg, "--warm-restart")) {
-            a.ec.warmRestart = true;
+            a.ec.faults.backup = nodeOf(arg, value(i));
         } else if (!std::strcmp(arg, "--ckpt-interval")) {
-            a.ec.ckptInterval = tickOf(arg, value(i));
+            a.ec.faults.ckptInterval = tickOf(arg, value(i));
         } else if (!std::strcmp(arg, "--kill")) {
             FaultEvent fe{0, invalidNode, FaultKind::Kill};
             nodeAtTick("--kill", value(i), fe.node, fe.tick);
-            a.ec.extraFaults.push_back(fe);
+            a.ec.faults.events.push_back(fe);
         } else if (!std::strcmp(arg, "--restart")) {
             FaultEvent fe{0, invalidNode, FaultKind::Restart};
             nodeAtTick("--restart", value(i), fe.node, fe.tick);
-            a.ec.extraFaults.push_back(fe);
+            a.ec.faults.events.push_back(fe);
         } else if (!std::strcmp(arg, "--replicate-shards")) {
-            a.ec.replicateShards = true;
+            a.ec.faults.replicateShards = true;
         } else if (!std::strcmp(arg, "--retry-limit")) {
             a.ec.retryLimit = uintOf(arg, value(i), ~0u);
         } else if (!std::strcmp(arg, "--stale-timeout")) {
@@ -323,7 +375,7 @@ parseArgs(int argc, char **argv, const char *tool, const char *what)
             r.everyNth = static_cast<unsigned>(f[3]);
             if (r.to == 0) // 0 = open-ended window
                 r.to = maxTick;
-            a.ec.linkLoss.push_back(r);
+            a.ec.faults.linkLoss.push_back(r);
         } else if (!std::strcmp(arg, "--trace")) {
             const char *s = value(i);
             const char *comma = std::strchr(s, ',');
@@ -380,24 +432,33 @@ parseArgs(int argc, char **argv, const char *tool, const char *what)
     }
     // Fault plans name nodes: each must exist, and a one-node machine
     // has no survivor to re-home onto.
-    requireFaultNodesBelow(a.ec, a.ec.numProcs, tool, "--procs is");
+    requireFaultNodesBelow(a, a.ec.numProcs, tool, "--procs is");
     if (a.ec.retryLimit == 0 || a.ec.staleTimeout == 0) {
         std::cerr << tool << ": --retry-limit and --stale-timeout must "
                   << "be at least 1\n";
         std::exit(2);
     }
     if (a.ec.numProcs == 1 &&
-        (a.ec.failNode != invalidNode || !a.ec.extraFaults.empty() ||
-         !a.ec.linkLoss.empty())) {
+        (a.failNode != invalidNode || !a.ec.faults.empty())) {
         std::cerr << tool << ": a fault plan needs --procs 2 or more\n";
         std::exit(2);
     }
     // Link loss drops crossings of shared links; the crossbar (also
     // the default that widens fig10/fig11's topology axis) has none.
-    if (!a.ec.linkLoss.empty() && a.ec.topo.kind == TopoKind::Crossbar) {
+    if (!a.ec.faults.linkLoss.empty() &&
+        a.ec.topo.kind == TopoKind::Crossbar) {
         std::cerr << tool << ": --lossy-link needs --topology ring, "
                   << "mesh2d or torus2d (the crossbar has no links)\n";
         std::exit(2);
+    }
+    if (!ownOutage) {
+        if (a.failNode == invalidNode &&
+            (a.failTick > 0 || a.recoverTick > 0)) {
+            std::cerr << tool << ": --fail-tick and --recover-tick "
+                      << "need --fail-node\n";
+            std::exit(2);
+        }
+        foldOutage(a, a.failNode, a.failTick, a.recoverTick, tool);
     }
     if (!a.ec.tracePath.empty() && a.jobs != 1) {
         // Every traced run in a sweep writes to the same file; the

@@ -49,7 +49,7 @@ main(int argc, char **argv)
                                : std::vector<unsigned>{8, 16, 32};
     // The parse checked fault nodes against --procs; every machine
     // swept must have them.
-    bench::requireFaultNodesBelow(args.ec, procCounts.front(),
+    bench::requireFaultNodesBelow(args, procCounts.front(),
                                   "fig10_network",
                                   "the smallest swept --procs is");
     // --link-latency narrows the latency axis likewise.

@@ -14,12 +14,13 @@
  *    machine-wide instruction throughput of each phase. The fault
  *    plan is identical across the Base and SWI runs of a cell, so
  *    phase boundaries line up exactly;
- *  - the recovery traffic itself, split by where it is paid: the
- *    survivor-sweep columns pay re-homing syncs at failover, the
- *    --replicate-shards columns pay batched ShardSync messages
- *    incrementally during normal operation and install the mirror
- *    for free at failover -- plus checkpoint replication messages
- *    and the link queueing all of it adds.
+ *  - the recovery traffic itself, split by where it is paid. Both
+ *    rebuild the lost shard from the survivors' caches; the sweep
+ *    columns pay one RehomeSync per contributing survivor at
+ *    failover, the --replicate-shards columns pay batched ShardSync
+ *    messages incrementally during normal operation and nothing at
+ *    failover -- plus checkpoint replication messages and the link
+ *    queueing all of it adds.
  *
  * Expected shape: speculation keeps its win before and after the
  * outage, and warm restart closes most of the post-restart gap that
@@ -69,7 +70,8 @@ main(int argc, char **argv)
     bench::BenchArgs args = bench::parseArgs(
         argc, argv, "fig11_recovery",
         "Figure 11 (beyond the paper): fault injection and recovery "
-        "under speculative coherence");
+        "under speculative coherence",
+        /*ownOutage=*/true);
 
     if (args.smoke) {
         // CI configuration: small but still long enough that the
@@ -80,23 +82,26 @@ main(int argc, char **argv)
 
     // The fault plan: one mid-run fail-stop with a later restart,
     // identical across every cell so phases are comparable. The
-    // --fail-* flags override each default. The default victim is
-    // node 3, or the last node on a smaller machine; a one-node
-    // machine has no survivor to recover onto.
+    // --fail-* flags override each default, and --kill/--restart add
+    // further outages after it. The default victim is node 3, or the
+    // last node on a smaller machine; a one-node machine has no
+    // survivor to recover onto.
     if (args.ec.numProcs < 2) {
         std::fprintf(stderr, "fig11_recovery: needs --procs 2 or more "
                              "(one node fails, another adopts it)\n");
         return 2;
     }
     const NodeId victim =
-        args.ec.failNode != invalidNode
-            ? args.ec.failNode
+        args.failNode != invalidNode
+            ? args.failNode
             : static_cast<NodeId>(std::min(3u, args.ec.numProcs - 1));
-    const Tick failTick = args.ec.failTick ? args.ec.failTick : 40000;
-    const Tick recoverTick =
-        args.ec.recoverTick ? args.ec.recoverTick : 70000;
-    const Tick ckptInterval =
-        args.ec.ckptInterval ? args.ec.ckptInterval : failTick / 4;
+    const Tick failTick = args.failTick ? args.failTick : 40000;
+    const Tick recoverTick = args.recoverTick ? args.recoverTick : 70000;
+    const Tick ckptInterval = args.ec.faults.ckptInterval
+                                  ? args.ec.faults.ckptInterval
+                                  : failTick / 4;
+    bench::foldOutage(args, victim, failTick, recoverTick,
+                      "fig11_recovery");
     // Interval time-series on by default here: fig11 is the bench
     // whose per-run records must visibly bracket the outage (the
     // throughput dip between kill and restart). --sample-interval
@@ -124,20 +129,15 @@ main(int argc, char **argv)
     std::vector<Cell> cells;
     for (TopoKind kind : topos) {
         for (const bool warm : {false, true}) {
-            // Directory-shard recovery axis: reconstruct the dead
-            // home's shard by sweeping the survivors' caches (the
-            // PR 6 baseline) vs installing incrementally replicated
-            // state (--replicate-shards). The former pays its traffic
-            // at failover, the latter during normal operation.
+            // Directory-shard recovery axis: where the cost of
+            // rebuilding the dead home's shard from the survivors'
+            // caches is paid -- at failover (RehomeSync) or during
+            // normal operation (--replicate-shards, ShardSync).
             for (const bool repl : {false, true}) {
                 ExperimentConfig ec = args.ec;
                 ec.topo.kind = kind;
-                ec.failNode = victim;
-                ec.failTick = failTick;
-                ec.recoverTick = recoverTick;
-                ec.warmRestart = warm;
-                ec.ckptInterval = warm ? ckptInterval : 0;
-                ec.replicateShards = repl;
+                ec.faults.ckptInterval = warm ? ckptInterval : 0;
+                ec.faults.replicateShards = repl;
                 const std::string tag =
                     std::string(topoKindName(kind)) +
                     (warm ? " warm" : " cold") +

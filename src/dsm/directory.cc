@@ -157,7 +157,7 @@ Directory::wbGetSFired(BlockId blk)
     Entry &e = entry(blk);
     e.state = DirState::Shared;
     e.sharers.add(e.curReq);
-    replicate(e, blk);
+    replicate(blk);
     CohMsg reply;
     reply.type = MsgType::DataShared;
     reply.src = id_;
@@ -254,7 +254,7 @@ Directory::onGetS(Entry &e, const CohMsg &msg)
         // data reply is outstanding.
         e.state = DirState::Shared;
         e.sharers.add(src);
-        replicate(e, blk);
+        replicate(blk);
         ++e.repliesInFlight;
         const Tick fire = now + cfg_.dirLookup + cfg_.memAccess;
         CohMsg m;
@@ -420,7 +420,7 @@ Directory::grantExcl(Entry &e, BlockId blk)
         e.state = DirState::Idle;
         e.owner = invalidNode;
         e.sharers.clear();
-        replicate(e, blk);
+        replicate(blk);
         drain(blk);
         return;
     }
@@ -432,7 +432,7 @@ Directory::grantExcl(Entry &e, BlockId blk)
     e.state = DirState::Excl;
     e.owner = w;
     e.sharers.clear();
-    replicate(e, blk);
+    replicate(blk);
 
     CohMsg reply;
     reply.type = upgrade ? MsgType::UpgradeAck : MsgType::DataExcl;
@@ -559,7 +559,7 @@ Directory::completeSwi(Entry &e, BlockId blk)
     specStats_.swiLat.sample(eq_.curTick() - c.swiLaunch);
     if (obs_) [[unlikely]]
         obs_->swiSpan(id_, blk, c.swiLaunch);
-    replicate(e, blk); // pushSpec refines this if readers exist
+    replicate(blk); // pushSpec adds another delta if readers exist
 
     // Trigger the predicted read sequence (Section 4.1): forward the
     // block to every predicted consumer.
@@ -612,7 +612,7 @@ Directory::pushSpec(Entry &e, BlockId blk, NodeSet targets,
     c.misspecPenalized = false;
     c.specSent = c.specSent | targets;
     e.sharers = e.sharers | targets;
-    replicate(e, blk);
+    replicate(blk);
 
     for (NodeId t : targets) {
         if (trig == SpecTrigger::FirstRead)
@@ -743,12 +743,11 @@ Directory::verifyCopy(Entry &e, BlockId blk, const CohMsg &msg)
 // --- Fault layer -----------------------------------------------------
 
 void
-Directory::replicate(Entry &e, BlockId blk)
+Directory::replicate(BlockId blk)
 {
     if (!faults_ || !faults_->replicating())
         return;
-    faults_->noteShardDelta(blk, e.state == DirState::Excl, e.owner,
-                            e.sharers);
+    faults_->noteShardDelta(blk);
 }
 
 void

@@ -306,11 +306,11 @@ class Directory
 
     /**
      * Shard replication hook, called whenever a transaction leaves
-     * @p blk's entry in a new stable state: mirror the entry at the
-     * fault layer (which batches the ShardSync traffic). Free when
+     * @p blk's entry in a new stable state: count the delta at the
+     * fault layer, which batches it into ShardSync traffic. Free when
      * FaultPlan::replicateShards is off -- one predictable branch.
      */
-    void replicate(Entry &e, BlockId blk);
+    void replicate(BlockId blk);
 
     /** Queue a deferred action of @p kind at absolute tick @p when.
      * Mixed service latencies stray only a few ticks, so the push is

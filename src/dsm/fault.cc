@@ -24,7 +24,7 @@ FaultManager::FaultManager(EventQueue &eq, Network &net,
       caches_(std::move(caches)), dirs_(std::move(dirs)),
       procs_(std::move(procs)), vmsps_(std::move(vmsps)),
       nodePreds_(std::move(nodePreds)), remap_(cfg.numNodes),
-      epoch_(cfg.numNodes, 0), ckpts_(cfg.numNodes), mirror_(map_)
+      epoch_(cfg.numNodes, 0), ckpts_(cfg.numNodes)
 {
     const unsigned n = cfg_.numNodes;
     fatal_if(plan_.empty(), "FaultManager built with an empty plan");
@@ -122,55 +122,30 @@ FaultManager::rehome(NodeId h, NodeId to)
 {
     if (to == h && dead(h))
         return; // pathological explicit backup == dead victim
-    if (plan_.replicateShards) {
-        // Install the replicated mirror directly: no survivor sweep,
-        // no reconstruction traffic -- the cost was already paid
-        // incrementally as ShardSync messages during normal
-        // operation. Dead holders are screened out here (the mirror
-        // may still name nodes that died in this same cascade).
-        mirror_.forEachIn(h, [&](BlockId blk, const MirrorEntry &me) {
-            if (me.excl) {
-                if (me.owner != invalidNode && !dead(me.owner))
-                    dirs_[to]->adopt(blk, me.owner, true);
-            } else {
-                for (NodeId s : me.sharers)
-                    if (!dead(s))
-                        dirs_[to]->adopt(blk, s, false);
-            }
-        });
-        return;
-    }
     // Survivor sweep: reconstruct the shard from the surviving
     // caches, exactly the sharing information a recovery protocol
-    // would collect. Each contributing node also sends one RehomeSync
-    // over the real interconnect, so reconstruction has a network
-    // cost.
+    // would collect. Each contributing node other than the new host
+    // also sends one RehomeSync over the real interconnect, so
+    // reconstruction has a network cost -- unless the plan replicates
+    // shards, whose ShardSync traffic already paid it incrementally.
     for (std::size_t s = 0; s < caches_.size(); ++s) {
         const NodeId sn = static_cast<NodeId>(s);
-        if (sn == to || dead(sn)) {
-            // The new host contributes its own lines without traffic.
-            if (sn == to && !dead(sn))
-                caches_[s]->forEachLine(
-                    h, [&](BlockId blk, LineState st) {
-                        dirs_[to]->adopt(blk, sn,
-                                         st == LineState::Modified);
-                    });
+        if (dead(sn))
             continue;
-        }
         bool contributed = false;
         caches_[s]->forEachLine(h, [&](BlockId blk, LineState st) {
             dirs_[to]->adopt(blk, sn, st == LineState::Modified);
             contributed = true;
         });
-        if (contributed) {
-            ++outcome_.rehomeSyncs;
-            CohMsg m;
-            m.type = MsgType::RehomeSync;
-            m.src = sn;
-            m.dst = to;
-            m.blk = 0;
-            net_.send(m);
-        }
+        if (!contributed || sn == to || plan_.replicateShards)
+            continue;
+        ++outcome_.rehomeSyncs;
+        CohMsg m;
+        m.type = MsgType::RehomeSync;
+        m.src = sn;
+        m.dst = to;
+        m.blk = 0;
+        net_.send(m);
     }
 }
 
@@ -207,8 +182,8 @@ FaultManager::killNode(NodeId v)
             dirs_[d]->pruneDead(v);
     }
 
-    // The backup installs the victim's shard (replicated mirror or
-    // survivor sweep; see rehome()).
+    // The backup rebuilds the victim's shard from the survivors'
+    // caches (see rehome()).
     rehome(v, b);
 
     // Cascading failure: every shard the victim was hosting as a
@@ -232,8 +207,7 @@ FaultManager::killNode(NodeId v)
 
     // Warm restart: the shard's new home inherits the last replicated
     // checkpoint of the victim's VMSP instead of learning from cold.
-    if (plan_.warmRestart && b != v && !dead(b) && vmsps_[b] &&
-        ckpts_[v])
+    if (b != v && !dead(b) && vmsps_[b] && ckpts_[v])
         vmsps_[b]->mergeFrom(*ckpts_[v]);
 
     if (outcome_.killTick == 0)
@@ -257,10 +231,9 @@ FaultManager::restartNode(NodeId v)
     // so the fail-back is a recognizable boundary, the interim host
     // releases the shard's entries (aborting transactions it was
     // mid-way through -- the requesters' retry FSM re-resolves the
-    // home), and the shard state is rebuilt at the victim from the
-    // replicated mirror or a survivor sweep. In-flight messages still
-    // aimed at the interim host are screened at delivery by the
-    // currentHome() check.
+    // home), and the shard state is rebuilt at the victim by a
+    // survivor sweep. In-flight messages still aimed at the interim
+    // host are screened at delivery by the currentHome() check.
     ++epoch_[v];
     const NodeId host = remap_[v];
     if (host != v && !dead(host)) {
@@ -274,7 +247,7 @@ FaultManager::restartNode(NodeId v)
 
     // Warm restart: the victim's own predictor warms up again from
     // the last checkpoint it replicated out before the crash.
-    if (plan_.warmRestart && vmsps_[v] && ckpts_[v])
+    if (vmsps_[v] && ckpts_[v])
         vmsps_[v]->mergeFrom(*ckpts_[v]);
 
     awaiting_.add(v);
@@ -294,14 +267,9 @@ FaultManager::noteProgress(NodeId n)
 }
 
 void
-FaultManager::noteShardDelta(BlockId blk, bool excl, NodeId owner,
-                             NodeSet sharers)
+FaultManager::noteShardDelta(BlockId blk)
 {
     const NodeId h = map_.geometricHomeOf(blk);
-    MirrorEntry &me = mirror_[blk];
-    me.excl = excl;
-    me.owner = excl ? owner : invalidNode;
-    me.sharers = excl ? NodeSet{} : sharers;
     ++outcome_.shardDeltas;
 
     // Batched replication traffic: every shardSyncBatch deltas the

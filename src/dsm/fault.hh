@@ -2,8 +2,8 @@
  * @file
  * Deterministic fault injection and recovery (the robustness layer).
  *
- * A FaultPlan is a fixed schedule of node fail-stops, restarts, and
- * predictor-state losses, executed by the FaultManager as ordinary
+ * A FaultPlan is a fixed schedule of node fail-stops and restarts,
+ * plus link-loss rules, executed by the FaultManager as ordinary
  * events on the simulation's event queue -- so fault runs are exactly
  * as deterministic and repeatable as fault-free ones. The machine
  * model:
@@ -12,18 +12,20 @@
  *    op in flight), its cache loses every line, and its home
  *    directory shard re-homes to a backup node by a swap in the
  *    shared AddrMap indirection table (a table write, not a geometry
- *    rebuild). The backup installs the shard's directory state either
- *    from the surviving caches (the default survivor sweep -- the
- *    same sharing information a real recovery protocol would collect)
- *    or, with replicateShards, directly from the shard mirror the
- *    home streamed to it as batched ShardSync deltas during normal
- *    operation. Every surviving directory prunes the dead node from
- *    its own bookkeeping. All of the victim's in-flight traffic is
- *    lost: sends are stamped with the sender's restart epoch and the
- *    network drops stale-epoch messages at delivery; messages *to*
- *    the dead node are dropped, or bounced as a Nack when they are
- *    requests, feeding the cache controllers' bounded
- *    timeout-and-retry FSM.
+ *    rebuild). The backup rebuilds the shard's directory state from
+ *    the surviving caches (the survivor sweep -- the same sharing
+ *    information a real recovery protocol would collect); the caches
+ *    are the one source of recovered state. The sweep costs one
+ *    RehomeSync message per contributing survivor at failover,
+ *    unless the plan replicates shards: then each home has already
+ *    paid for recovery as batched ShardSync messages to its backup
+ *    during normal operation. Every surviving directory prunes the
+ *    dead node from its own bookkeeping. All of the victim's
+ *    in-flight traffic is lost: sends are stamped with the sender's
+ *    restart epoch and the network drops stale-epoch messages at
+ *    delivery; messages *to* the dead node are dropped, or bounced
+ *    as a Nack when they are requests, feeding the cache
+ *    controllers' bounded timeout-and-retry FSM.
  *  - Several nodes may be down at once, and a backup may itself be
  *    killed while hosting re-homed shards: every shard the dead
  *    backup was serving re-homes again to the next live node in a
@@ -38,8 +40,9 @@
  *    interim host are screened at delivery (bounced as Nacks when
  *    they are requests), so the retry FSM re-resolves the home.
  *  - Predictor state at the victim is lost on a kill (restart is
- *    cold) unless the plan enables *warm restart*: the manager then
- *    checkpoints the victim's VMSP every ckptInterval ticks, sending
+ *    cold) unless the plan sets a checkpoint interval (*warm
+ *    restart*): the manager then checkpoints the victim's VMSP every
+ *    ckptInterval ticks, sending
  *    the replication traffic over the real interconnect (CkptData),
  *    merges the last checkpoint into the backup's predictor at kill
  *    time, and into the victim's own predictor again at fail-back --
@@ -65,7 +68,6 @@
 #include "base/types.hh"
 #include "pred/vmsp.hh"
 #include "proto/config.hh"
-#include "proto/shard_table.hh"
 #include "sim/eventq.hh"
 
 namespace mspdsm
@@ -123,17 +125,18 @@ struct FaultPlan
      */
     NodeId backup = invalidNode;
 
-    /** Merge the last predictor checkpoint into the backup on kill. */
-    bool warmRestart = false;
-
-    /** Checkpoint period, ticks; 0 disables checkpointing. */
+    /**
+     * Predictor checkpoint period, ticks; 0 disables checkpointing.
+     * A nonzero period is warm restart: the last checkpoint is merged
+     * into the backup on the kill and into the victim at fail-back.
+     */
     Tick ckptInterval = 0;
 
     /**
-     * Stream incremental directory-shard deltas (batched ShardSync
-     * messages over the real interconnect) from every home to its
-     * designated backup, so failover installs the replicated shard
-     * mirror instead of sweeping the survivors' caches.
+     * Pay for shard recovery during normal operation: every home
+     * streams its directory deltas to its designated backup as
+     * batched ShardSync messages over the real interconnect, and
+     * failover's survivor sweep then sends no RehomeSync traffic.
      */
     bool replicateShards = false;
 
@@ -170,7 +173,7 @@ struct FaultOutcome
     std::uint64_t ckptMessages = 0;  //!< CkptData replication messages
 
     // Shard replication (FaultPlan::replicateShards).
-    std::uint64_t shardDeltas = 0; //!< directory deltas mirrored
+    std::uint64_t shardDeltas = 0; //!< directory deltas streamed
     std::uint64_t shardSyncs = 0;  //!< batched ShardSync messages sent
 
     // Fail-back and the home screen.
@@ -261,16 +264,11 @@ class FaultManager
 
     /**
      * A directory transaction left @p blk in a new stable state:
-     * mirror it, and every shardSyncBatch deltas ship one batched
-     * ShardSync message from the block's acting home to its backup.
-     *
-     * @param excl true iff the block has an exclusive owner
-     * @param owner the owner when @p excl
-     * @param sharers read-only holders (speculative copies included,
-     *        conservatively) when not @p excl
+     * count the delta, and every shardSyncBatch deltas of one home
+     * ship one batched ShardSync message from its acting home to its
+     * backup.
      */
-    void noteShardDelta(BlockId blk, bool excl, NodeId owner,
-                        NodeSet sharers);
+    void noteShardDelta(BlockId blk);
 
     /** A restarted processor's first step() dispatch (now). */
     void noteProgress(NodeId n);
@@ -322,9 +320,9 @@ class FaultManager
 
     /**
      * Install geometric shard @p h's directory state at dirs_[to]
-     * now: from the replicated mirror when the plan
-     * replicates shards, otherwise by sweeping the surviving caches
-     * (one RehomeSync message per contributing node).
+     * now by sweeping the surviving caches: one RehomeSync message
+     * per contributing node other than @p to, none when the plan
+     * replicates shards (ShardSync traffic already paid for it).
      */
     void rehome(NodeId h, NodeId to);
 
@@ -357,16 +355,6 @@ class FaultManager
     /** Deltas batched into one ShardSync message. */
     static constexpr unsigned shardSyncBatch = 8;
 
-    /** Replicated view of one directory entry's stable state. */
-    struct MirrorEntry
-    {
-        NodeSet sharers;
-        NodeId owner = invalidNode;
-        bool excl = false;
-    };
-
-    //! Per-geometric-home shard mirrors (replicateShards only).
-    ShardTable<MirrorEntry> mirror_;
     //! Deltas accumulated per home since the last ShardSync flush.
     std::vector<unsigned> deltaBacklog_;
 

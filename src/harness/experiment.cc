@@ -37,25 +37,7 @@ baseConfig(const ExperimentConfig &ec, Tick netJitter)
         cfg.tickLimit = ec.tickLimit;
     cfg.retryLimit = ec.retryLimit;
     cfg.staleTimeout = ec.staleTimeout;
-    if (ec.failNode != invalidNode) {
-        cfg.faults.events.push_back(
-            {ec.failTick, ec.failNode, FaultKind::Kill});
-        if (ec.recoverTick > 0)
-            cfg.faults.events.push_back(
-                {ec.recoverTick, ec.failNode, FaultKind::Restart});
-    }
-    for (const FaultEvent &fe : ec.extraFaults)
-        cfg.faults.events.push_back(fe);
-    cfg.faults.linkLoss = ec.linkLoss;
-    if (!cfg.faults.empty()) {
-        // Plan-wide knobs only matter once something above made the
-        // plan non-empty; setting them on an empty plan is still
-        // inert (FaultManager is never built).
-        cfg.faults.backup = ec.backupNode;
-        cfg.faults.warmRestart = ec.warmRestart;
-        cfg.faults.ckptInterval = ec.ckptInterval;
-        cfg.faults.replicateShards = ec.replicateShards;
-    }
+    cfg.faults = ec.faults;
     cfg.obs.tracePath = ec.tracePath;
     cfg.obs.traceFrom = ec.traceFrom;
     cfg.obs.traceTo = ec.traceTo;

@@ -14,7 +14,6 @@
 #define MSPDSM_HARNESS_EXPERIMENT_HH
 
 #include <string>
-#include <vector>
 
 #include "dsm/system.hh"
 #include "workload/suite.hh"
@@ -34,41 +33,17 @@ struct ExperimentConfig
     /** Deadlock-guard override; 0 keeps the DsmConfig default. */
     Tick tickLimit = 0;
 
-    // ---- Fault injection (--fail-* flags). All defaults are inert:
-    // failNode == invalidNode builds no fault plan at all and the run
-    // is bit-identical to a pre-fault-layer run.
-
-    /** Node to fail-stop; invalidNode disables fault injection. */
-    NodeId failNode = invalidNode;
-    /** Tick at which failNode is killed. */
-    Tick failTick = 0;
-    /** Tick at which failNode restarts; 0 = never restarted. */
-    Tick recoverTick = 0;
-    /** Adopter of the victim's shard; invalidNode = (victim+1)%n. */
-    NodeId backupNode = invalidNode;
-    /** Warm-restart the predictor from replicated checkpoints. */
-    bool warmRestart = false;
-    /** Predictor checkpoint period, ticks; 0 disables. */
-    Tick ckptInterval = 0;
-
-    // ---- PR 8 robustness knobs. Each default keeps the run
-    // bit-identical to one that never heard of the flag.
-
-    /** Stream directory-shard deltas to the backup (ShardSync). */
-    bool replicateShards = false;
+    /**
+     * Fault schedule and recovery policy (--kill/--restart,
+     * --lossy-link, --replicate-shards, ...), copied into the run's
+     * DsmConfig as-is. The default empty plan builds no FaultManager
+     * and the run is bit-identical to a pre-fault-layer run.
+     */
+    FaultPlan faults = {};
     /** Cache retry FSM bound (--retry-limit). */
     unsigned retryLimit = 16;
     /** Cache stale-request re-issue timeout (--stale-timeout). */
     Tick staleTimeout = 20000;
-    /**
-     * Additional fault events beyond the legacy failNode scalars
-     * (--kill N@T / --restart N@T, repeatable): concurrent and
-     * cascading failures. Any entry here builds a fault plan even if
-     * failNode is unset.
-     */
-    std::vector<FaultEvent> extraFaults;
-    /** Deterministic link-loss schedule (--lossy-link). */
-    std::vector<LinkLossRule> linkLoss;
 
     // ---- Observability (--trace / --sample-interval). All defaults
     // are inert: an empty ObsConfig builds no ObsManager and the run

@@ -34,9 +34,8 @@ ExperimentConfig
 faulted()
 {
     ExperimentConfig ec = tiny();
-    ec.failNode = 3;
-    ec.failTick = 40000;
-    ec.recoverTick = 70000;
+    ec.faults.events = {{40000, 3, FaultKind::Kill},
+                        {70000, 3, FaultKind::Restart}};
     return ec;
 }
 
@@ -180,6 +179,64 @@ TEST(Fault, RecoveredMachineStateIsCoherent)
     }
 }
 
+/**
+ * Fail-back rebuilds the shard from what the live caches hold, with
+ * shard replication too. fig11's `--smoke` em3d run under three
+ * victims: nodes 5 and 6 die and restart cold before node 3's shard
+ * fails back at tick 70000. Stopped right there, every holder the
+ * restored home records for a shard-3 block must hold a valid line;
+ * a record streamed to the backup before the outages would still
+ * name the restarted nodes.
+ */
+TEST(Fault, FailBackRecordsOnlyLiveHolders)
+{
+    for (const SpecMode mode : {SpecMode::None, SpecMode::SwiFirstRead}) {
+        AppParams p;
+        p.scale = 0.25;
+        p.iterations = 2;
+        const Workload w = makeApp("em3d", p);
+        DsmConfig cfg;
+        cfg.proto.seed = p.seed;
+        cfg.proto.netJitter = w.netJitter;
+        cfg.pred = PredKind::Vmsp;
+        cfg.historyDepth = 1;
+        cfg.spec = mode;
+        cfg.tickLimit = 70000;
+        cfg.faults.events = {{40000, 3, FaultKind::Kill},
+                             {70000, 3, FaultKind::Restart},
+                             {30000, 5, FaultKind::Kill},
+                             {31000, 6, FaultKind::Kill},
+                             {60000, 5, FaultKind::Restart},
+                             {62000, 6, FaultKind::Restart}};
+        cfg.faults.replicateShards = true;
+        DsmSystem sys(cfg);
+        const RunResult r = sys.run(w.traces);
+        ASSERT_EQ(r.status, RunStatus::TickLimit);
+        ASSERT_EQ(r.fault.failbacks, 3u);
+
+        std::set<BlockId> blocks;
+        for (const Trace &t : w.traces)
+            for (const TraceOp &op : t)
+                if (op.kind() == OpKind::Read || op.kind() == OpKind::Write)
+                    blocks.insert(sys.blockOf(op.addr()));
+        const Directory &dir = sys.directory(3);
+        std::size_t recorded = 0;
+        for (const BlockId blk : blocks) {
+            if (cfg.proto.homeOf(blk) != 3)
+                continue;
+            NodeSet holders = dir.sharersOf(blk);
+            if (dir.ownerOf(blk) != invalidNode)
+                holders.add(dir.ownerOf(blk));
+            for (const NodeId q : holders) {
+                ++recorded;
+                EXPECT_NE(sys.cache(q).lineState(blk), LineState::Invalid)
+                    << "block " << blk << " records node " << q;
+            }
+        }
+        EXPECT_GT(recorded, 0u);
+    }
+}
+
 TEST(Fault, FaultedRunsAreDeterministic)
 {
     const RunResult a =
@@ -199,8 +256,7 @@ TEST(Fault, FaultSweepIsJobCountInvariant)
         SweepRunner sweep(so);
         for (const bool warm : {false, true}) {
             ExperimentConfig ec = faulted();
-            ec.warmRestart = warm;
-            ec.ckptInterval = warm ? 10000 : 0;
+            ec.faults.ckptInterval = warm ? 10000 : 0;
             sweep.addSpec("em3d", SpecMode::None, ec);
             sweep.addSpec("em3d", SpecMode::SwiFirstRead, ec);
         }
@@ -218,8 +274,7 @@ TEST(Fault, FaultSweepIsJobCountInvariant)
 TEST(Fault, WarmRestartReplicatesCheckpoints)
 {
     ExperimentConfig ec = faulted();
-    ec.warmRestart = true;
-    ec.ckptInterval = 10000;
+    ec.faults.ckptInterval = 10000;
     const RunResult warm =
         runSpec("em3d", SpecMode::SwiFirstRead, ec);
     EXPECT_EQ(warm.status, RunStatus::Completed);
@@ -267,12 +322,12 @@ TEST(Fault, RetryKnobDefaultsAreBitIdentical)
 
 TEST(Fault, ShardReplicationAvoidsTheSurvivorSweep)
 {
-    // With --replicate-shards the backup installs the streamed mirror
-    // at failover: replication traffic (batched ShardSync) replaces
-    // reconstruction traffic (RehomeSync) entirely, and the cost
-    // moves from the outage into normal operation.
+    // With --replicate-shards the failover sweep sends no RehomeSync:
+    // replication traffic (batched ShardSync) replaces reconstruction
+    // traffic entirely, and the cost moves from the outage into
+    // normal operation.
     ExperimentConfig ec = faulted();
-    ec.replicateShards = true;
+    ec.faults.replicateShards = true;
     const RunResult r =
         runSpec("em3d", SpecMode::SwiFirstRead, ec);
     EXPECT_EQ(r.status, RunStatus::Completed);
@@ -293,10 +348,10 @@ TEST(Fault, ConcurrentFailuresCascadeThroughSuccession)
     // 4 dies while hosting 3's shard, both shards cascade to the next
     // live node. Each restart then fail-backs its own shard.
     ExperimentConfig ec = tiny();
-    ec.extraFaults = {{40000, 3, FaultKind::Kill},
-                      {42000, 4, FaultKind::Kill},
-                      {70000, 3, FaultKind::Restart},
-                      {72000, 4, FaultKind::Restart}};
+    ec.faults.events = {{40000, 3, FaultKind::Kill},
+                        {42000, 4, FaultKind::Kill},
+                        {70000, 3, FaultKind::Restart},
+                        {72000, 4, FaultKind::Restart}};
     const RunResult r =
         runSpec("em3d", SpecMode::SwiFirstRead, ec);
     EXPECT_EQ(r.status, RunStatus::Completed);
@@ -321,9 +376,8 @@ TEST(Fault, RestartInsideTheRehomeWindow)
     // interim host are Nacked or dropped) keep the run live and
     // deterministic.
     ExperimentConfig ec = tiny();
-    ec.failNode = 3;
-    ec.failTick = 40000;
-    ec.recoverTick = 40100; // inside the sync/retry storm
+    ec.faults.events = {{40000, 3, FaultKind::Kill},
+                        {40100, 3, FaultKind::Restart}}; // in the storm
     const RunResult r =
         runSpec("em3d", SpecMode::SwiFirstRead, ec);
     EXPECT_EQ(r.status, RunStatus::Completed);
@@ -345,8 +399,8 @@ TEST(Fault, ShortOutageFillsMatchTheirMiss)
     // miss's kind as well as its block. This is fig9's whole sweep
     // under `--kill 3@1000 --restart 3@1050`.
     ExperimentConfig ec = tiny();
-    ec.extraFaults = {{1000, 3, FaultKind::Kill},
-                      {1050, 3, FaultKind::Restart}};
+    ec.faults.events = {{1000, 3, FaultKind::Kill},
+                        {1050, 3, FaultKind::Restart}};
     std::uint64_t stale = 0;
     for (const AppInfo &info : appSuite()) {
         for (const SpecMode m : {SpecMode::None, SpecMode::FirstRead,
@@ -369,7 +423,7 @@ TEST(Fault, LossyLinksRetransmitDeterministically)
     // bit-repeatable.
     ExperimentConfig ec = tiny();
     ec.topo.kind = TopoKind::Mesh2D;
-    ec.linkLoss = {{0, maxTick, 0, 3}};
+    ec.faults.linkLoss = {{0, maxTick, 0, 3}};
     const RunResult r =
         runSpec("em3d", SpecMode::SwiFirstRead, ec);
     EXPECT_EQ(r.status, RunStatus::Completed);
@@ -393,12 +447,12 @@ TEST(Fault, ChaosRunIsJobCountInvariant)
         for (const bool repl : {false, true}) {
             ExperimentConfig ec = tiny();
             ec.topo.kind = TopoKind::Mesh2D;
-            ec.extraFaults = {{40000, 3, FaultKind::Kill},
-                              {42000, 4, FaultKind::Kill},
-                              {70000, 3, FaultKind::Restart},
-                              {72000, 4, FaultKind::Restart}};
-            ec.linkLoss = {{0, maxTick, 0, 5}};
-            ec.replicateShards = repl;
+            ec.faults.events = {{40000, 3, FaultKind::Kill},
+                                {42000, 4, FaultKind::Kill},
+                                {70000, 3, FaultKind::Restart},
+                                {72000, 4, FaultKind::Restart}};
+            ec.faults.linkLoss = {{0, maxTick, 0, 5}};
+            ec.faults.replicateShards = repl;
             sweep.addSpec("em3d", SpecMode::None, ec);
             sweep.addSpec("em3d", SpecMode::SwiFirstRead, ec);
         }
@@ -421,9 +475,10 @@ TEST(FaultDeathTest, RetryExhaustionIsFatal)
     // node: every retry bounces until the cache controller's bounded
     // FSM gives up with a structured fatal (exit code 1).
     ExperimentConfig ec = tiny();
-    ec.failNode = 3;
-    ec.failTick = 5000; // mid-flight: survivors still miss on node 3
-    ec.backupNode = 3;  // deliberately pathological: no live home
+    // Mid-flight: survivors still miss on node 3, and the backup is
+    // deliberately pathological: no live home.
+    ec.faults.events = {{5000, 3, FaultKind::Kill}};
+    ec.faults.backup = 3;
     EXPECT_EXIT(runSpec("em3d", SpecMode::None, ec),
                 ::testing::ExitedWithCode(1), "exhausted");
 }
@@ -437,9 +492,9 @@ TEST(FaultDeathTest, RetryExhaustionDuringOverlappingOutage)
     // the bounded retry FSM must still fail structurally, now with a
     // configurable --retry-limit to reach the exit quickly.
     ExperimentConfig ec = tiny();
-    ec.extraFaults = {{5000, 3, FaultKind::Kill},
-                      {5200, 4, FaultKind::Kill}};
-    ec.backupNode = 4;
+    ec.faults.events = {{5000, 3, FaultKind::Kill},
+                        {5200, 4, FaultKind::Kill}};
+    ec.faults.backup = 4;
     ec.retryLimit = 6;
     EXPECT_EXIT(runSpec("em3d", SpecMode::None, ec),
                 ::testing::ExitedWithCode(1), "exhausted");
@@ -452,7 +507,7 @@ TEST(FaultDeathTest, RetransmitBudgetExhaustionIsFatal)
     // the run dies with the structured transport fatal.
     ExperimentConfig ec = tiny();
     ec.topo.kind = TopoKind::Mesh2D;
-    ec.linkLoss = {{0, maxTick, 0, 1}};
+    ec.faults.linkLoss = {{0, maxTick, 0, 1}};
     EXPECT_EXIT(runSpec("em3d", SpecMode::None, ec),
                 ::testing::ExitedWithCode(1), "retransmit budget");
 }

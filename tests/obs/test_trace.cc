@@ -216,9 +216,8 @@ TEST(Trace, SeriesBracketsTheOutage)
     // dip between kill and restart and the recovery after it -- the
     // timeline fig11's three-point phase readout only summarizes.
     ExperimentConfig ec = tiny();
-    ec.failNode = 3;
-    ec.failTick = 40000;
-    ec.recoverTick = 70000;
+    ec.faults.events = {{40000, 3, FaultKind::Kill},
+                        {70000, 3, FaultKind::Restart}};
     ec.sampleInterval = 5000;
     const RunResult r = runSpec("em3d", SpecMode::SwiFirstRead, ec);
     EXPECT_EQ(r.status, RunStatus::Completed);
@@ -298,7 +297,7 @@ TEST(Trace, LossyLinkStretchesTheLatencyTail)
     ExperimentConfig clean = tiny();
     clean.topo.kind = TopoKind::Mesh2D;
     ExperimentConfig lossy = clean;
-    lossy.linkLoss = {{0, maxTick, 0, 3}};
+    lossy.faults.linkLoss = {{0, maxTick, 0, 3}};
     const RunResult rc = runSpec("em3d", SpecMode::SwiFirstRead, clean);
     const RunResult rl = runSpec("em3d", SpecMode::SwiFirstRead, lossy);
     EXPECT_EQ(rc.status, RunStatus::Completed);
