@@ -111,11 +111,6 @@ printUsage(std::ostream &os, const char *tool, const char *what)
        << "               normal operation, so failover's rebuild\n"
        << "               from the survivors' caches sends no\n"
        << "               RehomeSync messages\n"
-       << "  --retry-limit N  cache retry FSM bound before the fatal\n"
-       << "               (default 16)\n"
-       << "  --stale-timeout T  silence, in ticks, before a cache\n"
-       << "               re-issues an outstanding miss (default "
-          "20000)\n"
        << "  --lossy-link L,FROM,TO,NTH  drop every NTH message head\n"
        << "               crossing link L in tick window [FROM,TO)\n"
        << "               (repeatable; link topologies only; TO = 0\n"
@@ -344,10 +339,6 @@ parseArgs(int argc, char **argv, const char *tool, const char *what,
             a.ec.faults.events.push_back(fe);
         } else if (!std::strcmp(arg, "--replicate-shards")) {
             a.ec.faults.replicateShards = true;
-        } else if (!std::strcmp(arg, "--retry-limit")) {
-            a.ec.retryLimit = uintOf(arg, value(i), ~0u);
-        } else if (!std::strcmp(arg, "--stale-timeout")) {
-            a.ec.staleTimeout = tickOf(arg, value(i));
         } else if (!std::strcmp(arg, "--lossy-link")) {
             const char *s = value(i);
             // Four comma-separated whole numbers, NTH at least 1.
@@ -433,11 +424,6 @@ parseArgs(int argc, char **argv, const char *tool, const char *what,
     // Fault plans name nodes: each must exist, and a one-node machine
     // has no survivor to re-home onto.
     requireFaultNodesBelow(a, a.ec.numProcs, tool, "--procs is");
-    if (a.ec.retryLimit == 0 || a.ec.staleTimeout == 0) {
-        std::cerr << tool << ": --retry-limit and --stale-timeout must "
-                  << "be at least 1\n";
-        std::exit(2);
-    }
     if (a.ec.numProcs == 1 &&
         (a.failNode != invalidNode || !a.ec.faults.empty())) {
         std::cerr << tool << ": a fault plan needs --procs 2 or more\n";

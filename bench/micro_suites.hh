@@ -9,9 +9,8 @@
  *    throughput, the operation a DSM home performs on every incoming
  *    message.
  *
- * Both suites are consumed by the standalone micro_sim /
- * micro_predictor binaries and by bench_core, which runs everything
- * and writes BENCH_core.json. Headline metrics:
+ * bench_core runs both suites and writes BENCH_core.json. Headline
+ * metrics:
  *
  *   events_per_sec         = "eventq/throughput" items/sec
  *   lookups_per_sec        = "pred/observe_mix" items/sec

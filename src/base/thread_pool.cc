@@ -5,18 +5,6 @@
 namespace mspdsm
 {
 
-namespace
-{
-
-/**
- * Which pool (if any) the current thread belongs to, and its worker
- * index there: submissions from a worker land in its own queue.
- */
-thread_local const ThreadPool *tlsPool = nullptr;
-thread_local unsigned tlsWorker = 0;
-
-} // namespace
-
 unsigned
 ThreadPool::defaultThreads()
 {
@@ -26,95 +14,49 @@ ThreadPool::defaultThreads()
 ThreadPool::ThreadPool(unsigned threads)
 {
     const unsigned n = std::max(1u, threads);
-    queues_.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        queues_.push_back(std::make_unique<Queue>());
     workers_.reserve(n);
     for (unsigned i = 0; i < n; ++i)
-        workers_.emplace_back([this, i] { workerLoop(i); });
+        workers_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
 {
     {
-        std::lock_guard<std::mutex> lk(idleMtx_);
+        std::lock_guard<std::mutex> lk(mtx_);
         stop_ = true;
     }
-    idleCv_.notify_all();
+    cv_.notify_all();
     for (std::thread &w : workers_)
         w.join();
 }
 
 void
-ThreadPool::enqueue(MoveFunc task)
+ThreadPool::enqueue(std::packaged_task<void()> task)
 {
-    std::size_t target;
     {
-        // One critical section for both the round-robin cursor and
-        // the count. Counting before publishing matters: a thief may
-        // pop the task the moment it is pushed, and its decrement
-        // must never see pending_ == 0.
-        std::lock_guard<std::mutex> lk(idleMtx_);
-        target = tlsPool == this ? tlsWorker
-                                 : nextQueue_++ % queues_.size();
-        ++pending_;
+        std::lock_guard<std::mutex> lk(mtx_);
+        tasks_.push_back(std::move(task));
     }
-    {
-        std::lock_guard<std::mutex> lk(queues_[target]->mtx);
-        queues_[target]->tasks.push_back(std::move(task));
-    }
-    idleCv_.notify_one();
-}
-
-MoveFunc
-ThreadPool::take(unsigned self)
-{
-    // Own queue first, front (submission order)...
-    {
-        Queue &q = *queues_[self];
-        std::lock_guard<std::mutex> lk(q.mtx);
-        if (!q.tasks.empty()) {
-            MoveFunc t = std::move(q.tasks.front());
-            q.tasks.pop_front();
-            return t;
-        }
-    }
-    // ...then steal from the back of the others.
-    for (std::size_t i = 1; i < queues_.size(); ++i) {
-        Queue &q = *queues_[(self + i) % queues_.size()];
-        std::lock_guard<std::mutex> lk(q.mtx);
-        if (!q.tasks.empty()) {
-            MoveFunc t = std::move(q.tasks.back());
-            q.tasks.pop_back();
-            return t;
-        }
-    }
-    return MoveFunc{};
+    cv_.notify_one();
 }
 
 void
-ThreadPool::workerLoop(unsigned self)
+ThreadPool::workerLoop()
 {
-    tlsPool = this;
-    tlsWorker = self;
     while (true) {
-        MoveFunc task = take(self);
-        if (task) {
-            {
-                std::lock_guard<std::mutex> lk(idleMtx_);
-                --pending_;
-            }
-            task();
-            continue;
+        std::packaged_task<void()> task;
+        {
+            std::unique_lock<std::mutex> lk(mtx_);
+            cv_.wait(lk, [this] { return stop_ || !tasks_.empty(); });
+            // Drain-before-exit: stop_ alone is not enough, queued
+            // work must be gone too (futures from submit() never
+            // dangle).
+            if (tasks_.empty())
+                return;
+            task = std::move(tasks_.front());
+            tasks_.pop_front();
         }
-        std::unique_lock<std::mutex> lk(idleMtx_);
-        // Drain-before-exit: stop_ alone is not enough, queued work
-        // must be gone too (futures from submit() never dangle).
-        if (stop_ && pending_ == 0)
-            return;
-        idleCv_.wait(lk, [this] { return stop_ || pending_ > 0; });
-        if (stop_ && pending_ == 0)
-            return;
+        task();
     }
 }
 

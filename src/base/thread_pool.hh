@@ -1,28 +1,26 @@
 /**
  * @file
- * Work-stealing thread pool for the experiment harness.
+ * Fixed-size thread pool for the experiment harness.
  *
  * The simulator kernel is strictly single-instance (see
  * docs/ARCHITECTURE.md): one EventQueue, no internal locking.
  * Parallelism therefore lives one layer up -- independent DsmSystem
  * runs fan out one per worker. This pool is sized for that shape:
  * tens-to-hundreds of coarse tasks (each milliseconds to minutes),
- * not millions of micro-tasks, so per-queue mutexes are plenty and
- * the stealing exists to keep workers busy when the round-robin
- * distribution turns out uneven (runs have very different lengths).
+ * not millions of micro-tasks, so N workers pulling from one
+ * mutex-guarded FIFO are plenty. A shared queue never turns uneven:
+ * whichever worker frees up first takes the oldest task.
  *
  * Semantics:
  *  - submit() returns a std::future; exceptions thrown by the task
  *    propagate through future::get();
- *  - tasks submitted from a worker thread go to that worker's own
- *    queue;
+ *  - tasks start in submission order (one worker: run in it);
  *  - the destructor drains every queued task before joining, so a
  *    future obtained from submit() never dangles.
  *
  * Caveat -- blocking on child futures from inside a task: a worker
- * waiting in future::get() does not drain its queue, so if *every*
- * worker blocks on a task that is still queued, the pool deadlocks
- * (with a free worker left over, stealing keeps things moving).
+ * waiting in future::get() does not run queued tasks, so if *every*
+ * worker blocks on a task that is still queued, the pool deadlocks.
  * Structure fan-out so the join happens outside the pool, as
  * SweepRunner does: submit all, then gather from the caller.
  */
@@ -31,10 +29,8 @@
 #define MSPDSM_BASE_THREAD_POOL_HH
 
 #include <condition_variable>
-#include <cstddef>
 #include <deque>
 #include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -45,51 +41,7 @@ namespace mspdsm
 {
 
 /**
- * Type-erased move-only callable: std::packaged_task (which carries
- * the future's shared state) is move-only and therefore cannot live
- * in a std::function.
- */
-class MoveFunc
-{
-  public:
-    MoveFunc() = default;
-
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, MoveFunc>>>
-    MoveFunc(F &&f)
-        : impl_(std::make_unique<Impl<std::decay_t<F>>>(
-              std::forward<F>(f)))
-    {}
-
-    MoveFunc(MoveFunc &&) = default;
-    MoveFunc &operator=(MoveFunc &&) = default;
-
-    void operator()() { impl_->call(); }
-
-    explicit operator bool() const { return impl_ != nullptr; }
-
-  private:
-    struct Base
-    {
-        virtual ~Base() = default;
-        virtual void call() = 0;
-    };
-
-    template <typename F>
-    struct Impl final : Base
-    {
-        explicit Impl(F &&f) : f(std::move(f)) {}
-        explicit Impl(const F &f) : f(f) {}
-        void call() override { f(); }
-        F f;
-    };
-
-    std::unique_ptr<Base> impl_;
-};
-
-/**
- * Fixed-size work-stealing pool.
+ * Fixed-size pool of workers over one FIFO.
  *
  * Usage:
  * @code
@@ -125,7 +77,10 @@ class ThreadPool
         using R = std::invoke_result_t<std::decay_t<F>>;
         std::packaged_task<R()> task(std::forward<F>(f));
         std::future<R> fut = task.get_future();
-        enqueue(MoveFunc(std::move(task)));
+        // The queue holds move-only void() tasks; the inner task
+        // stores the result (or exception) in fut's shared state.
+        enqueue(std::packaged_task<void()>(
+            [t = std::move(task)]() mutable { t(); }));
         return fut;
     }
 
@@ -133,27 +88,14 @@ class ThreadPool
     static unsigned defaultThreads();
 
   private:
-    /** One worker's deque; owner pops the front, thieves the back. */
-    struct Queue
-    {
-        std::mutex mtx;
-        std::deque<MoveFunc> tasks;
-    };
+    void enqueue(std::packaged_task<void()> task);
+    void workerLoop();
 
-    void enqueue(MoveFunc task);
-    void workerLoop(unsigned self);
-
-    /** Pop from own queue, else steal; empty MoveFunc when idle. */
-    MoveFunc take(unsigned self);
-
-    std::vector<std::unique_ptr<Queue>> queues_;
+    std::mutex mtx_;
+    std::condition_variable cv_;
+    std::deque<std::packaged_task<void()>> tasks_; //!< under mtx_
+    bool stop_ = false; //!< destructor has run (under mtx_)
     std::vector<std::thread> workers_;
-
-    std::mutex idleMtx_;
-    std::condition_variable idleCv_;
-    std::size_t pending_ = 0; //!< queued, not yet taken (under idleMtx_)
-    bool stop_ = false;       //!< destructor has run (under idleMtx_)
-    std::size_t nextQueue_ = 0; //!< round-robin cursor (under idleMtx_)
 };
 
 } // namespace mspdsm

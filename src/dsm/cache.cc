@@ -43,11 +43,10 @@ CacheCtrl::retryFired()
     } else {
         stats_.timeouts.inc();
         ++retryAttempts_;
-        fatal_if(retryAttempts_ > retryLimit_, "cache ", id_,
-                 ": exhausted ", retryLimit_,
+        fatal_if(retryAttempts_ > retryLimit, "cache ", id_,
+                 ": exhausted ", retryLimit,
                  " retries for block ", mshr_.blk,
                  "; home unreachable");
-        stats_.retryDepth.sample(retryAttempts_);
         if (obs_) [[unlikely]]
             obs_->retryInstant("timeout retry", id_, mshr_.blk,
                                retryAttempts_);
@@ -63,7 +62,7 @@ CacheCtrl::retryFired()
                                  : MsgType::GetX)
                           : MsgType::GetS;
     sendRequest(t, mshr_.blk, l);
-    eq_.scheduleAfter(retryTimeout_, retryEvent_);
+    eq_.scheduleAfter(retryTimeout, retryEvent_);
 }
 
 void
@@ -107,7 +106,7 @@ CacheCtrl::access(BlockId blk, bool is_write, MemCompletion &done)
             // (or its reply) in flight, the message is dropped and
             // only this timer recovers the transaction.
             retryAfterNack_ = false;
-            eq_.scheduleAfter(retryTimeout_, retryEvent_);
+            eq_.scheduleAfter(retryTimeout, retryEvent_);
         }
         return 0;
     }
@@ -123,7 +122,6 @@ CacheCtrl::access(BlockId blk, bool is_write, MemCompletion &done)
                 stats_.specServedFr.inc();
             else if (l.trig == SpecTrigger::Swi)
                 stats_.specServedSwi.inc();
-            stats_.specUseDist.sample(eq_.curTick() - l.specPush);
             if (obs_) [[unlikely]]
                 obs_->specInstant("spec use", id_, blk);
         }
@@ -201,7 +199,6 @@ CacheCtrl::handle(const CohMsg &msg)
         l.referenced = false;
         l.inProcCache = false;
         l.trig = msg.trigger;
-        l.specPush = eq_.curTick();
         if (obs_) [[unlikely]]
             obs_->specInstant("spec place", id_, msg.blk);
         return;
@@ -214,10 +211,9 @@ CacheCtrl::handle(const CohMsg &msg)
             return; // late bounce of an already-satisfied request
         stats_.nacks.inc();
         ++retryAttempts_;
-        fatal_if(retryAttempts_ > retryLimit_, "cache ", id_,
-                 ": exhausted ", retryLimit_, " retries for block ",
+        fatal_if(retryAttempts_ > retryLimit, "cache ", id_,
+                 ": exhausted ", retryLimit, " retries for block ",
                  mshr_.blk, "; home unreachable");
-        stats_.retryDepth.sample(retryAttempts_);
         if (obs_) [[unlikely]]
             obs_->retryInstant("nack backoff", id_, mshr_.blk,
                                retryAttempts_);

@@ -97,8 +97,6 @@ struct CacheStats
     // distributions are recorded in every run, instrumented or not.
     Histogram readMissLat;  //!< demand read miss, issue -> fill
     Histogram writeMissLat; //!< demand write/upgrade, issue -> fill
-    Histogram specUseDist;  //!< speculative push -> first use
-    Histogram retryDepth;   //!< retry-FSM attempt depth per backoff
 };
 
 /**
@@ -157,22 +155,6 @@ class CacheCtrl
      */
     void enableFaults() { faultsEnabled_ = true; }
 
-    /**
-     * Configure the bounded-retry FSM: @p limit retries before the
-     * structured "exhausted" fatal, @p timeout ticks of silence before
-     * a demand miss is re-issued. The defaults reproduce the original
-     * hard-coded policy bit for bit (DsmConfig carries the same
-     * defaults); fig11 sweeps them via --retry-limit/--stale-timeout.
-     */
-    void
-    setRetryPolicy(unsigned limit, Tick timeout)
-    {
-        fatal_if(limit == 0 || timeout == 0,
-                 "retry limit and stale timeout must be non-zero");
-        retryLimit_ = limit;
-        retryTimeout_ = timeout;
-    }
-
     /** Share the fault layer's home re-mapping table. */
     void setHomeRemap(const NodeId *table) { map_.setRemap(table); }
 
@@ -221,8 +203,6 @@ class CacheCtrl
         bool spec = false;        //!< placed speculatively
         bool referenced = false;  //!< processor has touched it
         SpecTrigger trig = SpecTrigger::None;
-        Tick specPush = 0; //!< placement tick of the spec copy
-                           //!< (push-to-use distance accounting)
     };
 
     struct Mshr
@@ -257,6 +237,18 @@ class CacheCtrl
     /** Deterministic backoff base after a Nack. */
     static constexpr Tick nackBackoffBase = 64;
 
+    /** Bounded retries before the node declares the home unreachable
+     * (the structured "exhausted" fatal). */
+    static constexpr unsigned retryLimit = 16;
+
+    /**
+     * Retry timeout: ticks of silence before a demand miss is
+     * re-issued, safely above the worst legitimate round trip (the
+     * fault sweep unblocks every fault-stalled transaction at the
+     * kill tick itself, so an expiry means a message was lost).
+     */
+    static constexpr Tick retryTimeout = 20000;
+
     NodeId id_;
     EventQueue &eq_;
     Network &net_;
@@ -265,18 +257,6 @@ class CacheCtrl
     ShardTable<Line> lines_;
     Mshr mshr_;
     RetryEvent retryEvent_{this};
-
-    /** Bounded retries before the node declares the home unreachable
-     * (DsmConfig::retryLimit; default reproduces the original cap). */
-    unsigned retryLimit_ = 16;
-
-    /**
-     * Retry timeout (DsmConfig::staleTimeout): safely above the worst
-     * legitimate round trip (the fault sweep unblocks every
-     * fault-stalled transaction at the kill tick itself, so an expiry
-     * means a message was lost).
-     */
-    Tick retryTimeout_ = 20000;
 
     unsigned retryAttempts_ = 0;
     bool retryAfterNack_ = false; //!< pending timer is a Nack backoff

@@ -193,11 +193,11 @@ Directory::handle(const CohMsg &msg)
             prematureCheck(msg);
             // A request from a node holding an unverified speculative
             // copy verifies it in place (e.g. a migratory upgrade).
-            if (e.cold && e.cold->specSent.contains(msg.src))
+            if (e.specSent.contains(msg.src))
                 verifyCopy(e, msg.blk, msg);
         }
-        if (e.hasDeferred() || !canProcess(e, msg.type)) {
-            cold(e).deferred.push_back(msg);
+        if (!e.deferred.empty() || !canProcess(e, msg.type)) {
+            e.deferred.push_back(msg);
             return;
         }
         processRequest(e, msg);
@@ -296,7 +296,7 @@ Directory::onWrite(Entry &e, const CohMsg &msg, bool upgrade_grant)
     // Fault runs: remember the requester's restart epoch so a grant
     // whose requester crashed mid-transaction can be abandoned.
     if (faults_)
-        cold(e).curReqEpoch = faults_->epoch(src);
+        e.curReqEpoch = faults_->epoch(src);
 
     switch (e.state) {
       case DirState::Idle: {
@@ -329,7 +329,7 @@ Directory::onWrite(Entry &e, const CohMsg &msg, bool upgrade_grant)
         e.state = DirState::BusyInval;
         e.pendingAcks = others.count();
         if (faults_)
-            cold(e).ackWait = others;
+            e.ackWait = others;
         for (NodeId o : others) {
             stats_.invals.inc();
             CohMsg inv;
@@ -368,11 +368,11 @@ Directory::onInvAck(Entry &e, const CohMsg &msg)
 {
     panic_if(e.state != DirState::BusyInval,
              "InvAck outside invalidation: ", msg.toString());
-    if (specEnabled() && e.cold && e.cold->specSent.contains(msg.src))
+    if (specEnabled() && e.specSent.contains(msg.src))
         verifyCopy(e, msg.blk, msg);
     panic_if(e.pendingAcks <= 0, "stray InvAck: ", msg.toString());
-    if (faults_ && e.cold)
-        e.cold->ackWait.remove(msg.src);
+    if (faults_)
+        e.ackWait.remove(msg.src);
     if (--e.pendingAcks == 0) {
         e.state = DirState::BusyService;
         scheduleKind(ActKind::Grant, eq_.curTick() + cfg_.dirLookup,
@@ -410,7 +410,7 @@ Directory::grantExcl(Entry &e, BlockId blk)
 {
     const NodeId w = e.curReq;
     if (faults_ && (faults_->dead(w) ||
-                    coldView(e).curReqEpoch != faults_->epoch(w))) {
+                    e.curReqEpoch != faults_->epoch(w))) {
         // The requester died (and possibly restarted, cache cold)
         // while its write was in service: the grant has no taker, and
         // recording a dead node as owner would wedge the block on a
@@ -451,20 +451,17 @@ Directory::grantExcl(Entry &e, BlockId blk)
 void
 Directory::drain(BlockId blk)
 {
-    // The entry reference must be re-fetched each iteration:
-    // processing can insert new entries (never for this block, but
-    // the map may rehash through speculation on other blocks). The
-    // cold record's address is arena-stable, but fetch it through the
-    // current entry anyway.
+    // The entry reference is re-fetched each iteration: a lookup of
+    // a block past the end of its shard grows the table and moves
+    // every entry.
     while (true) {
         Entry &e = entry(blk);
-        ColdEntry *c = e.cold;
-        if (!c || c->deferred.empty() ||
-            !canProcess(e, c->deferred.front().type)) {
+        if (e.deferred.empty() ||
+            !canProcess(e, e.deferred.front().type)) {
             return;
         }
-        CohMsg m = c->deferred.front();
-        c->deferred.pop_front();
+        const CohMsg m = e.deferred.front();
+        e.deferred.erase(e.deferred.begin());
         processRequest(e, m);
     }
 }
@@ -476,31 +473,26 @@ Directory::writeCompleted(BlockId blk, NodeId writer)
 {
     Entry &e = entry(blk);
 
-    // A block with no cold record never deferred or speculated:
-    // nothing to judge, nothing to reset.
-    if (ColdEntry *c = e.cold) {
-        // Deferred SWI verdict (see prematureCheck): the ex-owner
-        // wrote again; if nobody used the early-forwarded data in the
-        // meantime, the invalidation fired too early.
-        if (c->swiVerdictPending && c->swiWriteKeyValid && vmsp_) {
-            if (!c->specAnyUsed)
-                markPremature(e, blk);
-        }
-        if (c->swiBackoff > 0)
-            --c->swiBackoff;
-
-        // A completed write closes both the read phase and any SWI
-        // epoch.
-        c->phaseTriggered = false;
-        c->phaseTrig = SpecTrigger::None;
-        c->specKeyValid = false;
-        c->misspecPenalized = false;
-        c->swiEpoch = false;
-        c->swiExOwner = invalidNode;
-        c->swiVerdictPending = false;
-        c->specAnyUsed = false;
-        c->swiWriteKeyValid = false;
+    // Deferred SWI verdict (see prematureCheck): the ex-owner wrote
+    // again; if nobody used the early-forwarded data in the meantime,
+    // the invalidation fired too early.
+    if (e.swiVerdictPending && e.swiWriteKeyValid && vmsp_) {
+        if (!e.specAnyUsed)
+            markPremature(e, blk);
     }
+    if (e.swiBackoff > 0)
+        --e.swiBackoff;
+
+    // A completed write closes both the read phase and any SWI epoch.
+    e.phaseTriggered = false;
+    e.phaseTrig = SpecTrigger::None;
+    e.specKeyValid = false;
+    e.misspecPenalized = false;
+    e.swiEpoch = false;
+    e.swiExOwner = invalidNode;
+    e.swiVerdictPending = false;
+    e.specAnyUsed = false;
+    e.swiWriteKeyValid = false;
 
     if (!specEnabled() || mode_ != SpecMode::SwiFirstRead)
         return;
@@ -516,13 +508,13 @@ Directory::trySwi(BlockId blk, NodeId writer)
         return;
     Entry &e = *found;
     if (e.state != DirState::Excl || e.owner != writer ||
-        e.hasDeferred()) {
+        !e.deferred.empty()) {
         return;
     }
     auto wk = vmsp_->lastWriteKey(blk);
     if (!wk)
         return;
-    if (vmsp_->isPremature(blk, *wk) || coldView(e).swiBackoff > 0) {
+    if (vmsp_->isPremature(blk, *wk) || e.swiBackoff > 0) {
         specStats_.swiSuppressed.inc();
         return;
     }
@@ -530,13 +522,12 @@ Directory::trySwi(BlockId blk, NodeId writer)
     e.state = DirState::BusyRecall;
     e.curIsSwi = true;
     e.curReq = writer;
-    ColdEntry &c = cold(e);
-    c.swiExOwner = writer; // premature checks start at launch
-    c.swiLaunch = eq_.curTick();
-    c.swiWriteKey = *wk;
-    c.swiWriteKeyValid = true;
-    c.swiVerdictPending = false;
-    c.specAnyUsed = false;
+    e.swiExOwner = writer; // premature checks start at launch
+    e.swiLaunch = eq_.curTick();
+    e.swiWriteKey = *wk;
+    e.swiWriteKeyValid = true;
+    e.swiVerdictPending = false;
+    e.specAnyUsed = false;
     specStats_.swiSent.inc();
 
     CohMsg recall;
@@ -545,7 +536,7 @@ Directory::trySwi(BlockId blk, NodeId writer)
     recall.dst = writer;
     recall.blk = blk;
     recall.speculative = true;
-    sendAt(c.swiLaunch + cfg_.dirLookup, recall);
+    sendAt(e.swiLaunch + cfg_.dirLookup, recall);
 }
 
 void
@@ -554,11 +545,9 @@ Directory::completeSwi(Entry &e, BlockId blk)
     specStats_.swiCompleted.inc();
     e.curIsSwi = false;
     e.state = DirState::Idle;
-    ColdEntry &c = cold(e);
-    c.swiEpoch = true; // swiExOwner was set at launch
-    specStats_.swiLat.sample(eq_.curTick() - c.swiLaunch);
+    e.swiEpoch = true; // swiExOwner was set at launch
     if (obs_) [[unlikely]]
-        obs_->swiSpan(id_, blk, c.swiLaunch);
+        obs_->swiSpan(id_, blk, e.swiLaunch);
     replicate(blk); // pushSpec adds another delta if readers exist
 
     // Trigger the predicted read sequence (Section 4.1): forward the
@@ -576,7 +565,7 @@ Directory::completeSwi(Entry &e, BlockId blk)
 void
 Directory::frCheck(Entry &e, BlockId blk, NodeId reader)
 {
-    if (coldView(e).phaseTriggered)
+    if (e.phaseTriggered)
         return;
     auto readers = vmsp_->predictedReaders(blk);
     if (!readers)
@@ -604,13 +593,12 @@ Directory::pushSpec(Entry &e, BlockId blk, NodeSet targets,
         if (targets.empty())
             return;
     }
-    ColdEntry &c = cold(e);
-    c.phaseTriggered = true;
-    c.phaseTrig = trig;
-    c.specKey = key;
-    c.specKeyValid = true;
-    c.misspecPenalized = false;
-    c.specSent = c.specSent | targets;
+    e.phaseTriggered = true;
+    e.phaseTrig = trig;
+    e.specKey = key;
+    e.specKeyValid = true;
+    e.misspecPenalized = false;
+    e.specSent = e.specSent | targets;
     e.sharers = e.sharers | targets;
     replicate(blk);
 
@@ -635,33 +623,29 @@ Directory::prematureCheck(const CohMsg &msg)
     Entry &e = entry(msg.blk);
     // curIsSwi covers the whole SWI transaction (recall in flight and
     // the writeback-absorption window); swiEpoch the time after it.
-    // Either way the SWI launch (trySwi) created the cold record.
-    ColdEntry *c = e.cold;
-    const bool in_epoch = (c && c->swiEpoch) || e.curIsSwi;
-    if (!in_epoch)
+    if (!e.swiEpoch && !e.curIsSwi)
         return;
-    panic_if(!c, "SWI epoch without a cold record for ", msg.blk);
 
-    if (msg.src != c->swiExOwner) {
+    if (msg.src != e.swiExOwner) {
         // Another processor demanded the block after the early
         // invalidation: the producer really was done. Any such
         // consumer progress vouches for the SWI.
         if (msg.type == MsgType::GetS)
-            c->specAnyUsed = true;
+            e.specAnyUsed = true;
         return;
     }
-    if (!c->swiWriteKeyValid)
+    if (!e.swiWriteKeyValid)
         return;
 
-    if (msg.type == MsgType::GetS && !c->specSent.contains(msg.src) &&
-        !c->specAnyUsed) {
+    if (msg.type == MsgType::GetS && !e.specSent.contains(msg.src) &&
+        !e.specAnyUsed) {
         // The producer was still reading its own block (e.g.
         // moldyn's producer/consumer phase) and SWI robbed it before
         // any consumer benefited. If a consumer already took the
         // early-forwarded data, the same read is just the producer
         // rejoining the read phase (tomcatv's two-reader pattern).
         markPremature(e, msg.blk);
-        c->swiEpoch = false;
+        e.swiEpoch = false;
         return;
     }
 
@@ -673,7 +657,7 @@ Directory::prematureCheck(const CohMsg &msg)
         // the invalidation acknowledgements collected by this very
         // write carry that information, so the verdict is made when
         // the write transaction completes (writeCompleted).
-        c->swiVerdictPending = true;
+        e.swiVerdictPending = true;
     }
 }
 
@@ -681,33 +665,27 @@ void
 Directory::markPremature(Entry &e, BlockId blk)
 {
     specStats_.swiPremature.inc();
-    ColdEntry &c = cold(e);
     // Flag the entry the invalidation was launched from, the entry
     // of the latest write (the vector in front of the write may have
     // shifted since launch), and back the block off while the
     // pattern re-stabilizes.
-    if (c.swiWriteKeyValid)
-        vmsp_->setPremature(blk, c.swiWriteKey);
+    if (e.swiWriteKeyValid)
+        vmsp_->setPremature(blk, e.swiWriteKey);
     if (auto wk = vmsp_->lastWriteKey(blk))
         vmsp_->setPremature(blk, *wk);
     // Back the block off for a substantial number of writes and
     // escalate on repeat offenders: a block whose pattern keeps
     // flapping around premature invalidations ends up backed off for
     // (nearly) the rest of the run.
-    const unsigned shift = std::min(c.swiPrematureCount, 4u);
-    c.swiBackoff = 8u << shift;
-    ++c.swiPrematureCount;
+    const unsigned shift = std::min(e.swiPrematureCount, 4u);
+    e.swiBackoff = 8u << shift;
+    ++e.swiPrematureCount;
 }
 
 void
 Directory::verifyCopy(Entry &e, BlockId blk, const CohMsg &msg)
 {
-    // Only reached when specSent contains the source, so the cold
-    // record exists; allocating a default one here would silently
-    // mis-count the verification, so fail loudly instead.
-    panic_if(!e.cold, "verifyCopy without a cold record for ", blk);
-    ColdEntry &c = *e.cold;
-    c.specSent.remove(msg.src);
+    e.specSent.remove(msg.src);
 
     if (msg.type == MsgType::GetS) {
         // The push raced the consumer's own demand read and was
@@ -717,13 +695,13 @@ Directory::verifyCopy(Entry &e, BlockId blk, const CohMsg &msg)
     }
 
     const bool referenced = msg.copyReferenced;
-    const bool from_fr = c.phaseTrig == SpecTrigger::FirstRead;
+    const bool from_fr = e.phaseTrig == SpecTrigger::FirstRead;
     if (referenced) {
         // Consumer progress vouches for a pending SWI verdict -- but
         // only *other* processors count: the ex-owner referencing its
         // own bounced-back copy just proves it was robbed.
-        if (msg.src != c.swiExOwner)
-            c.specAnyUsed = true;
+        if (msg.src != e.swiExOwner)
+            e.specAnyUsed = true;
         // A speculatively served read never appears as a request
         // message; credit it into the open reader vector so the
         // pattern that speculation just verified stays learned.
@@ -733,10 +711,10 @@ Directory::verifyCopy(Entry &e, BlockId blk, const CohMsg &msg)
         return;
     }
     (from_fr ? specStats_.specMissFr : specStats_.specMissSwi).inc();
-    if (c.specKeyValid && !c.misspecPenalized) {
+    if (e.specKeyValid && !e.misspecPenalized) {
         // Remove the misspeculated request sequence (Section 4.2).
-        vmsp_->eraseEntry(blk, c.specKey);
-        c.misspecPenalized = true;
+        vmsp_->eraseEntry(blk, e.specKey);
+        e.misspecPenalized = true;
     }
 }
 
@@ -754,7 +732,7 @@ void
 Directory::releaseShard(NodeId home)
 {
     entries_.forEachIn(home, [&](BlockId, Entry &e) {
-        if (busy(e) || e.hasDeferred() || e.repliesInFlight > 0) {
+        if (busy(e) || !e.deferred.empty() || e.repliesInFlight > 0) {
             // A transaction this interim host was mid-way through is
             // abandoned; the requester's retry FSM re-resolves the
             // home to the restarted victim and re-issues.
@@ -766,14 +744,12 @@ Directory::releaseShard(NodeId home)
         e.pendingAcks = 0;
         e.repliesInFlight = 0;
         e.state = DirState::Idle;
-        if (ColdEntry *c = e.cold) {
-            c->deferred.clear();
-            c->specSent.clear();
-            c->ackWait.clear();
-            c->phaseTriggered = false;
-            c->specKeyValid = false;
-            c->swiVerdictPending = false;
-        }
+        e.deferred.clear();
+        e.specSent.clear();
+        e.ackWait.clear();
+        e.phaseTriggered = false;
+        e.specKeyValid = false;
+        e.swiVerdictPending = false;
     });
     // The shard's pending due-actions reference the state just
     // dropped: cancel them, then re-arm the flush for whatever is
@@ -794,7 +770,6 @@ Directory::failover()
     eq_.deschedule(flush_);
     dueQ_.clear();
     entries_.clear();
-    coldArena_ = ChunkedVector<ColdEntry>{};
 }
 
 void
@@ -818,15 +793,11 @@ Directory::pruneDead(NodeId v)
     // Walk in (home, local index) order: the Grant actions scheduled
     // below share one due tick, so the walk order is their order.
     entries_.forEach([&](BlockId blk, Entry &e) {
-        if (ColdEntry *c = e.cold) {
-            // Requests the dead node had queued die with it; the
-            // erase-remove keeps the survivors' arrival order.
-            c->deferred.erase(
-                std::remove_if(c->deferred.begin(), c->deferred.end(),
-                               [v](const CohMsg &m) { return m.src == v; }),
-                c->deferred.end());
-            c->specSent.remove(v);
-        }
+        // Requests the dead node had queued die with it; erase_if keeps
+        // the survivors' arrival order.
+        std::erase_if(e.deferred,
+                      [v](const CohMsg &m) { return m.src == v; });
+        e.specSent.remove(v);
         e.sharers.remove(v);
 
         switch (e.state) {
@@ -844,12 +815,11 @@ Directory::pruneDead(NodeId v)
                 absorbWriteBack(e, blk);
             }
             break;
-          case DirState::BusyInval: {
-            ColdEntry *c = e.cold;
-            if (c && c->ackWait.contains(v)) {
+          case DirState::BusyInval:
+            if (e.ackWait.contains(v)) {
                 // The dead node can no longer acknowledge -- its copy
                 // is gone, which is what the ack would have asserted.
-                c->ackWait.remove(v);
+                e.ackWait.remove(v);
                 if (--e.pendingAcks == 0) {
                     e.state = DirState::BusyService;
                     scheduleKind(ActKind::Grant,
@@ -858,7 +828,6 @@ Directory::pruneDead(NodeId v)
                 }
             }
             break;
-          }
           default:
             break;
         }

@@ -17,8 +17,10 @@
  *    premature bit that suppresses future early invalidations for
  *    that write.
  *
- * The directory serializes transactions per block: requests arriving
- * while a transaction is in flight are deferred in arrival order.
+ * Each block has one full-map entry (Entry), held inline in a
+ * per-home ShardTable. The directory serializes transactions per
+ * block: requests arriving while a transaction is in flight are
+ * deferred in arrival order.
  * Predictors still observe messages at *arrival*, which is the stream
  * the paper's predictors see.
  */
@@ -26,12 +28,9 @@
 #ifndef MSPDSM_DSM_DIRECTORY_HH
 #define MSPDSM_DSM_DIRECTORY_HH
 
-#include <algorithm>
-#include <deque>
 #include <vector>
 
 #include "base/bitvector.hh"
-#include "base/chunked_vector.hh"
 #include "base/types.hh"
 #include "net/network.hh"
 #include "pred/predictor.hh"
@@ -174,63 +173,21 @@ class Directory
 
   private:
     /**
-     * Cold half of a directory entry, arena-allocated on first use
-     * (see Entry). Holds the deferral queue and the speculation/SWI
-     * bookkeeping -- state the coherence FSM does not touch while a
-     * block cycles through its steady-state Idle/Shared/Excl
-     * transitions.
-     */
-    struct ColdEntry
-    {
-        std::deque<CohMsg> deferred;
-
-        // Read-phase speculation state.
-        bool phaseTriggered = false;
-        SpecTrigger phaseTrig = SpecTrigger::None;
-        NodeSet specSent;
-        Vmsp::Key specKey = 0;
-        bool specKeyValid = false;
-        bool misspecPenalized = false;
-
-        // SWI premature-detection epoch.
-        bool swiEpoch = false;
-        NodeId swiExOwner = invalidNode;
-        Vmsp::Key swiWriteKey = 0;
-        bool swiWriteKeyValid = false;
-        bool swiVerdictPending = false; //!< ex-owner wrote again;
-                                        //!< judge at grant time
-        bool specAnyUsed = false; //!< any consumer progress since SWI
-        /**
-         * Premature hysteresis: while learning, a block's reader
-         * vector can change between premature episodes (robbed reads
-         * perturb it), moving the pattern-table premature bit to a
-         * different entry and letting SWI retry every round. A
-         * premature verdict therefore also backs the *block* off for
-         * a number of write completions; stable patterns keep their
-         * entry bit and stay suppressed beyond the backoff.
-         */
-        unsigned swiBackoff = 0;
-        unsigned swiPrematureCount = 0; //!< escalates the backoff
-        Tick swiLaunch = 0; //!< trySwi tick (SWI latency accounting)
-
-        // Fault layer (only written with a FaultManager attached).
-        NodeSet ackWait; //!< nodes whose InvAck is still outstanding
-        std::uint8_t curReqEpoch = 0; //!< requester epoch at request
-    };
-
-    /**
-     * Hot half of a directory entry: exactly the fields busy() /
-     * canProcess() / the protocol handlers walk on every message.
-     * This is the table slot the FSM indexes, so it stays small
-     * (the deferral queue and the speculation keys are not walked
-     * per probe); everything else hangs off the arena-allocated cold
-     * record, attached the first time a block defers a request or
-     * participates in speculation.
+     * One block's directory entry (paper Section 2: one full-map
+     * entry per block), held inline in the per-home ShardTable:
+     * the coherence FSM, the deferral FIFO, and the speculation/SWI
+     * bookkeeping layered on top.
      */
     struct Entry
     {
         NodeSet sharers;
-        ColdEntry *cold = nullptr;
+        /**
+         * Requests that arrived while the block was busy, in arrival
+         * order (served from the front). Each node has one
+         * outstanding miss, so this holds at most one request per
+         * node.
+         */
+        std::vector<CohMsg> deferred;
         int pendingAcks = 0;
         int repliesInFlight = 0; //!< read replies being serviced
         NodeId owner = invalidNode;
@@ -245,19 +202,39 @@ class Directory
         SymKind curWriteSym = SymKind::Write; //!< as the requester
                                               //!< sent it (GetX/Upg)
 
-        /** Deferred requests pending (checked on every message). */
-        bool
-        hasDeferred() const
-        {
-            return cold && !cold->deferred.empty();
-        }
+        // Read-phase speculation state.
+        NodeSet specSent;
+        Vmsp::Key specKey = 0;
+        bool phaseTriggered = false;
+        SpecTrigger phaseTrig = SpecTrigger::None;
+        bool specKeyValid = false;
+        bool misspecPenalized = false;
+
+        // SWI premature-detection epoch.
+        NodeId swiExOwner = invalidNode;
+        bool swiEpoch = false;
+        bool swiWriteKeyValid = false;
+        bool swiVerdictPending = false; //!< ex-owner wrote again;
+                                        //!< judge at grant time
+        bool specAnyUsed = false; //!< any consumer progress since SWI
+        Vmsp::Key swiWriteKey = 0;
+        /**
+         * Premature hysteresis: while learning, a block's reader
+         * vector can change between premature episodes (robbed reads
+         * perturb it), moving the pattern-table premature bit to a
+         * different entry and letting SWI retry every round. A
+         * premature verdict therefore also backs the *block* off for
+         * a number of write completions; stable patterns keep their
+         * entry bit and stay suppressed beyond the backoff.
+         */
+        unsigned swiBackoff = 0;
+        unsigned swiPrematureCount = 0; //!< escalates the backoff
+        Tick swiLaunch = 0; //!< trySwi tick (recall send, trace span)
+
+        // Fault layer (only written with a FaultManager attached).
+        NodeSet ackWait; //!< nodes whose InvAck is still outstanding
+        std::uint8_t curReqEpoch = 0; //!< requester epoch at request
     };
-
-    static_assert(sizeof(Entry) == 40,
-                  "the hot directory entry is probed per handled "
-                  "message and is pinned at 40 bytes; move any new "
-                  "state to ColdEntry rather than re-bloating it");
-
 
     /** A deferred directory action's discriminator. */
     enum class ActKind : std::uint8_t
@@ -339,31 +316,6 @@ class Directory
 
     /** The block's entry (Idle until first used). */
     Entry &entry(BlockId blk) { return entries_[blk]; }
-
-    /**
-     * The entry's cold record, created on first use. Cold records
-     * live in an arena with stable addresses, so the pointer survives
-     * table growth (which copies the hot entry by value).
-     */
-    ColdEntry &
-    cold(Entry &e)
-    {
-        if (!e.cold)
-            e.cold = &coldArena_.emplace_back();
-        return *e.cold;
-    }
-
-    /**
-     * Read-only view of the cold record for paths that must not
-     * allocate one: a block that never deferred or speculated reads
-     * the shared all-defaults instance.
-     */
-    static const ColdEntry &
-    coldView(const Entry &e)
-    {
-        static const ColdEntry defaults;
-        return e.cold ? *e.cold : defaults;
-    }
 
     static bool
     busy(const Entry &e)
@@ -480,8 +432,6 @@ class Directory
     TickQueue<DueAction> dueQ_; //!< deferred actions by due tick
     FlushEvent flush_{this};
     ShardTable<Entry> entries_;
-    //! Cold records, attached on demand; addresses are stable.
-    ChunkedVector<ColdEntry> coldArena_;
     FaultManager *faults_ = nullptr; //!< fault layer; null = fault-free
     ObsManager *obs_ = nullptr; //!< observability; null = untraced
     DirStats stats_;

@@ -60,11 +60,11 @@
 #ifndef MSPDSM_DSM_FAULT_HH
 #define MSPDSM_DSM_FAULT_HH
 
+#include <deque>
 #include <memory>
 #include <vector>
 
 #include "base/bitvector.hh"
-#include "base/chunked_vector.hh"
 #include "base/types.hh"
 #include "pred/vmsp.hh"
 #include "proto/config.hh"
@@ -347,7 +347,7 @@ class FaultManager
     std::vector<std::uint8_t> epoch_; //!< per-node restart epoch
     NodeSet deadSet_;
 
-    ChunkedVector<PlanEvent> planEvents_; //!< stable addresses
+    std::deque<PlanEvent> planEvents_; //!< stable addresses
     CkptEvent ckptEvent_{this};
     //! Latest predictor checkpoint per node (warm-restart source).
     std::vector<std::unique_ptr<Vmsp::Snapshot>> ckpts_;

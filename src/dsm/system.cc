@@ -64,8 +64,7 @@ DsmSystem::DsmSystem(const DsmConfig &cfg)
     }
 
     for (unsigned i = 0; i < n; ++i) {
-        caches_.emplace_back(NodeId(i), eq_, *net_, cfg_.proto)
-            .setRetryPolicy(cfg_.retryLimit, cfg_.staleTimeout);
+        caches_.emplace_back(NodeId(i), eq_, *net_, cfg_.proto);
         // Passive observers see the arrival-ordered message stream;
         // the speculation-driving VMSP is fed separately by the
         // directory in service order (see Directory::specObserve).
@@ -272,8 +271,6 @@ DsmSystem::run(const CompiledWorkload &w)
         // node iteration order cannot matter).
         r.missLat.merge(cs.readMissLat);
         r.missLat.merge(cs.writeMissLat);
-        r.specUseDist.merge(cs.specUseDist);
-        r.retryDepth.merge(cs.retryDepth);
     }
     r.missLatP50 = r.missLat.percentile(50.0);
     r.missLatP90 = r.missLat.percentile(90.0);
@@ -317,7 +314,6 @@ DsmSystem::run(const CompiledWorkload &w)
         r.swiSent += ss.swiSent.value();
         r.swiPremature += ss.swiPremature.value();
         r.swiSuppressed += ss.swiSuppressed.value();
-        r.swiLat.merge(ss.swiLat);
     }
 
     if (obsMgr_) {

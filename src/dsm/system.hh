@@ -9,10 +9,9 @@
 #ifndef MSPDSM_DSM_SYSTEM_HH
 #define MSPDSM_DSM_SYSTEM_HH
 
+#include <deque>
 #include <memory>
 #include <vector>
-
-#include "base/chunked_vector.hh"
 
 #include "dsm/cache.hh"
 #include "dsm/directory.hh"
@@ -73,15 +72,6 @@ struct DsmConfig
      * pre-fault-layer code.
      */
     FaultPlan faults;
-
-    /**
-     * Bounded-retry FSM policy (CacheCtrl; active only in fault
-     * runs). The defaults reproduce the previously hard-coded 16
-     * retries / 20k-cycle stale timeout bit for bit; fig11 sweeps
-     * them via --retry-limit/--stale-timeout.
-     */
-    unsigned retryLimit = 16;  //!< retries before the fatal
-    Tick staleTimeout = 20000; //!< silence before a re-issue
 
     /**
      * Observability instruments (tracing, interval sampling); empty
@@ -171,10 +161,7 @@ struct RunResult
     // (log2 buckets; base/stats.hh). missLat combines read and write
     // demand misses -- issue to fill, retries included -- which is
     // the tail the fault and lossy-link axes stretch.
-    Histogram missLat;     //!< demand miss latency (read + write)
-    Histogram swiLat;      //!< SWI launch -> writeback absorbed
-    Histogram specUseDist; //!< speculative push -> first use
-    Histogram retryDepth;  //!< retry-FSM attempt depth per backoff
+    Histogram missLat; //!< demand miss latency (read + write)
 
     // Percentiles of missLat, precomputed for tables and sweep JSON.
     double missLatP50 = 0.0;
@@ -283,13 +270,13 @@ class DsmSystem
     std::vector<Vmsp *> vmsps_; //!< non-owning views of preds_
     //! per node, per ObserverSpec: passive observers
     std::vector<std::vector<std::unique_ptr<PredictorBase>>> obs_;
-    // Concrete per-node agents live in chunked arenas (stable
-    // addresses, one allocation per chunk): a system is built per
-    // sweep run, so its construction is itself a front-end cost.
-    ChunkedVector<CacheCtrl, 16> caches_;
-    ChunkedVector<Directory, 16> dirs_;
+    // Concrete per-node agents, built in place: a deque never moves
+    // an element on emplace_back, so the network's delivery sinks
+    // and the agents' cross-pointers stay valid.
+    std::deque<CacheCtrl> caches_;
+    std::deque<Directory> dirs_;
     std::unique_ptr<GlobalBarrier> barrier_;
-    ChunkedVector<Processor, 16> procs_;
+    std::deque<Processor> procs_;
     //! Constructed only when cfg_.faults is non-empty: the fault-free
     //! machine carries no fault machinery at all.
     std::unique_ptr<FaultManager> faults_;

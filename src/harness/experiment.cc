@@ -35,8 +35,6 @@ baseConfig(const ExperimentConfig &ec, Tick netJitter)
     cfg.proto.topo = ec.topo;
     if (ec.tickLimit)
         cfg.tickLimit = ec.tickLimit;
-    cfg.retryLimit = ec.retryLimit;
-    cfg.staleTimeout = ec.staleTimeout;
     cfg.faults = ec.faults;
     cfg.obs.tracePath = ec.tracePath;
     cfg.obs.traceFrom = ec.traceFrom;

@@ -40,10 +40,6 @@ struct ExperimentConfig
      * and the run is bit-identical to a pre-fault-layer run.
      */
     FaultPlan faults = {};
-    /** Cache retry FSM bound (--retry-limit). */
-    unsigned retryLimit = 16;
-    /** Cache stale-request re-issue timeout (--stale-timeout). */
-    Tick staleTimeout = 20000;
 
     // ---- Observability (--trace / --sample-interval). All defaults
     // are inert: an empty ObsConfig builds no ObsManager and the run

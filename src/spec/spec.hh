@@ -90,7 +90,6 @@ struct SpecStats
 
     // Always-on latency distribution (see CacheStats): passive
     // fixed-size accounting, recorded in every run.
-    Histogram swiLat; //!< SWI launch -> writeback absorbed
 };
 
 } // namespace mspdsm

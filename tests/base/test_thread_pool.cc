@@ -1,5 +1,5 @@
-/** @file Work-stealing thread pool: result delivery, exception
- * propagation, drain-on-shutdown, and submission ordering. */
+/** @file Thread pool: result delivery, exception propagation,
+ * drain-on-shutdown, and submission ordering. */
 
 #include <gtest/gtest.h>
 
@@ -74,8 +74,9 @@ TEST(ThreadPool, DestructorDrainsQueuedTasks)
 
 TEST(ThreadPool, SingleWorkerRunsInSubmissionOrder)
 {
-    // One worker, one queue: FIFO execution order (the property that
-    // makes a --jobs 1 sweep equivalent to the serial loop).
+    // One worker over the FIFO: submission-order execution (the
+    // property that makes a --jobs 1 sweep equivalent to the serial
+    // loop).
     ThreadPool pool(1);
     std::vector<int> order;
     std::mutex mtx;
@@ -93,12 +94,12 @@ TEST(ThreadPool, SingleWorkerRunsInSubmissionOrder)
         EXPECT_EQ(order[i], i);
 }
 
-TEST(ThreadPool, StealsFromABlockedWorkersQueue)
+TEST(ThreadPool, QuickTasksRunPastABlockedWorker)
 {
-    // Park one of the two workers on a gate; the round-robin
-    // distribution still queues half the quick tasks behind the
-    // parked worker, so they only complete if the free worker steals
-    // them. Without stealing this times out.
+    // Park one of the two workers on a gate; every quick task must
+    // still complete on the free worker. A pool that queued tasks
+    // per worker would strand some behind the parked one and time
+    // out here.
     ThreadPool pool(2);
     std::promise<void> release;
     std::shared_future<void> gate(release.get_future());

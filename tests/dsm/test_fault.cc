@@ -12,6 +12,7 @@
 #include "dsm/system.hh"
 #include "harness/experiment.hh"
 #include "harness/sweep.hh"
+#include "testutil.hh"
 #include "workload/suite.hh"
 
 using namespace mspdsm;
@@ -303,23 +304,6 @@ TEST(Fault, BaseDsmSurvivesTheFaultToo)
     EXPECT_EQ(r.fault.ckptSnapshots, 0u);
 }
 
-TEST(Fault, RetryKnobDefaultsAreBitIdentical)
-{
-    // Satellite: the bounded-retry FSM constants moved from
-    // compile-time to DsmConfig. Passing the old constants explicitly
-    // must be indistinguishable from not passing them at all.
-    ExperimentConfig explicitKnobs = tiny();
-    explicitKnobs.retryLimit = 16;
-    explicitKnobs.staleTimeout = 20000;
-    const RunResult a =
-        runSpec("em3d", SpecMode::SwiFirstRead, tiny());
-    const RunResult b =
-        runSpec("em3d", SpecMode::SwiFirstRead, explicitKnobs);
-    expectIdentical(a, b);
-    EXPECT_EQ(b.execTicks, 120022u); // still the golden run
-    EXPECT_EQ(b.messages, 1984u);
-}
-
 TEST(Fault, ShardReplicationAvoidsTheSurvivorSweep)
 {
     // With --replicate-shards the failover sweep sends no RehomeSync:
@@ -469,6 +453,27 @@ TEST(Fault, ChaosRunIsJobCountInvariant)
 
 using FaultDeathTest = ::testing::Test;
 
+TEST(Fault, PruneDeadDropsOnlyTheDeadNodesDeferredRequests)
+{
+    // Node 1's write holds block 0 busy at node 0 while writes from
+    // nodes 4, 2, 5, 3 arrive one tick apart and defer. When node 1's
+    // grant lands, node 4's write is in service and 2, 5, 3 wait.
+    // Node 5 dies then: its request goes, the others keep their
+    // arrival order.
+    test::AccessRig rig(6);
+    rig.onDone = [&rig](NodeId n) {
+        if (n == 1)
+            rig.dirs[0].pruneDead(5);
+    };
+    rig.issueAt(0, 1, 0, true);
+    const NodeId arrivals[] = {4, 2, 5, 3};
+    for (unsigned i = 0; i < 4; ++i)
+        rig.issueAt(1 + i, arrivals[i], 0, true);
+    ASSERT_TRUE(rig.eq.run());
+    EXPECT_EQ(rig.order, (std::vector<NodeId>{1, 4, 2, 3}));
+    EXPECT_EQ(rig.dirs[0].stats().recalls.value(), 3u);
+}
+
 TEST(FaultDeathTest, RetryExhaustionIsFatal)
 {
     // backup == victim leaves the re-homed shard just as dead as the
@@ -485,17 +490,15 @@ TEST(FaultDeathTest, RetryExhaustionIsFatal)
 
 TEST(FaultDeathTest, RetryExhaustionDuringOverlappingOutage)
 {
-    // Satellite edge case: the explicit backup itself dies during the
-    // first outage. The explicit --backup-node is honored verbatim
-    // (succession only applies to the *default* backup choice), so
-    // shard 4 -- and shard 3 hosted on it -- have no live home and
-    // the bounded retry FSM must still fail structurally, now with a
-    // configurable --retry-limit to reach the exit quickly.
+    // The explicit backup itself dies during the first outage. The
+    // explicit --backup-node is honored verbatim (succession only
+    // applies to the *default* backup choice), so shard 4 -- and
+    // shard 3 hosted on it -- have no live home and the bounded
+    // retry FSM must still fail structurally after its 16 retries.
     ExperimentConfig ec = tiny();
     ec.faults.events = {{5000, 3, FaultKind::Kill},
                         {5200, 4, FaultKind::Kill}};
     ec.faults.backup = 4;
-    ec.retryLimit = 6;
     EXPECT_EXIT(runSpec("em3d", SpecMode::None, ec),
                 ::testing::ExitedWithCode(1), "exhausted");
 }

@@ -18,12 +18,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <map>
 #include <optional>
 #include <set>
 #include <vector>
 
-#include "base/chunked_vector.hh"
 #include "base/flat_map.hh"
 #include "base/random.hh"
 #include "pred/ref_pattern.hh"
@@ -113,7 +113,7 @@ class RefSeq final : public PredictorBase
     const unsigned alphabet_;
     const unsigned typeBits_;
     FlatMap<BlockId, ref::BlockPattern *> index_;
-    ChunkedVector<ref::BlockPattern> store_;
+    std::deque<ref::BlockPattern> store_;
     std::uint64_t pteTotal_ = 0;
 };
 

@@ -118,6 +118,23 @@ TEST(Directory, DeferredRequestsAllComplete)
     // run() panics internally on deadlock; reaching here is the test.
 }
 
+TEST(Directory, DeferredRequestsAreServedInArrivalOrder)
+{
+    // Node 1's write holds block 0 busy at its home, node 0, while
+    // writes from nodes 4, 2, 5, 3 arrive one tick apart. All four
+    // defer, and each is granted -- recalling the previous owner --
+    // in arrival order, not in node order.
+    test::AccessRig rig(6);
+    rig.issueAt(0, 1, 0, true);
+    const NodeId arrivals[] = {4, 2, 5, 3};
+    for (unsigned i = 0; i < 4; ++i)
+        rig.issueAt(1 + i, arrivals[i], 0, true);
+    ASSERT_TRUE(rig.eq.run());
+    EXPECT_EQ(rig.order, (std::vector<NodeId>{1, 4, 2, 5, 3}));
+    EXPECT_EQ(rig.dirs[0].stats().reqGetX.value(), 5u);
+    EXPECT_EQ(rig.dirs[0].stats().recalls.value(), 4u);
+}
+
 TEST(Directory, SoleUpgradeGeneratesNoInvals)
 {
     DsmConfig cfg = smallConfig();

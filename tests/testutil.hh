@@ -3,10 +3,12 @@
 #ifndef MSPDSM_TESTS_TESTUTIL_HH
 #define MSPDSM_TESTS_TESTUTIL_HH
 
+#include <deque>
+#include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
-#include "base/chunked_vector.hh"
 #include "dsm/system.hh"
 #include "sim/eventq.hh"
 #include "workload/layout.hh"
@@ -66,10 +68,10 @@ struct At final : public Event
 };
 
 /**
- * Slab-backed free-list pool for a test's event objects:
- * acquire() recycles or carves a new event from chunked storage
- * (stable addresses), release() returns it. The pool owns the slabs;
- * events must not be released twice or used after release.
+ * Free-list pool for a test's event objects: acquire() recycles or
+ * carves a new event from a deque (stable addresses), release()
+ * returns it. The pool owns the events; they must not be released
+ * twice or used after release.
  */
 template <typename T>
 class EventPool
@@ -107,8 +109,98 @@ class EventPool
     }
 
   private:
-    ChunkedVector<T> slab_;
+    std::deque<T> slab_;
     std::vector<T *> free_;
+};
+
+/**
+ * Real caches and home directories on one jitter-free crossbar, with
+ * no processors: a test issues accesses at chosen ticks and reads
+ * back the order in which they complete.
+ */
+class AccessRig
+{
+  public:
+    explicit AccessRig(unsigned nodes)
+    {
+        cfg.numNodes = nodes;
+        cfg.netJitter = 0;
+        net = std::make_unique<Network>(eq, cfg, Rng(1));
+        for (NodeId n = 0; n < nodes; ++n) {
+            caches.emplace_back(n, eq, *net, cfg);
+            dirs.emplace_back(n, eq, *net, cfg,
+                              std::vector<PredictorBase *>{}, nullptr,
+                              SpecMode::None);
+            done_.emplace_back(this, n);
+        }
+        for (NodeId n = 0; n < nodes; ++n)
+            net->attach(n, caches[n], dirs[n]);
+    }
+
+    /** Node @p n reads or writes block @p blk at tick @p when. */
+    void
+    issueAt(Tick when, NodeId n, BlockId blk, bool write)
+    {
+        eq.schedule(when, issues_.emplace_back(this, n, blk, write));
+    }
+
+    EventQueue eq;
+    ProtoConfig cfg;
+    std::unique_ptr<Network> net;
+    std::deque<CacheCtrl> caches;
+    std::deque<Directory> dirs;
+    std::vector<NodeId> order; //!< nodes, in access-completion order
+    //! Called after each completion is recorded (may be empty).
+    std::function<void(NodeId)> onDone;
+
+  private:
+    struct Done final : MemCompletion
+    {
+        Done(AccessRig *r, NodeId n)
+            : MemCompletion(&Done::fire), rig(r), node(n)
+        {}
+
+        static void
+        fire(MemCompletion &self, bool)
+        {
+            const Done &d = static_cast<Done &>(self);
+            d.rig->completed(d.node);
+        }
+
+        AccessRig *rig;
+        NodeId node;
+    };
+
+    struct Issue final : Event
+    {
+        Issue(AccessRig *r, NodeId n, BlockId b, bool w)
+            : rig(r), node(n), blk(b), write(w)
+        {}
+
+        void
+        process() override
+        {
+            // A hit completes on the spot; a miss at its fill.
+            if (rig->caches[node].access(blk, write, rig->done_[node]))
+                rig->completed(node);
+        }
+
+        AccessRig *rig;
+        NodeId node;
+        BlockId blk;
+        bool write;
+    };
+
+    void
+    completed(NodeId n)
+    {
+        order.push_back(n);
+        if (onDone)
+            onDone(n);
+    }
+
+    std::deque<Done> done_;
+    std::deque<Issue> issues_;
 };
 
 } // namespace mspdsm::test
