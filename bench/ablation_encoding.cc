@@ -72,6 +72,6 @@ main(int argc, char **argv)
                   Table::fmt(std::uint64_t(2 + procs))});
     }
     t.print(std::cout);
-    SweepRunner sweep(bench::sweepOptions(args));
+    SweepRunner sweep(args.jobs);
     return bench::finishSweep(sweep, args, "ablation_encoding");
 }

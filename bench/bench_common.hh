@@ -1,18 +1,16 @@
 /**
  * @file
- * Shared infrastructure for the experiment and perf binaries.
+ * The command line and sweep epilogue shared by the experiment
+ * binaries.
  *
- * Two layers live here:
- *  - parseArgs(): the one command line every bench binary accepts
- *    (--scale/--procs/--iters/--seed for the workload, --jobs/--json
- *    for the sweep engine, --smoke/-o for the micro harness), plus
- *    the legacy positional [scale] [iterations] form;
- *  - a small self-contained timing harness (no external benchmark
- *    library) used by the micro benches: each benchmark is a callable
- *    returning the number of items it processed; the harness repeats
- *    it until enough wall time has accumulated, and the results can be
- *    serialized as JSON (BENCH_core.json) so the perf trajectory of
- *    the simulator hot path is tracked from PR to PR.
+ * parseArgs() is the one command line every bench binary accepts:
+ * --scale/--procs/--iters/--seed for the workload, the fault,
+ * topology and trace flags, --jobs/--json for the sweep engine, plus
+ * the legacy positional [scale] [iterations] form. finishSweep()
+ * prints the per-run summary table and writes the mspdsm-sweep-v1
+ * record. Wall clock is measured by perfbench/; the work counts are
+ * pinned by tests/integration/test_golden.cc and CI's sweep-JSON
+ * checks.
  */
 
 #ifndef MSPDSM_BENCH_BENCH_COMMON_HH
@@ -21,22 +19,15 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <functional>
 #include <iostream>
 #include <ostream>
 #include <string>
 #include <vector>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
 
 #include "base/logging.hh"
 #include "harness/experiment.hh"
@@ -54,8 +45,7 @@ struct BenchArgs
 {
     ExperimentConfig ec;  //!< --scale / --iters / --procs / --seed
     unsigned jobs = 1;    //!< --jobs N (0 = hardware concurrency)
-    std::string jsonPath; //!< --json FILE / -o FILE ("" = no JSON)
-    bool smoke = false;   //!< --smoke: shorten micro benches for CI
+    std::string jsonPath; //!< --json FILE ("" = no JSON)
 
     // The --fail-node/--fail-tick/--recover-tick outage, kept apart
     // from ec.faults until it is folded in ahead of the --kill/
@@ -132,9 +122,6 @@ printUsage(std::ostream &os, const char *tool, const char *what)
        << "               (default 1 = serial; results are\n"
        << "               bit-identical either way)\n"
        << "  --json FILE  write the mspdsm-sweep-v1 record to FILE\n"
-       << "  -o FILE      alias of --json (BENCH_core.json schema\n"
-       << "               for the micro benches)\n"
-       << "  --smoke      micro benches only: shorten for CI\n"
        << "  --help       this text\n";
 }
 
@@ -374,18 +361,25 @@ parseArgs(int argc, char **argv, const char *tool, const char *what,
                 a.ec.tracePath = s;
             } else {
                 a.ec.tracePath.assign(s, comma - s);
-                char *p = nullptr;
-                a.ec.traceFrom = std::strtoull(comma + 1, &p, 10);
-                bool ok = p && *p == ',';
-                if (ok)
-                    a.ec.traceTo = std::strtoull(p + 1, &p, 10);
-                if (!ok || (p && *p != '\0')) {
+                // FROM,TO: two whole numbers, like every numeric flag.
+                const char *to = std::strchr(comma + 1, ',');
+                unsigned long long from = 0, until = 0;
+                if (!to ||
+                    !wholeOf(std::string(comma + 1, to).c_str(), maxTick,
+                             from) ||
+                    !wholeOf(to + 1, maxTick, until)) {
                     std::cerr << tool << ": --trace expects "
-                              << "FILE[,FROM,TO], got '" << s << "'\n";
+                              << "FILE[,FROM,TO] (integer ticks), got '"
+                              << s << "'\n";
                     std::exit(2);
                 }
-                if (a.ec.traceTo == 0) // 0 = open-ended window
-                    a.ec.traceTo = maxTick;
+                a.ec.traceFrom = from;
+                a.ec.traceTo = until ? until : maxTick; // 0 = open-ended
+                if (a.ec.traceFrom > a.ec.traceTo) {
+                    std::cerr << tool << ": --trace window [" << from
+                              << ", " << until << "] is empty\n";
+                    std::exit(2);
+                }
             }
             if (a.ec.tracePath.empty()) {
                 std::cerr << tool
@@ -400,11 +394,8 @@ parseArgs(int argc, char **argv, const char *tool, const char *what,
         } else if (!std::strcmp(arg, "--jobs") ||
                    !std::strcmp(arg, "-j")) {
             a.jobs = uintOf(arg, value(i), maxJobs);
-        } else if (!std::strcmp(arg, "--json") ||
-                   !std::strcmp(arg, "-o")) {
+        } else if (!std::strcmp(arg, "--json")) {
             a.jsonPath = value(i);
-        } else if (!std::strcmp(arg, "--smoke")) {
-            a.smoke = true;
         } else if (arg[0] == '-' && arg[1] != '\0') {
             std::cerr << tool << ": unknown option " << arg
                       << " (try --help)\n";
@@ -455,15 +446,6 @@ parseArgs(int argc, char **argv, const char *tool, const char *what,
     return a;
 }
 
-/** Sweep-engine options implied by the command line. */
-inline SweepOptions
-sweepOptions(const BenchArgs &a)
-{
-    SweepOptions o;
-    o.jobs = a.jobs;
-    return o;
-}
-
 /**
  * Shared sweep epilogue: per-run summary table (the structured view
  * of tick-limit guard trips) and, when requested, the JSON record.
@@ -489,133 +471,6 @@ finishSweep(SweepRunner &sweep, const BenchArgs &args, const char *tool)
         std::cout << "wrote " << args.jsonPath << "\n";
     }
     return 0;
-}
-
-/** Outcome of one timed microbenchmark. */
-struct BenchResult
-{
-    std::string name;
-    std::uint64_t items = 0;   //!< total items processed
-    double seconds = 0.0;      //!< wall time spent processing them
-    double itemsPerSec = 0.0;
-};
-
-/** Harness knobs. */
-struct BenchOptions
-{
-    /** Minimum wall time per benchmark; smoke mode uses a fraction. */
-    double minSeconds = 0.5;
-};
-
-/**
- * Run @p iter repeatedly until at least @p opts.minSeconds of wall
- * time has accumulated. @p iter returns the number of items (events,
- * lookups, messages...) processed by one invocation.
- */
-inline BenchResult
-runBench(const std::string &name, const BenchOptions &opts,
-         const std::function<std::uint64_t()> &iter)
-{
-    using Clock = std::chrono::steady_clock;
-
-    iter(); // warm-up: page in code and data
-
-    BenchResult r;
-    r.name = name;
-    while (r.seconds < opts.minSeconds) {
-        const auto t0 = Clock::now();
-        const std::uint64_t items = iter();
-        const auto t1 = Clock::now();
-        r.items += items;
-        r.seconds +=
-            std::chrono::duration<double>(t1 - t0).count();
-    }
-    if (r.seconds > 0.0)
-        r.itemsPerSec = static_cast<double>(r.items) / r.seconds;
-    return r;
-}
-
-/** Peak resident set size of this process, in bytes (0 if unknown). */
-inline std::uint64_t
-peakRssBytes()
-{
-#if defined(__unix__) || defined(__APPLE__)
-    struct rusage ru;
-    if (getrusage(RUSAGE_SELF, &ru) == 0) {
-#if defined(__APPLE__)
-        return static_cast<std::uint64_t>(ru.ru_maxrss);
-#else
-        return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;
-#endif
-    }
-#endif
-    return 0;
-}
-
-/** Render results as an aligned human-readable listing. */
-inline void
-printResults(std::ostream &os, const std::vector<BenchResult> &rs)
-{
-    for (const BenchResult &r : rs) {
-        os << r.name;
-        for (std::size_t i = r.name.size(); i < 28; ++i)
-            os << ' ';
-        os << "  " << r.itemsPerSec << " items/s  (" << r.items
-           << " items in " << r.seconds << " s)\n";
-    }
-}
-
-/**
- * Serialize results plus headline metrics as the BENCH_core.json
- * schema consumed by CI and the ROADMAP perf log.
- */
-inline void
-writeJson(std::ostream &os, const std::vector<BenchResult> &rs,
-          const std::vector<std::pair<std::string, double>> &headline);
-
-/**
- * Shared micro-bench epilogue: write the BENCH_core.json-schema
- * record to @p path (announced on stdout).
- * @return the binary's exit code
- */
-inline int
-writeMicroJson(const std::string &path,
-               const std::vector<BenchResult> &rs,
-               const std::vector<std::pair<std::string, double>>
-                   &headline)
-{
-    std::ofstream f(path);
-    if (!f) {
-        std::cerr << "cannot open " << path << " for writing\n";
-        return 1;
-    }
-    writeJson(f, rs, headline);
-    std::cout << "wrote " << path << " (";
-    for (std::size_t i = 0; i < headline.size(); ++i) {
-        std::cout << (i ? ", " : "") << headline[i].first << " "
-                  << headline[i].second;
-    }
-    std::cout << ")\n";
-    return 0;
-}
-
-inline void
-writeJson(std::ostream &os, const std::vector<BenchResult> &rs,
-          const std::vector<std::pair<std::string, double>> &headline)
-{
-    os << "{\n  \"schema\": \"mspdsm-bench-core-v1\",\n";
-    for (const auto &[key, value] : headline)
-        os << "  \"" << key << "\": " << value << ",\n";
-    os << "  \"peak_rss_bytes\": " << peakRssBytes() << ",\n";
-    os << "  \"benches\": [\n";
-    for (std::size_t i = 0; i < rs.size(); ++i) {
-        const BenchResult &r = rs[i];
-        os << "    {\"name\": \"" << r.name << "\", \"items\": "
-           << r.items << ", \"seconds\": " << r.seconds
-           << ", \"items_per_sec\": " << r.itemsPerSec << "}"
-           << (i + 1 < rs.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
 }
 
 } // namespace mspdsm::bench

@@ -66,7 +66,7 @@ main(int argc, char **argv)
         std::size_t base, swi; //!< submission indices
     };
 
-    SweepRunner sweep(bench::sweepOptions(args));
+    SweepRunner sweep(args.jobs);
     std::vector<Cell> cells;
     for (TopoKind kind : topos) {
         for (unsigned procs : procCounts) {

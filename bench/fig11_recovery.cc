@@ -73,13 +73,6 @@ main(int argc, char **argv)
         "under speculative coherence",
         /*ownOutage=*/true);
 
-    if (args.smoke) {
-        // CI configuration: small but still long enough that the
-        // default fault window falls mid-run.
-        args.ec.scale = 0.25;
-        args.ec.iterations = 2;
-    }
-
     // The fault plan: one mid-run fail-stop with a later restart,
     // identical across every cell so phases are comparable. The
     // --fail-* flags override each default, and --kill/--restart add
@@ -125,7 +118,7 @@ main(int argc, char **argv)
         std::size_t base, swi; //!< submission indices
     };
 
-    SweepRunner sweep(bench::sweepOptions(args));
+    SweepRunner sweep(args.jobs);
     std::vector<Cell> cells;
     for (TopoKind kind : topos) {
         for (const bool warm : {false, true}) {

@@ -105,6 +105,6 @@ main(int argc, char **argv)
         curves.emplace_back("rtl=2 (Origin)", mp);
         panel("(d) machine sweep: p=0.9, n=2, f=1.0", "rtl", curves);
     }
-    SweepRunner sweep(bench::sweepOptions(args));
+    SweepRunner sweep(args.jobs);
     return bench::finishSweep(sweep, args, "fig6_analytic");
 }

@@ -23,7 +23,7 @@ main(int argc, char **argv)
         argc, argv, "fig7_accuracy",
         "Figure 7: base predictor accuracy, history depth 1");
 
-    SweepRunner sweep(bench::sweepOptions(args));
+    SweepRunner sweep(args.jobs);
     for (const AppInfo &info : appSuite())
         sweep.addAccuracy(info.name, 1, args.ec);
     const auto &recs = sweep.results();

@@ -23,7 +23,7 @@ main(int argc, char **argv)
         argc, argv, "fig8_history",
         "Figure 8: predictor accuracy vs history depth (1, 2, 4)");
 
-    SweepRunner sweep(bench::sweepOptions(args));
+    SweepRunner sweep(args.jobs);
     for (const AppInfo &info : appSuite())
         for (std::size_t depth : {1u, 2u, 4u})
             sweep.addAccuracy(info.name, depth, args.ec);

@@ -25,7 +25,7 @@ main(int argc, char **argv)
         argc, argv, "fig9_speedup",
         "Figure 9: normalized execution time of the speculative DSMs");
 
-    SweepRunner sweep(bench::sweepOptions(args));
+    SweepRunner sweep(args.jobs);
     for (const AppInfo &info : appSuite())
         for (SpecMode m : {SpecMode::None, SpecMode::FirstRead,
                            SpecMode::SwiFirstRead})

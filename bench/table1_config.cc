@@ -62,7 +62,7 @@ main(int argc, char **argv)
     // Validate against the paper's headline numbers. The two probe
     // runs ride the sweep engine like every other experiment so the
     // binary shares the --jobs/--json interface.
-    SweepRunner sweep(bench::sweepOptions(args));
+    SweepRunner sweep(args.jobs);
     // Deliberately pinned to the default crossbar regardless of
     // --topology: these probes validate the paper's Table 1
     // calibration (104/418 cycles), which is defined on that network.

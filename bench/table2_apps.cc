@@ -20,7 +20,7 @@ main(int argc, char **argv)
         argc, argv, "table2_apps",
         "Table 2: applications, inputs, and request volumes");
 
-    SweepRunner sweep(bench::sweepOptions(args));
+    SweepRunner sweep(args.jobs);
     for (const AppInfo &info : appSuite())
         sweep.addSpec(info.name, SpecMode::None, args.ec);
     const auto &recs = sweep.results();

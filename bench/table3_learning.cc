@@ -24,7 +24,7 @@ main(int argc, char **argv)
         argc, argv, "table3_learning",
         "Table 3: fraction of messages predicted, history depth 1");
 
-    SweepRunner sweep(bench::sweepOptions(args));
+    SweepRunner sweep(args.jobs);
     for (const AppInfo &info : appSuite())
         sweep.addAccuracy(info.name, 1, args.ec);
     const auto &recs = sweep.results();

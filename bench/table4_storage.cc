@@ -24,7 +24,7 @@ main(int argc, char **argv)
         argc, argv, "table4_storage",
         "Table 4: predictor storage overhead at depths 1 and 4");
 
-    SweepRunner sweep(bench::sweepOptions(args));
+    SweepRunner sweep(args.jobs);
     for (const AppInfo &info : appSuite()) {
         sweep.addAccuracy(info.name, 1, args.ec);
         sweep.addAccuracy(info.name, 4, args.ec);

@@ -27,7 +27,7 @@ main(int argc, char **argv)
         argc, argv, "table5_speculation",
         "Table 5: requests, speculations and misspeculations");
 
-    SweepRunner sweep(bench::sweepOptions(args));
+    SweepRunner sweep(args.jobs);
     for (const AppInfo &info : appSuite())
         for (SpecMode m : {SpecMode::None, SpecMode::FirstRead,
                            SpecMode::SwiFirstRead})

@@ -76,10 +76,9 @@ statusName(RunStatus s)
 
 } // namespace
 
-SweepRunner::SweepRunner(const SweepOptions &opts) : opts_(opts)
+SweepRunner::SweepRunner(unsigned jobs)
+    : threads_(jobs ? jobs : ThreadPool::defaultThreads())
 {
-    if (opts_.jobs == 0)
-        opts_.jobs = ThreadPool::defaultThreads();
 }
 
 std::size_t
@@ -152,7 +151,7 @@ SweepRunner::results()
 
     const auto t0 = Clock::now();
     records_.reserve(jobs_.size());
-    if (opts_.jobs <= 1 || jobs_.size() <= 1) {
+    if (threads_ <= 1 || jobs_.size() <= 1) {
         for (const Job &j : jobs_)
             records_.push_back(
                 executeJob(j.label, j.app, j.kind, j.topology, j.run));
@@ -160,7 +159,7 @@ SweepRunner::results()
         // No more workers than queued runs; the record still reports
         // the requested job count.
         ThreadPool pool(static_cast<unsigned>(
-            std::min<std::size_t>(opts_.jobs, jobs_.size())));
+            std::min<std::size_t>(threads_, jobs_.size())));
         std::vector<std::future<SweepRecord>> futs;
         futs.reserve(jobs_.size());
         for (const Job &j : jobs_) {
@@ -216,7 +215,7 @@ SweepRunner::writeJson(std::ostream &os, const std::string &tool)
     const WorkloadCacheStats wc = WorkloadCache::stats();
     os << "{\n  \"schema\": \"mspdsm-sweep-v1\",\n";
     os << "  \"tool\": \"" << jsonEscape(tool) << "\",\n";
-    os << "  \"jobs\": " << opts_.jobs << ",\n";
+    os << "  \"jobs\": " << threads_ << ",\n";
     os << "  \"wall_seconds\": " << wallSeconds_ << ",\n";
     os << "  \"workload_generations\": " << wc.generations << ",\n";
     os << "  \"workload_cache_hits\": " << wc.hits << ",\n";

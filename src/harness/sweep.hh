@@ -13,7 +13,7 @@
  * completion order, reports tick-limit guard trips structurally (a
  * status column in the summary table and a per-run field in the sweep
  * JSON), and serializes the whole sweep as the mspdsm-sweep-v1 schema
- * CI uploads next to BENCH_core.json.
+ * CI validates and uploads.
  */
 
 #ifndef MSPDSM_HARNESS_SWEEP_HH
@@ -29,13 +29,6 @@
 
 namespace mspdsm
 {
-
-/** Sweep-level knobs. */
-struct SweepOptions
-{
-    /** Worker threads; <= 1 runs the sweep serially in the caller. */
-    unsigned jobs = 1;
-};
 
 /** One completed run within a sweep. */
 struct SweepRecord
@@ -58,7 +51,11 @@ struct SweepRecord
 class SweepRunner
 {
   public:
-    explicit SweepRunner(const SweepOptions &opts);
+    /**
+     * @param jobs worker threads; <= 1 runs the sweep serially in the
+     *        caller, 0 means all hardware threads
+     */
+    explicit SweepRunner(unsigned jobs);
 
     /**
      * Queue an arbitrary job.
@@ -102,7 +99,7 @@ class SweepRunner
     double wallSeconds() const { return wallSeconds_; }
 
     /** Worker threads the sweep ran with. */
-    unsigned jobs() const { return opts_.jobs; }
+    unsigned jobs() const { return threads_; }
 
     /**
      * Print the per-run summary table (run, kind, status, ticks,
@@ -129,7 +126,7 @@ class SweepRunner
         std::function<RunResult()> run;
     };
 
-    SweepOptions opts_;
+    unsigned threads_;
     std::vector<Job> jobs_;
     std::vector<SweepRecord> records_;
     bool ran_ = false;

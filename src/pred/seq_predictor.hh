@@ -50,8 +50,8 @@ class SeqPredictor : public PredictorBase
 
     /**
      * Defined inline: this is the per-message hot path of the whole
-     * simulator, and the call sites (directory observation loop,
-     * micro benches) must be able to absorb it.
+     * simulator, and its call site (the directory observation loop)
+     * must be able to absorb it.
      */
     Observation
     observe(BlockId blk, const PredMsg &msg) override

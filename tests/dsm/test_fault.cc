@@ -182,12 +182,12 @@ TEST(Fault, RecoveredMachineStateIsCoherent)
 
 /**
  * Fail-back rebuilds the shard from what the live caches hold, with
- * shard replication too. fig11's `--smoke` em3d run under three
- * victims: nodes 5 and 6 die and restart cold before node 3's shard
- * fails back at tick 70000. Stopped right there, every holder the
- * restored home records for a shard-3 block must hold a valid line;
- * a record streamed to the backup before the outages would still
- * name the restarted nodes.
+ * shard replication too. fig11's `--scale 0.25 --iters 2` em3d run
+ * under three victims: nodes 5 and 6 die and restart cold before
+ * node 3's shard fails back at tick 70000. Stopped right there,
+ * every holder the restored home records for a shard-3 block must
+ * hold a valid line; a record streamed to the backup before the
+ * outages would still name the restarted nodes.
  */
 TEST(Fault, FailBackRecordsOnlyLiveHolders)
 {
@@ -252,9 +252,7 @@ TEST(Fault, FaultSweepIsJobCountInvariant)
     // The same four faulted configurations, serial vs eight workers:
     // records come back in submission order with identical numbers.
     auto build = [](unsigned jobs) {
-        SweepOptions so;
-        so.jobs = jobs;
-        SweepRunner sweep(so);
+        SweepRunner sweep(jobs);
         for (const bool warm : {false, true}) {
             ExperimentConfig ec = faulted();
             ec.faults.ckptInterval = warm ? 10000 : 0;
@@ -425,9 +423,7 @@ TEST(Fault, ChaosRunIsJobCountInvariant)
     // The acceptance scenario: two concurrent failures plus a lossy
     // link on a link topology, swept serially and with eight workers.
     auto build = [](unsigned jobs) {
-        SweepOptions so;
-        so.jobs = jobs;
-        SweepRunner sweep(so);
+        SweepRunner sweep(jobs);
         for (const bool repl : {false, true}) {
             ExperimentConfig ec = tiny();
             ec.topo.kind = TopoKind::Mesh2D;

@@ -89,14 +89,10 @@ TEST(Sweep, ParallelIsBitIdenticalToSerial)
     // produce the same RunResults field for field. The runs are
     // seeded per job and share no state, so the schedule the pool
     // happens to pick must be invisible.
-    SweepOptions serial;
-    serial.jobs = 1;
-    SweepRunner s1(serial);
+    SweepRunner s1(1);
     queueSuite(s1, tiny());
 
-    SweepOptions parallel;
-    parallel.jobs = 8;
-    SweepRunner s8(parallel);
+    SweepRunner s8(8);
     queueSuite(s8, tiny());
 
     const auto &r1 = s1.results();
@@ -110,9 +106,7 @@ TEST(Sweep, ParallelIsBitIdenticalToSerial)
 
 TEST(Sweep, ResultsComeBackInSubmissionOrder)
 {
-    SweepOptions o;
-    o.jobs = 4;
-    SweepRunner s(o);
+    SweepRunner s(4);
     // Custom jobs with wildly different runtimes: completion order
     // differs from submission order, results() must not.
     for (int i = 0; i < 12; ++i) {
@@ -135,9 +129,7 @@ TEST(Sweep, GuardTripSurfacesInSummaryAndJson)
     // A run that trips the deadlock guard must show as a TICK-LIMIT
     // row in the summary table and a structured field in the JSON --
     // not a stderr warning.
-    SweepOptions o;
-    o.jobs = 2;
-    SweepRunner s(o);
+    SweepRunner s(2);
     ExperimentConfig ec = tiny();
     s.addSpec("em3d", SpecMode::None, ec); // completes
     ec.tickLimit = 1000;                   // guard trips mid-run
@@ -178,9 +170,7 @@ TEST(Sweep, TickLimitConfigReachesTheSimulator)
 
 TEST(Sweep, JobsZeroMeansHardwareConcurrency)
 {
-    SweepOptions o;
-    o.jobs = 0;
-    SweepRunner s(o);
+    SweepRunner s(0);
     EXPECT_GE(s.jobs(), 1u);
     s.add("one", [] { return RunResult{}; }, "crossbar");
     EXPECT_EQ(s.results().size(), 1u);
@@ -188,9 +178,7 @@ TEST(Sweep, JobsZeroMeansHardwareConcurrency)
 
 TEST(Sweep, WallClockAndPerRunSecondsAreRecorded)
 {
-    SweepOptions o;
-    o.jobs = 2;
-    SweepRunner s(o);
+    SweepRunner s(2);
     s.addSpec("tomcatv", SpecMode::None, tiny());
     s.addSpec("ocean", SpecMode::None, tiny());
     const auto &recs = s.results();

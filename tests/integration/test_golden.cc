@@ -37,6 +37,10 @@
  * slot's undercut rollback restores the reference order. Message
  * counts, every predictor and speculation counter, and the jittered
  * barnes run were again unchanged.
+ *
+ * eventsDispatched is pinned too: the event kernel's work count, the
+ * same on every box, so a change that adds or folds a dispatch on the
+ * hot path shows here even when ticks and messages do not move.
  */
 
 #include <gtest/gtest.h>
@@ -66,6 +70,7 @@ TEST(Golden, Em3dAccuracyRunMatchesSeedKernel)
     EXPECT_EQ(r.status, RunStatus::Completed);
     EXPECT_EQ(r.execTicks, 124574u);
     EXPECT_EQ(r.messages, 2208u);
+    EXPECT_EQ(r.eventsDispatched, 3649u);
     ASSERT_EQ(r.observers.size(), 3u);
     // Cosmos, MSP, VMSP at depth 1, in harness order.
     EXPECT_EQ(r.observers[0].stats.predicted.value(), 336u);
@@ -85,6 +90,7 @@ TEST(Golden, Em3dSpeculativeRunMatchesSeedKernel)
     EXPECT_EQ(r.status, RunStatus::Completed);
     EXPECT_EQ(r.execTicks, 120022u);
     EXPECT_EQ(r.messages, 1984u);
+    EXPECT_EQ(r.eventsDispatched, 3472u);
     EXPECT_EQ(r.swiSent, 80u);
     EXPECT_EQ(r.specSentSwi, 192u);
     EXPECT_EQ(r.specServedSwi, 192u);
@@ -100,6 +106,7 @@ TEST(Golden, BarnesDeepHistoryRunMatchesSeedKernel)
     EXPECT_EQ(r.status, RunStatus::Completed);
     EXPECT_EQ(r.execTicks, 446220u);
     EXPECT_EQ(r.messages, 1210u);
+    EXPECT_EQ(r.eventsDispatched, 2437u);
     ASSERT_EQ(r.observers.size(), 3u);
     EXPECT_EQ(r.observers[0].stats.predicted.value(), 53u);
     EXPECT_EQ(r.observers[0].stats.correct.value(), 46u);
@@ -128,6 +135,7 @@ TEST(Golden, UnstructuredSwiRunPinsOnTheClockTiming)
     EXPECT_EQ(r.status, RunStatus::Completed);
     EXPECT_EQ(r.execTicks, 147066u);
     EXPECT_EQ(r.messages, 6420u);
+    EXPECT_EQ(r.eventsDispatched, 11413u);
     EXPECT_EQ(r.swiSent, 496u);
     EXPECT_EQ(r.specSentSwi, 384u);
     EXPECT_EQ(r.specServedSwi, 236u);
