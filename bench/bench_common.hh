@@ -46,13 +46,6 @@ struct BenchArgs
     ExperimentConfig ec;  //!< --scale / --iters / --procs / --seed
     unsigned jobs = 1;    //!< --jobs N (0 = hardware concurrency)
     std::string jsonPath; //!< --json FILE ("" = no JSON)
-
-    // The --fail-node/--fail-tick/--recover-tick outage, kept apart
-    // from ec.faults until it is folded in ahead of the --kill/
-    // --restart events (parseArgs, or fig11 with its own defaults).
-    NodeId failNode = invalidNode;
-    Tick failTick = 0;
-    Tick recoverTick = 0; //!< 0 = never restarted
 };
 
 /** Print the shared usage text for @p tool. */
@@ -77,25 +70,17 @@ printUsage(std::ostream &os, const char *tool, const char *what)
        << "  --tick-limit N  deadlock-guard tick budget per run;\n"
        << "               trips surface as TICK-LIMIT rows / JSON\n"
        << "               tick_limit fields, never a stderr warning\n"
-       << "  --fail-node N  fail-stop node N mid-run (default: no\n"
-       << "               fault injection; the run is bit-identical\n"
-       << "               to one without the fault layer)\n"
-       << "  --fail-tick T  tick at which --fail-node is killed\n"
-       << "  --recover-tick T  tick at which the victim restarts\n"
-       << "               (0 = never; survivors stall at the next\n"
-       << "               barrier and the run reports partial results)\n"
-       << "  --backup-node N  adopter of the victim's directory\n"
-       << "               shard (default (victim+1) mod procs)\n"
-       << "  --ckpt-interval T  warm restart: checkpoint each victim's\n"
-       << "               predictor every T ticks and merge the last\n"
-       << "               checkpoint into the backup on the kill and\n"
-       << "               into the victim at restart (0 = cold)\n"
-       << "  --kill N@T   fail-stop node N at tick T (repeatable;\n"
-       << "               combines with --fail-node for concurrent\n"
-       << "               and cascading failures)\n"
-       << "  --restart N@T  restart node N at tick T (repeatable);\n"
-       << "               the victim re-adopts its original shard\n"
-       << "               (fail-back)\n"
+       << "  --kill N@T   fail-stop node N at tick T (repeatable, for\n"
+       << "               concurrent and cascading failures; default:\n"
+       << "               no fault injection, and the run is\n"
+       << "               bit-identical to one without the fault\n"
+       << "               layer). The next live node adopts the\n"
+       << "               victim's directory shard. A victim never\n"
+       << "               restarted stalls the survivors at the next\n"
+       << "               barrier, and the run reports partial results\n"
+       << "  --restart N@T  restart node N at tick T (repeatable) with\n"
+       << "               a cold cache and cold predictors; the victim\n"
+       << "               re-adopts its original shard (fail-back)\n"
        << "  --replicate-shards  stream directory-shard deltas to the\n"
        << "               backup (batched ShardSync messages) during\n"
        << "               normal operation, so failover's rebuild\n"
@@ -126,47 +111,36 @@ printUsage(std::ostream &os, const char *tool, const char *what)
 }
 
 /**
- * Exit 2 with one stderr line if a fault flag in @p a names a node a
- * @p procs-node machine lacks; @p bound ends the line ("--procs is").
+ * Exit 2 with one stderr line if a --kill/--restart event in @p a
+ * names a node a @p procs-node machine lacks; @p bound ends the line
+ * ("--procs is").
  */
 inline void
 requireFaultNodesBelow(const BenchArgs &a, unsigned procs,
                        const char *tool, const char *bound)
 {
-    auto check = [&](const char *flag, NodeId n) {
-        if (n != invalidNode && n >= procs) {
-            std::cerr << tool << ": " << flag << " names node " << n
-                      << " but " << bound << " " << procs << "\n";
+    for (const FaultEvent &fe : a.ec.faults.events) {
+        if (fe.node >= procs) {
+            std::cerr << tool << ": "
+                      << (fe.kind == FaultKind::Kill ? "--kill"
+                                                     : "--restart")
+                      << " names node " << fe.node << " but " << bound
+                      << " " << procs << "\n";
             std::exit(2);
         }
-    };
-    check("--fail-node", a.failNode);
-    check("--backup-node", a.ec.faults.backup);
-    for (const FaultEvent &fe : a.ec.faults.events)
-        check(fe.kind == FaultKind::Kill ? "--kill" : "--restart",
-              fe.node);
+    }
 }
 
 /**
- * Put the outage (kill @p node at @p killTick, restart it at
- * @p restartTick unless that is 0) ahead of the --kill/--restart
- * events in @p a.ec.faults, then exit 2 with one stderr line unless
- * the plan is well formed: walked in tick order, then plan order (the
- * order its same-tick events fire), every kill must hit a live node
- * and every restart a dead one.
+ * Exit 2 with one stderr line unless @p plan is well formed: walked
+ * in tick order, then plan order (the order its same-tick events
+ * fire), every kill must hit a live node and every restart a dead
+ * one.
  */
 inline void
-foldOutage(BenchArgs &a, NodeId node, Tick killTick, Tick restartTick,
-           const char *tool)
+requireWellFormedPlan(const FaultPlan &plan, const char *tool)
 {
-    std::vector<FaultEvent> &ev = a.ec.faults.events;
-    if (node != invalidNode) {
-        if (restartTick > 0)
-            ev.insert(ev.begin(),
-                      FaultEvent{restartTick, node, FaultKind::Restart});
-        ev.insert(ev.begin(), FaultEvent{killTick, node, FaultKind::Kill});
-    }
-    std::vector<FaultEvent> byTick = ev;
+    std::vector<FaultEvent> byTick = plan.events;
     std::stable_sort(byTick.begin(), byTick.end(),
                      [](const FaultEvent &x, const FaultEvent &y) {
                          return x.tick < y.tick;
@@ -191,13 +165,10 @@ foldOutage(BenchArgs &a, NodeId node, Tick killTick, Tick restartTick,
 
 /**
  * Parse the uniform bench command line; exits on --help (0) and on a
- * malformed or unknown argument or fault plan (2). The --fail-*
- * outage is folded into ec.faults, unless @p ownOutage: then the
- * caller composes its default outage and calls foldOutage() itself.
+ * malformed or unknown argument or fault plan (2).
  */
 inline BenchArgs
-parseArgs(int argc, char **argv, const char *tool, const char *what,
-          bool ownOutage = false)
+parseArgs(int argc, char **argv, const char *tool, const char *what)
 {
     BenchArgs a;
     int positional = 0;
@@ -254,11 +225,8 @@ parseArgs(int argc, char **argv, const char *tool, const char *what,
     auto tickOf = [&](const char *flag, const char *s) {
         return static_cast<Tick>(u64Of(flag, s, maxTick));
     };
-    // Node ids are range-checked against --procs after the loop.
-    auto nodeOf = [&](const char *flag, const char *s) {
-        return static_cast<NodeId>(uintOf(flag, s, maxNodes - 1));
-    };
-    // "N@T" for --kill / --restart: node N, tick T.
+    // "N@T" for --kill / --restart: node N, tick T. Node ids are
+    // range-checked against --procs after the loop.
     auto nodeAtTick = [&](const char *flag, const char *s,
                           NodeId &node, Tick &tick) {
         const char *at = std::strchr(s, '@');
@@ -306,16 +274,6 @@ parseArgs(int argc, char **argv, const char *tool, const char *what,
             a.ec.topo.linkLatency = tickOf(arg, value(i));
         } else if (!std::strcmp(arg, "--tick-limit")) {
             a.ec.tickLimit = tickOf(arg, value(i));
-        } else if (!std::strcmp(arg, "--fail-node")) {
-            a.failNode = nodeOf(arg, value(i));
-        } else if (!std::strcmp(arg, "--fail-tick")) {
-            a.failTick = tickOf(arg, value(i));
-        } else if (!std::strcmp(arg, "--recover-tick")) {
-            a.recoverTick = tickOf(arg, value(i));
-        } else if (!std::strcmp(arg, "--backup-node")) {
-            a.ec.faults.backup = nodeOf(arg, value(i));
-        } else if (!std::strcmp(arg, "--ckpt-interval")) {
-            a.ec.faults.ckptInterval = tickOf(arg, value(i));
         } else if (!std::strcmp(arg, "--kill")) {
             FaultEvent fe{0, invalidNode, FaultKind::Kill};
             nodeAtTick("--kill", value(i), fe.node, fe.tick);
@@ -415,8 +373,7 @@ parseArgs(int argc, char **argv, const char *tool, const char *what,
     // Fault plans name nodes: each must exist, and a one-node machine
     // has no survivor to re-home onto.
     requireFaultNodesBelow(a, a.ec.numProcs, tool, "--procs is");
-    if (a.ec.numProcs == 1 &&
-        (a.failNode != invalidNode || !a.ec.faults.empty())) {
+    if (a.ec.numProcs == 1 && !a.ec.faults.empty()) {
         std::cerr << tool << ": a fault plan needs --procs 2 or more\n";
         std::exit(2);
     }
@@ -428,15 +385,7 @@ parseArgs(int argc, char **argv, const char *tool, const char *what,
                   << "mesh2d or torus2d (the crossbar has no links)\n";
         std::exit(2);
     }
-    if (!ownOutage) {
-        if (a.failNode == invalidNode &&
-            (a.failTick > 0 || a.recoverTick > 0)) {
-            std::cerr << tool << ": --fail-tick and --recover-tick "
-                      << "need --fail-node\n";
-            std::exit(2);
-        }
-        foldOutage(a, a.failNode, a.failTick, a.recoverTick, tool);
-    }
+    requireWellFormedPlan(a.ec.faults, tool);
     if (!a.ec.tracePath.empty() && a.jobs != 1) {
         // Every traced run in a sweep writes to the same file; the
         // last writer wins, which only makes sense serially.

@@ -1,11 +1,11 @@
 /**
  * @file
  * Figure 11 (beyond the paper): speculative coherence across a node
- * failure. A fixed fault plan -- kill one node mid-run, re-home its
- * directory shard to a backup, restart it later -- is injected into
- * Base-DSM and SWI-DSM runs of em3d across interconnect topologies
- * and predictor-recovery policies (cold restart vs warm restart from
- * periodically replicated checkpoints).
+ * failure. A fixed fault plan -- by default, kill node 3 at tick
+ * 40000, re-home its directory shard to a backup, restart it at tick
+ * 70000 -- is injected into Base-DSM and SWI-DSM runs of em3d across
+ * interconnect topologies and both directory-shard recovery policies.
+ * Every restart is cold: the victim's predictors relearn from scratch.
  *
  * Reported per configuration:
  *  - time-to-recover: from the kill to the victim's first
@@ -19,13 +19,10 @@
  *    columns pay one RehomeSync per contributing survivor at
  *    failover, the --replicate-shards columns pay batched ShardSync
  *    messages incrementally during normal operation and nothing at
- *    failover -- plus checkpoint replication messages and the link
- *    queueing all of it adds.
+ *    failover -- plus the link queueing all of it adds.
  *
  * Expected shape: speculation keeps its win before and after the
- * outage, and warm restart closes most of the post-restart gap that
- * cold-started prediction state leaves -- that difference is the
- * replication-cost axis.
+ * outage.
  */
 
 #include <algorithm>
@@ -70,38 +67,36 @@ main(int argc, char **argv)
     bench::BenchArgs args = bench::parseArgs(
         argc, argv, "fig11_recovery",
         "Figure 11 (beyond the paper): fault injection and recovery "
-        "under speculative coherence",
-        /*ownOutage=*/true);
+        "under speculative coherence");
 
-    // The fault plan: one mid-run fail-stop with a later restart,
-    // identical across every cell so phases are comparable. The
-    // --fail-* flags override each default, and --kill/--restart add
-    // further outages after it. The default victim is node 3, or the
-    // last node on a smaller machine; a one-node machine has no
-    // survivor to recover onto.
+    // The fault plan, identical across every cell so phases are
+    // comparable: the --kill/--restart events as given, or else one
+    // mid-run outage of node 3 (the last node on a smaller machine).
+    // A one-node machine has no survivor to recover onto.
     if (args.ec.numProcs < 2) {
         std::fprintf(stderr, "fig11_recovery: needs --procs 2 or more "
                              "(one node fails, another adopts it)\n");
         return 2;
     }
-    const NodeId victim =
-        args.failNode != invalidNode
-            ? args.failNode
-            : static_cast<NodeId>(std::min(3u, args.ec.numProcs - 1));
-    const Tick failTick = args.failTick ? args.failTick : 40000;
-    const Tick recoverTick = args.recoverTick ? args.recoverTick : 70000;
-    const Tick ckptInterval = args.ec.faults.ckptInterval
-                                  ? args.ec.faults.ckptInterval
-                                  : failTick / 4;
-    bench::foldOutage(args, victim, failTick, recoverTick,
-                      "fig11_recovery");
+    std::vector<FaultEvent> &plan = args.ec.faults.events;
+    if (plan.empty()) {
+        const NodeId victim =
+            static_cast<NodeId>(std::min(3u, args.ec.numProcs - 1));
+        plan = {{40000, victim, FaultKind::Kill},
+                {70000, victim, FaultKind::Restart}};
+    }
     // Interval time-series on by default here: fig11 is the bench
     // whose per-run records must visibly bracket the outage (the
     // throughput dip between kill and restart). --sample-interval
     // overrides; an eighth of the pre-kill phase gives several
     // samples on each side of both fault edges.
-    if (!args.ec.sampleInterval)
-        args.ec.sampleInterval = failTick / 8;
+    if (!args.ec.sampleInterval) {
+        Tick firstKill = maxTick;
+        for (const FaultEvent &fe : plan)
+            if (fe.kind == FaultKind::Kill)
+                firstKill = std::min(firstKill, fe.tick);
+        args.ec.sampleInterval = firstKill / 8;
+    }
 
     // Topology axis: the paper's crossbar plus a link-contended
     // fabric, unless --topology narrows it.
@@ -113,7 +108,6 @@ main(int argc, char **argv)
     struct Cell
     {
         TopoKind kind;
-        bool warm;
         bool repl; //!< shard replication vs survivor sweep
         std::size_t base, swi; //!< submission indices
     };
@@ -121,57 +115,50 @@ main(int argc, char **argv)
     SweepRunner sweep(args.jobs);
     std::vector<Cell> cells;
     for (TopoKind kind : topos) {
-        for (const bool warm : {false, true}) {
-            // Directory-shard recovery axis: where the cost of
-            // rebuilding the dead home's shard from the survivors'
-            // caches is paid -- at failover (RehomeSync) or during
-            // normal operation (--replicate-shards, ShardSync).
-            for (const bool repl : {false, true}) {
-                ExperimentConfig ec = args.ec;
-                ec.topo.kind = kind;
-                ec.faults.ckptInterval = warm ? ckptInterval : 0;
-                ec.faults.replicateShards = repl;
-                const std::string tag =
-                    std::string(topoKindName(kind)) +
-                    (warm ? " warm" : " cold") +
-                    (repl ? " repl" : " sweep");
-                Cell c;
-                c.kind = kind;
-                c.warm = warm;
-                c.repl = repl;
-                c.base = sweep.add(
-                    tag + " base",
-                    [ec] {
-                        return runSpec("em3d", SpecMode::None, ec);
-                    },
-                    topoKindName(kind));
-                c.swi = sweep.add(
-                    tag + " SWI",
-                    [ec] {
-                        return runSpec("em3d", SpecMode::SwiFirstRead,
-                                       ec);
-                    },
-                    topoKindName(kind));
-                cells.push_back(c);
-            }
+        // Directory-shard recovery axis: where the cost of rebuilding
+        // the dead home's shard from the survivors' caches is paid --
+        // at failover (RehomeSync) or during normal operation
+        // (--replicate-shards, ShardSync).
+        for (const bool repl : {false, true}) {
+            ExperimentConfig ec = args.ec;
+            ec.topo.kind = kind;
+            ec.faults.replicateShards = repl;
+            const std::string tag = std::string(topoKindName(kind)) +
+                                    (repl ? " repl" : " sweep");
+            Cell c;
+            c.kind = kind;
+            c.repl = repl;
+            c.base = sweep.add(
+                tag + " base",
+                [ec] { return runSpec("em3d", SpecMode::None, ec); },
+                topoKindName(kind));
+            c.swi = sweep.add(
+                tag + " SWI",
+                [ec] {
+                    return runSpec("em3d", SpecMode::SwiFirstRead, ec);
+                },
+                topoKindName(kind));
+            cells.push_back(c);
         }
     }
     sweep.results();
 
     std::printf("Figure 11 (beyond the paper): node failure and "
                 "recovery under SWI-DSM (em3d)\n");
-    std::printf("(kill node %u @%llu, restart @%llu; recover = ticks "
-                "from kill to the victim's first post-restart op;\n"
+    std::printf("(plan:");
+    for (const FaultEvent &fe : plan)
+        std::printf(" %s %u@%llu",
+                    fe.kind == FaultKind::Kill ? "kill" : "restart",
+                    unsigned(fe.node),
+                    static_cast<unsigned long long>(fe.tick));
+    std::printf(", every restart cold;\n recover = ticks from the first "
+                "kill to the last victim's first post-restart op;\n"
                 " speedup = SWI/Base machine-wide throughput per "
-                "phase)\n\n",
-                unsigned(victim),
-                static_cast<unsigned long long>(failTick),
-                static_cast<unsigned long long>(recoverTick));
+                "phase)\n\n");
 
-    Table t({"topology", "restart", "shards", "recover",
-             "speedup before", "during", "after", "rehome",
-             "shard syncs", "ckpt msgs", "retries", "link queue",
-             "base p99", "SWI p99"});
+    Table t({"topology", "shards", "recover", "speedup before",
+             "during", "after", "rehome", "shard syncs", "retries",
+             "link queue", "base p99", "SWI p99"});
     for (const Cell &c : cells) {
         const RunResult &base = sweep.result(c.base);
         const RunResult &swi = sweep.result(c.swi);
@@ -191,16 +178,14 @@ main(int argc, char **argv)
         const auto br = rates(base);
         const auto sr = rates(swi);
 
-        t.addRow({topoKindName(c.kind), c.warm ? "warm" : "cold",
-                  c.repl ? "repl" : "sweep",
+        t.addRow({topoKindName(c.kind), c.repl ? "repl" : "sweep",
                   recovered
                       ? Table::fmt(sf.recoveredTick - sf.killTick)
                       : "n/a",
                   speedupCell(br[0], sr[0]), speedupCell(br[1], sr[1]),
                   speedupCell(br[2], sr[2]),
                   Table::fmt(sf.rehomeSyncs),
-                  Table::fmt(sf.shardSyncs),
-                  Table::fmt(sf.ckptMessages), Table::fmt(sf.retries),
+                  Table::fmt(sf.shardSyncs), Table::fmt(sf.retries),
                   Table::fmt(swi.linkQueueingCycles),
                   // Demand-miss latency tail (always-on histograms):
                   // the outage's retry backoffs and re-homed misses

@@ -226,12 +226,11 @@ CacheCtrl::handle(const CohMsg &msg)
         return;
       }
       case MsgType::RehomeSync:
-      case MsgType::CkptData:
       case MsgType::ShardSync:
         // Fault-layer traffic modelling only: the directory
-        // reconstruction / predictor snapshot these messages stand
-        // for is applied synchronously by the fault sweep. Their cost
-        // is the link/NI occupancy they just paid.
+        // reconstruction these messages stand for is applied
+        // synchronously by the fault sweep. Their cost is the
+        // link/NI occupancy they just paid.
         return;
       case MsgType::DataShared:
       case MsgType::DataExcl:

@@ -17,14 +17,12 @@ FaultManager::FaultManager(EventQueue &eq, Network &net,
                            std::vector<CacheCtrl *> caches,
                            std::vector<Directory *> dirs,
                            std::vector<Processor *> procs,
-                           std::vector<Vmsp *> vmsps,
                            std::vector<std::vector<PredictorBase *>>
                                nodePreds)
     : eq_(eq), net_(net), cfg_(cfg), map_(cfg), plan_(std::move(plan)),
       caches_(std::move(caches)), dirs_(std::move(dirs)),
-      procs_(std::move(procs)), vmsps_(std::move(vmsps)),
-      nodePreds_(std::move(nodePreds)), remap_(cfg.numNodes),
-      epoch_(cfg.numNodes, 0), ckpts_(cfg.numNodes)
+      procs_(std::move(procs)), nodePreds_(std::move(nodePreds)),
+      remap_(cfg.numNodes), epoch_(cfg.numNodes, 0)
 {
     const unsigned n = cfg_.numNodes;
     fatal_if(plan_.empty(), "FaultManager built with an empty plan");
@@ -55,8 +53,6 @@ FaultManager::FaultManager(EventQueue &eq, Network &net,
         PlanEvent &pe = planEvents_.emplace_back(this, fe.kind, fe.node);
         eq_.schedule(fe.tick, pe);
     }
-    if (plan_.ckptInterval > 0)
-        eq_.schedule(plan_.ckptInterval, ckptEvent_);
     outcome_.faulted = true;
 }
 
@@ -91,17 +87,6 @@ FaultManager::totalOps() const
     for (const Processor *p : procs_)
         ops += p->stats().ops;
     return ops;
-}
-
-bool
-FaultManager::killsPending() const
-{
-    for (std::size_t i = 0; i < planEvents_.size(); ++i) {
-        const PlanEvent &pe = planEvents_[i];
-        if (pe.kind == FaultKind::Kill && pe.scheduled())
-            return true;
-    }
-    return false;
 }
 
 void
@@ -201,14 +186,9 @@ FaultManager::killNode(NodeId v)
         rehome(hn, next);
     }
 
-    // The victim's predictor state dies with it.
+    // The victim's predictor state dies with it: restart is cold.
     for (PredictorBase *p : nodePreds_[v])
         p->reset();
-
-    // Warm restart: the shard's new home inherits the last replicated
-    // checkpoint of the victim's VMSP instead of learning from cold.
-    if (b != v && !dead(b) && vmsps_[b] && ckpts_[v])
-        vmsps_[b]->mergeFrom(*ckpts_[v]);
 
     if (outcome_.killTick == 0)
         outcome_.killTick = now; // first kill anchors the outage
@@ -244,11 +224,6 @@ FaultManager::restartNode(NodeId v)
     }
     remap_[v] = v;
     rehome(v, v);
-
-    // Warm restart: the victim's own predictor warms up again from
-    // the last checkpoint it replicated out before the crash.
-    if (vmsps_[v] && ckpts_[v])
-        vmsps_[v]->mergeFrom(*ckpts_[v]);
 
     awaiting_.add(v);
     procs_[v]->restart();
@@ -290,47 +265,6 @@ FaultManager::noteShardDelta(BlockId blk)
     m.dst = dst;
     m.blk = blk; // the delta that filled the batch
     net_.send(m);
-}
-
-void
-FaultManager::checkpointFired()
-{
-    const Tick now = eq_.curTick();
-    // Checkpoint the predictor of every victim the plan still intends
-    // to kill; replicating everyone would charge traffic the recovery
-    // scheme never uses.
-    for (std::size_t i = 0; i < planEvents_.size(); ++i) {
-        const PlanEvent &pe = planEvents_[i];
-        if (pe.kind != FaultKind::Kill || !pe.scheduled())
-            continue;
-        const NodeId v = pe.node;
-        if (dead(v) || !vmsps_[v])
-            continue;
-        ckpts_[v] =
-            std::make_unique<Vmsp::Snapshot>(vmsps_[v]->snapshot());
-        ++outcome_.ckptSnapshots;
-        const NodeId b = backupFor(v);
-        if (b == v)
-            continue;
-        // Replication burst: a capped number of data-bearing messages
-        // proportional to the checkpoint size rides the real links.
-        const std::size_t blocks = ckpts_[v]->blockCount();
-        const std::size_t burst =
-            std::min<std::size_t>(16, 1 + blocks / 16);
-        for (std::size_t k = 0; k < burst; ++k) {
-            CohMsg m;
-            m.type = MsgType::CkptData;
-            m.src = v;
-            m.dst = b;
-            m.blk = static_cast<BlockId>(k);
-            net_.send(m);
-        }
-        outcome_.ckptMessages += burst;
-    }
-    // Stop once nothing is left to protect, so the periodic timer
-    // cannot keep an otherwise-finished run alive.
-    if (killsPending())
-        eq_.schedule(now + plan_.ckptInterval, ckptEvent_);
 }
 
 } // namespace mspdsm

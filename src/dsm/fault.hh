@@ -2,11 +2,10 @@
  * @file
  * Deterministic fault injection and recovery (the robustness layer).
  *
- * A FaultPlan is a fixed schedule of node fail-stops and restarts,
- * plus link-loss rules, executed by the FaultManager as ordinary
- * events on the simulation's event queue -- so fault runs are exactly
- * as deterministic and repeatable as fault-free ones. The machine
- * model:
+ * A FaultPlan is a fixed list of node kills and restarts, plus
+ * link-loss rules, executed by the FaultManager as ordinary events on
+ * the simulation's event queue -- so fault runs are exactly as
+ * deterministic and repeatable as fault-free ones. The machine model:
  *
  *  - A *kill* fail-stops the node: its processor halts (rewinding any
  *    op in flight), its cache loses every line, and its home
@@ -39,14 +38,10 @@
  *    the shard's entries, and in-flight messages still aimed at the
  *    interim host are screened at delivery (bounced as Nacks when
  *    they are requests), so the retry FSM re-resolves the home.
- *  - Predictor state at the victim is lost on a kill (restart is
- *    cold) unless the plan sets a checkpoint interval (*warm
- *    restart*): the manager then checkpoints the victim's VMSP every
- *    ckptInterval ticks, sending
- *    the replication traffic over the real interconnect (CkptData),
- *    merges the last checkpoint into the backup's predictor at kill
- *    time, and into the victim's own predictor again at fail-back --
- *    the replication-cost axis of the fault experiments.
+ *  - Predictor state at the victim is lost on a kill: every
+ *    predictor resident there is reset, and the restarted node
+ *    relearns from cold. The backup's predictor learns the adopted
+ *    shard's sharing patterns from the traffic it now serves.
  *  - *Lossy links*: the plan may carry a deterministic per-link drop
  *    schedule ({tick-range, link, drop-every-Nth}). The network's
  *    transport layer (net/network.hh) recovers each dropped crossing
@@ -61,12 +56,11 @@
 #define MSPDSM_DSM_FAULT_HH
 
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "base/bitvector.hh"
 #include "base/types.hh"
-#include "pred/vmsp.hh"
+#include "pred/predictor.hh"
 #include "proto/config.hh"
 #include "sim/eventq.hh"
 
@@ -126,13 +120,6 @@ struct FaultPlan
     NodeId backup = invalidNode;
 
     /**
-     * Predictor checkpoint period, ticks; 0 disables checkpointing.
-     * A nonzero period is warm restart: the last checkpoint is merged
-     * into the backup on the kill and into the victim at fail-back.
-     */
-    Tick ckptInterval = 0;
-
-    /**
      * Pay for shard recovery during normal operation: every home
      * streams its directory deltas to its designated backup as
      * batched ShardSync messages over the real interconnect, and
@@ -169,8 +156,6 @@ struct FaultOutcome
     std::uint64_t deadDropped = 0;  //!< non-requests to a dead node
     std::uint64_t nacksSent = 0;    //!< requests bounced off the dead
     std::uint64_t rehomeSyncs = 0;  //!< reconstruction sync messages
-    std::uint64_t ckptSnapshots = 0; //!< predictor checkpoints taken
-    std::uint64_t ckptMessages = 0;  //!< CkptData replication messages
 
     // Shard replication (FaultPlan::replicateShards).
     std::uint64_t shardDeltas = 0; //!< directory deltas streamed
@@ -211,7 +196,6 @@ class FaultManager
      * @param cfg machine configuration (geometry)
      * @param plan the fault schedule; must be non-empty
      * @param caches,dirs,procs per-node agents, index == NodeId
-     * @param vmsps per-node speculation VMSPs (entries may be null)
      * @param nodePreds all predictors resident at each node (the
      *        speculation VMSP and passive observers); reset on kill
      */
@@ -219,7 +203,6 @@ class FaultManager
                  FaultPlan plan, std::vector<CacheCtrl *> caches,
                  std::vector<Directory *> dirs,
                  std::vector<Processor *> procs,
-                 std::vector<Vmsp *> vmsps,
                  std::vector<std::vector<PredictorBase *>> nodePreds);
 
     FaultManager(const FaultManager &) = delete;
@@ -294,20 +277,9 @@ class FaultManager
         NodeId node;
     };
 
-    /** The periodic predictor-checkpoint timer. */
-    struct CkptEvent final : public Event
-    {
-        explicit CkptEvent(FaultManager *m) : mgr(m) {}
-
-        void process() override { mgr->checkpointFired(); }
-
-        FaultManager *mgr;
-    };
-
     void planFired(PlanEvent &e);
     void killNode(NodeId v);
     void restartNode(NodeId v);
-    void checkpointFired();
 
     /** The node adopting @p v's shard under this plan. */
     NodeId backupFor(NodeId v) const;
@@ -329,9 +301,6 @@ class FaultManager
     /** Machine-wide executed-op total (phase-throughput sampling). */
     std::uint64_t totalOps() const;
 
-    /** True while any Kill entry is still scheduled. */
-    bool killsPending() const;
-
     EventQueue &eq_;
     Network &net_;
     const ProtoConfig &cfg_;
@@ -340,7 +309,6 @@ class FaultManager
     std::vector<CacheCtrl *> caches_;
     std::vector<Directory *> dirs_;
     std::vector<Processor *> procs_;
-    std::vector<Vmsp *> vmsps_;
     std::vector<std::vector<PredictorBase *>> nodePreds_;
 
     std::vector<NodeId> remap_;       //!< shared per-home indirection
@@ -348,9 +316,6 @@ class FaultManager
     NodeSet deadSet_;
 
     std::deque<PlanEvent> planEvents_; //!< stable addresses
-    CkptEvent ckptEvent_{this};
-    //! Latest predictor checkpoint per node (warm-restart source).
-    std::vector<std::unique_ptr<Vmsp::Snapshot>> ckpts_;
 
     /** Deltas batched into one ShardSync message. */
     static constexpr unsigned shardSyncBatch = 8;

@@ -50,12 +50,9 @@ DsmSystem::DsmSystem(const DsmConfig &cfg)
     };
 
     preds_.resize(n);
-    vmsps_.assign(n, nullptr);
     obs_.resize(n);
     for (unsigned i = 0; i < n; ++i) {
         preds_[i] = make_pred(cfg_.pred, cfg_.historyDepth);
-        if (cfg_.pred == PredKind::Vmsp)
-            vmsps_[i] = static_cast<Vmsp *>(preds_[i].get());
         for (const ObserverSpec &os : cfg_.observers) {
             fatal_if(os.kind == PredKind::None,
                      "observer must name a predictor");
@@ -71,8 +68,11 @@ DsmSystem::DsmSystem(const DsmConfig &cfg)
         std::vector<PredictorBase *> watching;
         for (auto &o : obs_[i])
             watching.push_back(o.get());
+        Vmsp *vmsp = cfg_.pred == PredKind::Vmsp
+                         ? static_cast<Vmsp *>(preds_[i].get())
+                         : nullptr;
         dirs_.emplace_back(NodeId(i), eq_, *net_, cfg_.proto,
-                           std::move(watching), vmsps_[i], cfg_.spec);
+                           std::move(watching), vmsp, cfg_.spec);
     }
 
     // Static delivery sinks: the network routes each delivered
@@ -101,8 +101,7 @@ DsmSystem::DsmSystem(const DsmConfig &cfg)
         }
         faults_ = std::make_unique<FaultManager>(
             eq_, *net_, cfg_.proto, cfg_.faults, std::move(cachev),
-            std::move(dirv), std::move(procv), vmsps_,
-            std::move(nodePreds));
+            std::move(dirv), std::move(procv), std::move(nodePreds));
     }
 
     if (!cfg_.obs.empty()) {

@@ -267,7 +267,6 @@ class DsmSystem
     EventQueue eq_;
     std::unique_ptr<Network> net_;
     std::vector<std::unique_ptr<PredictorBase>> preds_;
-    std::vector<Vmsp *> vmsps_; //!< non-owning views of preds_
     //! per node, per ObserverSpec: passive observers
     std::vector<std::vector<std::unique_ptr<PredictorBase>>> obs_;
     // Concrete per-node agents, built in place: a deque never moves

@@ -259,8 +259,6 @@ SweepRunner::writeJson(std::ostream &os, const std::string &tool)
            << ", \"dead_dropped\": " << res.fault.deadDropped
            << ", \"nacks_sent\": " << res.fault.nacksSent
            << ", \"rehome_syncs\": " << res.fault.rehomeSyncs
-           << ", \"ckpt_snapshots\": " << res.fault.ckptSnapshots
-           << ", \"ckpt_messages\": " << res.fault.ckptMessages
            << ", \"retries\": " << res.fault.retries
            << ", \"nacks_seen\": " << res.fault.nacksSeen
            << ", \"timeouts\": " << res.fault.timeouts

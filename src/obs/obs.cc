@@ -121,9 +121,9 @@ ObsManager::msgDelivered(const CohMsg &msg)
         return;
     const std::uint64_t id = nextFlowId_++;
     const char *name = msgTypeName(msg.type);
-    // Fault-layer bulk messages carry a sequence number, not a block.
-    const BlockId blk = msg.type == MsgType::RehomeSync ||
-                                msg.type == MsgType::CkptData
+    // A RehomeSync carries blk 0, not a compiled block id: print it
+    // as is.
+    const BlockId blk = msg.type == MsgType::RehomeSync
                             ? msg.blk
                             : sourceBlock(msg.blk);
     emitPrefix();

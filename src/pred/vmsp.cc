@@ -226,50 +226,6 @@ Vmsp::storage() const
     return r;
 }
 
-Vmsp::Snapshot
-Vmsp::snapshot() const
-{
-    Snapshot s;
-    s.blocks_.reserve(blocksAllocated_);
-    blocks_.forEach([&](BlockId blk, const Record &r) {
-        if (r.live)
-            s.blocks_.emplace_back(blk, r);
-    });
-    s.spill_ = spill_;
-    s.wideIds_ = wideIds_;
-    s.wideSeqs_ = wideSeqs_;
-    return s;
-}
-
-void
-Vmsp::mergeFrom(const Snapshot &s)
-{
-    // Live state is fresher than any checkpoint: adopt only blocks
-    // this predictor has no state for, spill items first (they are
-    // keyed by block, and such a block has none here).
-    auto adopts = [&](BlockId blk) {
-        const Record *r = blocks_.find(blk);
-        return !r || !r->live;
-    };
-    for (const auto &kv : s.spill_)
-        if (adopts(kv.first.blk))
-            spill_.try_emplace(kv.first, kv.second);
-    for (const auto &kv : s.wideIds_)
-        if (adopts(kv.first.blk))
-            wideIds_.try_emplace(kv.first, kv.second);
-    for (const auto &kv : s.wideSeqs_)
-        if (adopts(kv.first.blk))
-            wideSeqs_.try_emplace(kv.first, kv.second);
-    for (const auto &[blk, rec] : s.blocks_) {
-        Record &r = blocks_[blk];
-        if (r.live)
-            continue;
-        r = rec;
-        ++blocksAllocated_;
-        pteTotal_ += rec.count + rec.spilled;
-    }
-}
-
 void
 Vmsp::reset()
 {

@@ -176,24 +176,7 @@ class Vmsp final : public PredictorBase
     /** Remove a misspeculated entry from the pattern table. */
     void eraseEntry(BlockId blk, Key k);
 
-    // ---- Fault layer: checkpoint / restore / cold restart.
-
-    /** Opaque deep copy of all per-block state (defined below). */
-    class Snapshot;
-
-    /**
-     * Deep-copy every block's prediction state. Taken periodically by
-     * the fault layer's checkpoint schedule; the copy is what a warm
-     * restart merges into the backup home's predictor.
-     */
-    Snapshot snapshot() const;
-
-    /**
-     * Merge a checkpoint: blocks this predictor has no state for are
-     * adopted wholesale; blocks it is already tracking keep their
-     * (fresher) live state.
-     */
-    void mergeFrom(const Snapshot &s);
+    // ---- Fault layer: cold restart.
 
     /** Cold restart: drop all learned state, keep the statistics. */
     void reset() override;
@@ -441,26 +424,6 @@ class Vmsp final : public PredictorBase
     WideSeqs wideSeqs_;
     std::uint64_t pteTotal_ = 0;        //!< entries across all blocks
     std::uint64_t blocksAllocated_ = 0; //!< live blocks
-
-  public:
-    /**
-     * A predictor checkpoint: value copies of every live block record
-     * and of the spill maps at snapshot time. Opaque to everything but
-     * Vmsp; the fault layer only sizes its replication traffic from
-     * blockCount().
-     */
-    class Snapshot
-    {
-        friend class Vmsp;
-        std::vector<std::pair<BlockId, Record>> blocks_;
-        SpillMap spill_;
-        WideIds wideIds_;
-        WideSeqs wideSeqs_;
-
-      public:
-        /** Blocks captured (sizes the CkptData replication burst). */
-        std::size_t blockCount() const { return blocks_.size(); }
-    };
 };
 
 } // namespace mspdsm

@@ -37,8 +37,6 @@ msgTypeName(MsgType t)
         return "Nack";
       case MsgType::RehomeSync:
         return "RehomeSync";
-      case MsgType::CkptData:
-        return "CkptData";
       case MsgType::ShardSync:
         return "ShardSync";
     }

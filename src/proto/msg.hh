@@ -47,7 +47,6 @@ enum class MsgType : std::uint8_t
     // untouched when no FaultPlan is configured.
     Nack,       //!< request bounced off a dead node; retry at sender
     RehomeSync, //!< directory-reconstruction sync, cache -> backup home
-    CkptData,   //!< predictor checkpoint replication, victim -> backup
     ShardSync,  //!< batched directory-shard delta, home -> backup
 };
 
@@ -68,8 +67,7 @@ constexpr bool
 carriesData(MsgType t)
 {
     return t == MsgType::WriteBack || t == MsgType::DataShared ||
-           t == MsgType::DataExcl || t == MsgType::SpecData ||
-           t == MsgType::CkptData;
+           t == MsgType::DataExcl || t == MsgType::SpecData;
 }
 
 /** Why a speculative read-only copy was pushed to a consumer. */

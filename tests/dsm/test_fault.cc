@@ -1,7 +1,7 @@
 /** @file Fault injection and recovery: determinism of faulted runs,
  * inertness of the fault layer when unconfigured, recovery-phase
- * bookkeeping, warm-restart checkpointing, and the bounded-retry
- * exhaustion path.
+ * bookkeeping, the cold restart of a victim's predictor, and the
+ * bounded-retry exhaustion path.
  */
 
 #include <gtest/gtest.h>
@@ -63,8 +63,6 @@ expectIdentical(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.fault.deadDropped, b.fault.deadDropped);
     EXPECT_EQ(a.fault.nacksSent, b.fault.nacksSent);
     EXPECT_EQ(a.fault.rehomeSyncs, b.fault.rehomeSyncs);
-    EXPECT_EQ(a.fault.ckptSnapshots, b.fault.ckptSnapshots);
-    EXPECT_EQ(a.fault.ckptMessages, b.fault.ckptMessages);
     EXPECT_EQ(a.fault.retries, b.fault.retries);
     EXPECT_EQ(a.fault.nacksSeen, b.fault.nacksSeen);
     EXPECT_EQ(a.fault.timeouts, b.fault.timeouts);
@@ -253,9 +251,9 @@ TEST(Fault, FaultSweepIsJobCountInvariant)
     // records come back in submission order with identical numbers.
     auto build = [](unsigned jobs) {
         SweepRunner sweep(jobs);
-        for (const bool warm : {false, true}) {
+        for (const bool repl : {false, true}) {
             ExperimentConfig ec = faulted();
-            ec.faults.ckptInterval = warm ? 10000 : 0;
+            ec.faults.replicateShards = repl;
             sweep.addSpec("em3d", SpecMode::None, ec);
             sweep.addSpec("em3d", SpecMode::SwiFirstRead, ec);
         }
@@ -270,24 +268,34 @@ TEST(Fault, FaultSweepIsJobCountInvariant)
     }
 }
 
-TEST(Fault, WarmRestartReplicatesCheckpoints)
+/**
+ * A kill drops every predictor resident at the victim: restart is
+ * cold. em3d under a kill-only plan (node 3 dies at tick 40000 and
+ * never comes back): the survivors park at the next barrier and the
+ * run ends with partial results. The victim's VMSP holds no live
+ * block at the end, while its backup, node 4, still holds learned
+ * state.
+ */
+TEST(Fault, KilledNodesPredictorHoldsNoState)
 {
-    ExperimentConfig ec = faulted();
-    ec.faults.ckptInterval = 10000;
-    const RunResult warm =
-        runSpec("em3d", SpecMode::SwiFirstRead, ec);
-    EXPECT_EQ(warm.status, RunStatus::Completed);
-    // Checkpoints fire at 10k/20k/30k while the kill is pending (the
-    // 40k snapshot loses the same-tick FIFO race to the kill event,
-    // which was scheduled at construction); each ships at least one
-    // CkptData message to the backup.
-    EXPECT_GE(warm.fault.ckptSnapshots, 3u);
-    EXPECT_GE(warm.fault.ckptMessages, warm.fault.ckptSnapshots);
-
-    const RunResult cold =
-        runSpec("em3d", SpecMode::SwiFirstRead, faulted());
-    EXPECT_EQ(cold.fault.ckptSnapshots, 0u);
-    EXPECT_EQ(cold.fault.ckptMessages, 0u);
+    AppParams p;
+    p.scale = 0.25;
+    p.iterations = 2;
+    const Workload w = makeApp("em3d", p);
+    DsmConfig cfg;
+    cfg.proto.seed = p.seed;
+    cfg.proto.netJitter = w.netJitter;
+    cfg.pred = PredKind::Vmsp;
+    cfg.historyDepth = 1;
+    cfg.spec = SpecMode::SwiFirstRead;
+    cfg.faults.events = {{40000, 3, FaultKind::Kill}};
+    DsmSystem sys(cfg);
+    const RunResult r = sys.run(w.traces);
+    EXPECT_EQ(r.status, RunStatus::TickLimit);
+    EXPECT_EQ(r.fault.killTick, 40000u);
+    EXPECT_GT(r.fault.opsAtEnd, r.fault.opsAtKill);
+    EXPECT_EQ(sys.predictor(3)->storage().blocksAllocated, 0u);
+    EXPECT_GT(sys.predictor(4)->storage().blocksAllocated, 0u);
 }
 
 TEST(Fault, BaseDsmSurvivesTheFaultToo)
@@ -299,7 +307,6 @@ TEST(Fault, BaseDsmSurvivesTheFaultToo)
     EXPECT_TRUE(r.fault.faulted);
     EXPECT_EQ(r.fault.killTick, 40000u);
     EXPECT_GT(r.fault.opsAtEnd, r.fault.opsAtRestart);
-    EXPECT_EQ(r.fault.ckptSnapshots, 0u);
 }
 
 TEST(Fault, ShardReplicationAvoidsTheSurvivorSweep)
@@ -486,8 +493,8 @@ TEST(FaultDeathTest, RetryExhaustionIsFatal)
 
 TEST(FaultDeathTest, RetryExhaustionDuringOverlappingOutage)
 {
-    // The explicit backup itself dies during the first outage. The
-    // explicit --backup-node is honored verbatim (succession only
+    // The explicit backup itself dies during the first outage. An
+    // explicit FaultPlan::backup is honored verbatim (succession only
     // applies to the *default* backup choice), so shard 4 -- and
     // shard 3 hosted on it -- have no live home and the bounded
     // retry FSM must still fail structurally after its 16 retries.
