@@ -23,7 +23,7 @@ namespace
  * -- the pattern the paper's Section 4.1 motivates with parallel
  * database message buffers.
  */
-std::vector<Trace>
+Workload
 makeMessageBuffers(const ProtoConfig &proto, unsigned rounds)
 {
     const unsigned n = proto.numNodes;
@@ -33,7 +33,7 @@ makeMessageBuffers(const ProtoConfig &proto, unsigned rounds)
     for (unsigned q = 0; q < n; ++q)
         buf[q] = layout.allocAt(NodeId(q), blocks);
 
-    std::vector<TraceBuilder> tb(n);
+    std::vector<TraceBuilder> tb(n, TraceBuilder(AddrMap(proto)));
     for (unsigned r = 0; r < rounds; ++r) {
         for (unsigned q = 0; q < n; ++q)
             tb[q].barrier();
@@ -56,10 +56,10 @@ makeMessageBuffers(const ProtoConfig &proto, unsigned rounds)
             }
         }
     }
-    std::vector<Trace> traces;
+    Workload w;
     for (unsigned q = 0; q < n; ++q)
-        traces.push_back(tb[q].take());
-    return traces;
+        tb[q].appendTo(w);
+    return w;
 }
 
 } // namespace
@@ -77,8 +77,7 @@ main()
         cfg.proto.netJitter = 24;
 
         DsmSystem sys(cfg);
-        const auto traces = makeMessageBuffers(cfg.proto, 30);
-        const RunResult r = sys.run(traces);
+        const RunResult r = sys.run(makeMessageBuffers(cfg.proto, 30));
         if (mode == SpecMode::None)
             base_ticks = r.execTicks;
 

@@ -295,7 +295,7 @@ class Directory
     void
     scheduleKind(ActKind kind, Tick when, const CohMsg &msg)
     {
-        dueQ_.push(when, DueAction{kind, msg});
+        dueQ_.emplace(when, kind, msg);
         eq_.scheduleBy(when, flush_);
     }
 

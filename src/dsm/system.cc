@@ -138,11 +138,22 @@ DsmSystem::blockOf(Addr a) const
 }
 
 RunResult
+DsmSystem::run(const Workload &w)
+{
+    return runOwned(
+        std::make_unique<const CompiledWorkload>(w, AddrMap(cfg_.proto)));
+}
+
+RunResult
 DsmSystem::run(const std::vector<Trace> &traces)
 {
-    fatal_if(traces.size() != procs_.size(),
-             "expected ", procs_.size(), " traces, got ",
-             traces.size());
+    return runOwned(std::make_unique<const CompiledWorkload>(
+        traces, AddrMap(cfg_.proto)));
+}
+
+RunResult
+DsmSystem::runOwned(std::unique_ptr<const CompiledWorkload> w)
+{
     // The compilation must outlive this call, not just the nested
     // run(): on a TickLimit trip the queue stays resumable
     // (tests/dsm/test_ticklimit.cc) and the pending step events hold
@@ -150,8 +161,7 @@ DsmSystem::run(const std::vector<Trace> &traces)
     // on the system. Replacing a previous run's arena here is safe:
     // no event dispatches between the assignment and Processor::start
     // rebinding every span in the nested run().
-    ownedWorkload_ = std::make_unique<const CompiledWorkload>(
-        traces, AddrMap(cfg_.proto));
+    ownedWorkload_ = std::move(w);
     return run(*ownedWorkload_);
 }
 

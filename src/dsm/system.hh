@@ -184,7 +184,7 @@ struct RunResult
  *   cfg.pred = PredKind::Vmsp;
  *   cfg.spec = SpecMode::SwiFirstRead;
  *   DsmSystem sys(cfg);
- *   RunResult r = sys.run(workload.traces);
+ *   RunResult r = sys.run(makeApp("em3d", params));
  * @endcode
  */
 class DsmSystem
@@ -198,13 +198,16 @@ class DsmSystem
 
     /**
      * Execute one trace per processor to completion. Compiles the
-     * traces with this system's address map first; callers that run
-     * the same workload more than once should compile once and use
-     * the CompiledWorkload overload (the harness workload cache does
-     * exactly that).
-     * @param traces exactly numNodes traces
+     * workload with this system's address map first; callers that
+     * run the same workload more than once should compile once and
+     * use the CompiledWorkload overload (the harness workload cache
+     * does exactly that).
+     * @param w exactly numNodes traces
      * @return aggregated statistics
      */
+    RunResult run(const Workload &w);
+
+    /** As run(const Workload &), for hand-written traces. */
     RunResult run(const std::vector<Trace> &traces);
 
     /**
@@ -215,7 +218,7 @@ class DsmSystem
      * this call: a TickLimit trip returns with resumable step events
      * whose CompiledTrace spans point into the workload's arena, so
      * the caller may only destroy it once the run has drained (the
-     * trace overload keeps its own compilation alive on the system
+     * other overloads keep their own compilations alive on the system
      * for exactly this reason).
      */
     RunResult run(const CompiledWorkload &w);
@@ -227,7 +230,7 @@ class DsmSystem
      * state up through this. The system keeps only a pointer to a
      * workload passed to run(const CompiledWorkload &), so that
      * workload must outlive every blockOf() call after the run; the
-     * trace overload's own compilation lives on the system.
+     * other overloads' own compilations live on the system.
      */
     BlockId blockOf(Addr a) const;
 
@@ -260,6 +263,9 @@ class DsmSystem
     const DsmConfig &config() const { return cfg_; }
 
   private:
+    /** Park @p w on the system and run it. */
+    RunResult runOwned(std::unique_ptr<const CompiledWorkload> w);
+
     /** Barrier release latency, cycles. */
     static constexpr Tick barrierCost = 50;
 
@@ -282,8 +288,8 @@ class DsmSystem
     //! Constructed only when cfg_.obs is non-empty: the untraced
     //! machine carries no instrumentation machinery at all.
     std::unique_ptr<ObsManager> obsMgr_;
-    //! Workload compiled by run(const std::vector<Trace>&); owned by
-    //! the system (not the call's stack frame) because a TickLimit
+    //! Workload compiled by run(const Workload &) or run(traces);
+    //! owned by the system (not the call's stack frame) because a TickLimit
     //! trip leaves the queue resumable with spans into its arena.
     std::unique_ptr<const CompiledWorkload> ownedWorkload_;
     //! The workload of the last run(): its block numbering. Not

@@ -222,6 +222,7 @@ SweepRunner::writeJson(std::ostream &os, const std::string &tool)
     os << "  \"workload_gen_failures\": " << wc.failures << ",\n";
     os << "  \"workload_gen_seconds\": " << wc.genSeconds << ",\n";
     os << "  \"workload_bytes\": " << wc.compiledBytes << ",\n";
+    os << "  \"workload_source_ops\": " << wc.sourceOps << ",\n";
     os << "  \"guard_trips\": " << guardTrips() << ",\n";
     os << "  \"runs\": [\n";
     for (std::size_t i = 0; i < records_.size(); ++i) {

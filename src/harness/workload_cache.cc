@@ -89,6 +89,7 @@ WorkloadCache::get(const std::string &app, const AppParams &p)
                 c.stats.genSeconds += secs;
                 c.stats.compiledBytes +=
                     cw->totalOps() * sizeof(CompiledOp);
+                c.stats.sourceOps += cw->sourceOps();
             }
             promise.set_value(std::move(cw));
         } catch (...) {

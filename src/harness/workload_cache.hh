@@ -44,6 +44,9 @@ struct WorkloadCacheStats
     std::uint64_t compiledBytes = 0; //!< compiled ops held, summed over
                                      //!< generations: totalOps() *
                                      //!< sizeof(CompiledOp)
+    std::uint64_t sourceOps = 0;     //!< generated ops before fusion
+                                     //!< and folding, summed over
+                                     //!< generations: sourceOps()
 };
 
 class WorkloadCache

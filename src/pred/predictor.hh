@@ -41,13 +41,19 @@ struct PredMsg
     NodeId src;   //!< requesting / responding processor
 };
 
-/** Per-message outcome returned by observe(). */
+/**
+ * Per-message outcome returned by observe(), packed into one byte so
+ * it travels in a register: three separate bools came back as byte
+ * stores read again as one wider word.
+ */
 struct Observation
 {
-    bool inAlphabet = false; //!< message belongs to predictor's class
-    bool predicted = false;  //!< a prediction existed for this slot
-    bool correct = false;    //!< ... and it matched the message
+    bool inAlphabet : 1 = false; //!< message belongs to predictor's class
+    bool predicted : 1 = false;  //!< a prediction existed for this slot
+    bool correct : 1 = false;    //!< ... and it matched the message
 };
+
+static_assert(sizeof(Observation) == 1, "an observation is one byte");
 
 /** Aggregate accuracy/coverage statistics. */
 struct PredStats

@@ -61,7 +61,7 @@ class ShardTable
         std::vector<T> &s = shards_[at.home];
         const std::size_t i = at.local;
         if (i >= s.size()) [[unlikely]]
-            s.resize(std::max(i + 1, 2 * s.size()));
+            grow(s, i);
         return s[i];
     }
 
@@ -126,6 +126,13 @@ class ShardTable
     }
 
   private:
+    /** Grow @p s past index @p i; out of line, off the lookup path. */
+    [[gnu::cold, gnu::noinline]] static void
+    grow(std::vector<T> &s, std::size_t i)
+    {
+        s.resize(std::max(i + 1, 2 * s.size()));
+    }
+
     AddrMap map_;
     std::vector<std::vector<T>> shards_;
 };

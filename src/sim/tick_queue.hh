@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <iterator>
+#include <utility>
 #include <vector>
 
 #include "base/types.hh"
@@ -52,17 +53,26 @@ class TickQueue
     bool due(Tick now) const { return !empty() && front().tick <= now; }
 
     /** Queue @p val at @p tick, after every item with tick <= @p tick. */
+    void push(Tick tick, const T &val) { emplace(tick, val); }
+
+    /**
+     * As push(), constructing the payload from @p args in its slot:
+     * the item is built in place rather than assembled in a temporary
+     * and copied in (a store-forwarding stall on the per-message
+     * path).
+     */
+    template <class... Args>
     void
-    push(Tick tick, const T &val)
+    emplace(Tick tick, Args &&...args)
     {
         if (!empty() && tick < q_.back().tick) [[unlikely]] {
             auto it = q_.end();
             const auto first = begin();
             while (it != first && tick < std::prev(it)->tick)
                 --it;
-            q_.insert(it, Item{tick, val});
+            q_.emplace(it, tick, T{std::forward<Args>(args)...});
         } else {
-            q_.push_back(Item{tick, val});
+            q_.emplace_back(tick, T{std::forward<Args>(args)...});
         }
     }
 

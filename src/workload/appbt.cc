@@ -47,7 +47,7 @@ makeAppbt(const AppParams &p)
             layout.allocAt(NodeId((q + n / 2 + 1) % n), edge);
     }
 
-    std::vector<TraceBuilder> tb(n);
+    std::vector<TraceBuilder> tb(n, TraceBuilder(AddrMap(p.proto)));
     for (unsigned it = 0; it < iters; ++it) {
         for (unsigned phase = 0; phase < 2; ++phase) {
             for (unsigned q = 0; q < n; ++q)
@@ -111,7 +111,7 @@ makeAppbt(const AppParams &p)
     w.name = "appbt";
     w.netJitter = 8;
     for (unsigned q = 0; q < n; ++q)
-        w.traces.push_back(tb[q].take());
+        tb[q].appendTo(w);
     return w;
 }
 

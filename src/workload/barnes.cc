@@ -70,7 +70,7 @@ makeBarnes(const AppParams &p)
         }
     }
 
-    std::vector<TraceBuilder> tb(n);
+    std::vector<TraceBuilder> tb(n, TraceBuilder(AddrMap(p.proto)));
     std::vector<PhaseSchedule> sched(n); // emptied by each emit()
     for (unsigned it = 0; it < iters; ++it) {
         for (unsigned q = 0; q < n; ++q)
@@ -146,7 +146,7 @@ makeBarnes(const AppParams &p)
     w.name = "barnes";
     w.netJitter = 0; // "minimal queueing": acks arrive in order
     for (unsigned q = 0; q < n; ++q)
-        w.traces.push_back(tb[q].take());
+        tb[q].appendTo(w);
     return w;
 }
 

@@ -1,15 +1,15 @@
 /**
  * @file
- * Trace compilation: the workload front end the processors execute.
+ * Trace compilation: the renumbering pass between a generated
+ * workload and the processors.
  *
- * Generators emit 8-byte TraceOps (a byte address or a cycle count in
- * each), but the simulator never executes them directly. Before a
- * run, each Trace is *compiled* into a flat arena of packed 4-byte
- * ops:
+ * Generators emit packed 4-byte ops through TraceBuilder
+ * (workload/layout.hh), which already does everything an op stream
+ * needs at emit time:
  *
- *  - the BlockId is precomputed from the run's AddrMap, so the
- *    per-access address-to-block mapping disappears from the hot
- *    loop (a memory op carries its block);
+ *  - each access carries its source BlockId (address / blockSize),
+ *    so the per-access address-to-block mapping never reaches the
+ *    hot loop;
  *  - consecutive Compute ops are fused into a single delay -- a pure
  *    timing transformation, since back-to-back delays touch no state
  *    the rest of the machine can observe between them;
@@ -21,23 +21,25 @@
  *    standalone Compute ops. The processor still runs a prefix as
  *    its own step (dsm/processor.hh), so folding changes no event.
  *
- * A workload compile also *renumbers* the blocks densely per home:
- * the j-th distinct block homed at h (in first-touch order over the
- * traces) gets the id ((j / bpp) * N + h) * bpp + j mod bpp, for N
- * nodes and bpp blocks per page. The geometric home of every block is
- * unchanged (so are all routes and re-homes), and the local index
- * AddrMap::shardSlotOf() gives a renumbered block is exactly j, so
- * every per-block table on the message path is an array per home
- * (proto/shard_table.hh). The workload keeps the dense -> raw table
- * for decoding, traces and diagnostics.
+ * Compiling a Workload is then one pass that copies every op into a
+ * single exact-size arena and *renumbers* the blocks densely per
+ * home: the j-th distinct block homed at h (in first-touch order over
+ * the processors' traces) gets the id ((j / bpp) * N + h) * bpp +
+ * j mod bpp, for N nodes and bpp blocks per page. The geometric home
+ * of every block is unchanged (so are all routes and re-homes), and
+ * the local index AddrMap::shardSlotOf() gives a renumbered block is
+ * exactly j, so every per-block table on the message path is an
+ * array per home (proto/shard_table.hh). The workload keeps the
+ * dense -> raw table for decoding, traces and diagnostics.
  *
- * A round-trip decoder reconstructs the TraceOp stream for tests:
- * decode(compile(t)) == canonicalTrace(t), where the canonical form
- * differs from the original only by compute fusion and block
- * alignment of addresses, both timing-invariant (every generator
- * emits block-aligned addresses already). Folding is not visible in
- * the canonical form: the decoder expands each prefix back into its
- * Compute op.
+ * Hand-written TraceOp lists take the same path: each op is fed
+ * through a TraceBuilder, then renumbered. A round-trip decoder
+ * reconstructs the TraceOp stream: decode(compile(t)) ==
+ * canonicalTrace(t), where the canonical form differs from the
+ * original only by compute fusion and block alignment of addresses,
+ * both timing-invariant (every generator emits block-aligned
+ * addresses already). Folding is not visible in the canonical form:
+ * the decoder expands each prefix back into its Compute op.
  */
 
 #ifndef MSPDSM_WORKLOAD_COMPILED_TRACE_HH
@@ -55,82 +57,6 @@
 
 namespace mspdsm
 {
-
-/**
- * One packed trace operation: 2 bits of kind and 30 bits of payload.
- * A Compute's payload is its fused cycle count and a Barrier's is 0;
- * a Read/Write splits it into a 22-bit dense BlockId (low bits) and
- * an 8-bit compute prefix (high bits), the delay the processor waits
- * out before it issues the access. The processors stream billions of
- * these and every cached workload holds its whole arena, so the
- * layout is a single 32-bit word: one load, a mask, and a shift per
- * decoded field. The largest dense block the suite produces (62,367
- * at 61 nodes and scale 8) is 67x below blockMax, and barnes'
- * 200,000-cycle force phase far below payloadMax; the compiler panics
- * on anything above either.
- */
-struct CompiledOp
-{
-    std::uint32_t bits = 0;
-
-    static constexpr unsigned kindBits = 2;
-    static constexpr unsigned payloadShift = kindBits;
-    static constexpr std::uint32_t kindMask = (1u << kindBits) - 1;
-    static constexpr std::uint32_t payloadMax =
-        ~std::uint32_t{0} >> payloadShift;
-
-    static constexpr unsigned blockBits = 22;
-    static constexpr unsigned delayShift = payloadShift + blockBits;
-    static constexpr std::uint32_t blockMax = (1u << blockBits) - 1;
-    static constexpr std::uint32_t delayMax =
-        ~std::uint32_t{0} >> delayShift;
-
-    /**
-     * A Compute or Barrier op; @p payload must be <= payloadMax (the
-     * compiler checks).
-     */
-    static CompiledOp
-    make(OpKind k, std::uint64_t payload)
-    {
-        CompiledOp op;
-        op.bits = static_cast<std::uint32_t>(
-            static_cast<std::uint32_t>(k) | payload << payloadShift);
-        return op;
-    }
-
-    /**
-     * A Read/Write of @p blk after a compute prefix of @p delay
-     * cycles; @p blk <= blockMax and @p delay <= delayMax (the
-     * compiler checks).
-     */
-    static CompiledOp
-    access(OpKind k, BlockId blk, Tick delay)
-    {
-        CompiledOp op;
-        op.bits = static_cast<std::uint32_t>(
-            static_cast<std::uint32_t>(k) | blk << payloadShift |
-            delay << delayShift);
-        return op;
-    }
-
-    OpKind kind() const { return static_cast<OpKind>(bits & kindMask); }
-
-    /** Fused delay in cycles (Compute); 0 (Barrier). */
-    std::uint32_t payload() const { return bits >> payloadShift; }
-
-    /** BlockId of a Read/Write. */
-    BlockId block() const { return bits >> payloadShift & blockMax; }
-
-    /** Compute prefix of a Read/Write, in cycles (0: none). */
-    Tick delay() const { return bits >> delayShift; }
-
-    bool operator==(const CompiledOp &) const = default;
-};
-
-static_assert(sizeof(CompiledOp) == 4,
-              "packed compiled op is streamed once per executed trace "
-              "operation and held by every cached workload; keep it "
-              "one 32-bit word");
 
 /**
  * A per-processor view into the compiled arena: pointer + length,
@@ -158,10 +84,16 @@ struct CompiledTrace
 class CompiledWorkload
 {
   public:
-    /** Compile @p w with the run's address mapping. */
+    /**
+     * Renumber @p w with the run's address mapping. Fatal if @p w was
+     * generated for another block size.
+     */
     CompiledWorkload(const Workload &w, const AddrMap &map);
 
-    /** Compile bare traces (no name/jitter; tests and direct runs). */
+    /**
+     * Build bare traces through a TraceBuilder and renumber them (no
+     * name/jitter; tests and direct runs).
+     */
     CompiledWorkload(const std::vector<Trace> &traces,
                      const AddrMap &map);
 
@@ -185,7 +117,8 @@ class CompiledWorkload
     /** Total packed ops across all processors. */
     std::size_t totalOps() const { return totalOps_; }
 
-    /** TraceOps in the source workload (compile ratio diagnostics). */
+    /** Ops the generator emitted, before fusion and folding (compile
+     * ratio diagnostics; the numerator of perfbench's throughput). */
     std::size_t sourceOps() const { return sourceOps_; }
 
     /** Geometry the block ids were computed with. */
@@ -231,7 +164,7 @@ class CompiledWorkload
         std::uint64_t count = 0;
     };
 
-    /** Releases the arena, which is malloc'd so it can be trimmed. */
+    /** Releases the arena, which is malloc'd so nothing zeroes it. */
     struct FreeArena
     {
         void operator()(CompiledOp *p) const { std::free(p); }

@@ -39,7 +39,7 @@ makeEm3d(const AppParams &p)
     // matching the paper's em3d FR coverage.
     auto degree = [](unsigned i) { return 2u + (i & 1u); };
 
-    std::vector<TraceBuilder> tb(n);
+    std::vector<TraceBuilder> tb(n, TraceBuilder(AddrMap(p.proto)));
     for (unsigned it = 0; it < iters; ++it) {
         for (unsigned q = 0; q < n; ++q)
             tb[q].barrier();
@@ -85,7 +85,7 @@ makeEm3d(const AppParams &p)
     w.name = "em3d";
     w.netJitter = 40; // concurrent invalidations race (Section 7.1)
     for (unsigned q = 0; q < n; ++q)
-        w.traces.push_back(tb[q].take());
+        tb[q].appendTo(w);
     return w;
 }
 

@@ -73,6 +73,35 @@ PhaseSchedule::emit(TraceBuilder &trace)
     items_.clear();
 }
 
+TraceBuilder &
+TraceBuilder::add(TraceOp op)
+{
+    switch (op.kind()) {
+      case OpKind::Compute:
+        if (op.cycles() == 0)
+            ++sourceOps_;
+        return compute(op.cycles());
+      case OpKind::Read:
+        return read(op.addr());
+      case OpKind::Write:
+        return write(op.addr());
+      case OpKind::Barrier:
+        return barrier();
+    }
+    return *this;
+}
+
+void
+TraceBuilder::appendTo(Workload &w)
+{
+    flush();
+    w.ops.push_back(std::move(ops_));
+    w.sourceOps += sourceOps_;
+    w.blockSize = map_.blockSizeBytes();
+    ops_.clear();
+    sourceOps_ = 0;
+}
+
 Region
 Layout::alloc(unsigned nblocks)
 {

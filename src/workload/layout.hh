@@ -10,9 +10,11 @@
  * writes by a producer only trigger SWI when they reach the same
  * home, exactly as in a hardware implementation.
  *
- * The builders below append packed 8-byte TraceOps; a PhaseSchedule
- * item is an offset plus one op (16 bytes) and is meant to be reused
- * phase after phase, so a generator's transient memory is its traces.
+ * TraceBuilder emits the packed 4-byte CompiledOps a Workload holds,
+ * fusing and folding delays as it goes; a PhaseSchedule item is an
+ * offset plus one readable TraceOp (16 bytes) and is meant to be
+ * reused phase after phase, so a generator's memory is its packed
+ * traces.
  */
 
 #ifndef MSPDSM_WORKLOAD_LAYOUT_HH
@@ -132,48 +134,94 @@ class PhaseSchedule
 };
 
 /**
- * Convenience builder for one processor's trace.
+ * Builder for one processor's packed trace. It writes the form the
+ * processors execute as it goes: runs of computes fuse, zero delays
+ * vanish, a fused delay of at most CompiledOp::delayMax directly
+ * before an access folds into it as its prefix (any other delay stays
+ * a standalone Compute), and an access carries its source block id
+ * (address / blockSize under the builder's map). CompiledWorkload only
+ * renumbers the ids. A delay, a fused delay or a block id too large
+ * for its field panics "... overflows the packed op".
  */
 class TraceBuilder
 {
   public:
+    /** @param map the generator's block geometry */
+    explicit TraceBuilder(const AddrMap &map)
+        : map_(map)
+    {}
+
     TraceBuilder &
     compute(Tick c)
     {
-        if (c > 0)
-            ops_.push_back(TraceOp::compute(c));
+        if (c == 0)
+            return *this;
+        ++sourceOps_;
+        // Validate the operand before the sum: with both addends
+        // capped at payloadMax (2^30-1) the sum cannot wrap, so the
+        // fused check is exact.
+        panic_if(c > CompiledOp::payloadMax,
+                 "compute delay overflows the packed op");
+        pending_ += c;
+        panic_if(pending_ > CompiledOp::payloadMax,
+                 "fused compute delay overflows the packed op");
         return *this;
     }
 
-    TraceBuilder &
-    read(Addr a)
-    {
-        ops_.push_back(TraceOp::read(a));
-        return *this;
-    }
+    TraceBuilder &read(Addr a) { return access(OpKind::Read, a); }
 
-    TraceBuilder &
-    write(Addr a)
-    {
-        ops_.push_back(TraceOp::write(a));
-        return *this;
-    }
+    TraceBuilder &write(Addr a) { return access(OpKind::Write, a); }
 
     TraceBuilder &
     barrier()
     {
-        ops_.push_back(TraceOp::barrier());
+        ++sourceOps_;
+        flush();
+        ops_.push_back(CompiledOp::make(OpKind::Barrier, 0));
         return *this;
     }
 
-    /** Move the accumulated operations out. */
-    Trace take() { return std::move(ops_); }
+    /** Append one readable op; each counts as one source op, a
+     * zero-cycle compute included. */
+    TraceBuilder &add(TraceOp op);
 
-    /** Number of operations so far. */
-    std::size_t size() const { return ops_.size(); }
+    /**
+     * Move the trace into @p w as its next processor's, adding its
+     * source op count, then start over empty.
+     */
+    void appendTo(Workload &w);
+
+    /** Ops emitted so far, before fusion and folding. */
+    std::size_t sourceOps() const { return sourceOps_; }
 
   private:
-    Trace ops_;
+    TraceBuilder &
+    access(OpKind k, Addr a)
+    {
+        ++sourceOps_;
+        const BlockId raw = map_.blockOf(a);
+        panic_if(raw > CompiledOp::blockMax, "block id ", raw,
+                 " overflows the packed op");
+        if (pending_ > CompiledOp::delayMax) [[unlikely]]
+            flush();
+        ops_.push_back(CompiledOp::access(k, raw, pending_));
+        pending_ = 0;
+        return *this;
+    }
+
+    /** Emit the pending delay as a standalone Compute. */
+    void
+    flush()
+    {
+        if (pending_ != 0)
+            ops_.push_back(CompiledOp::make(OpKind::Compute, pending_));
+        pending_ = 0;
+    }
+
+    AddrMap map_;
+    PackedTrace ops_;
+    Tick pending_ = 0; //!< fused delay not yet emitted
+    std::size_t sourceOps_ = 0;
 };
 
 } // namespace mspdsm

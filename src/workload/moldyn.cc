@@ -43,7 +43,7 @@ makeMoldyn(const AppParams &p)
     for (unsigned h = 0; h < n; ++h)
         mig[h] = layout.allocAt(NodeId(h), chunk);
 
-    std::vector<TraceBuilder> tb(n);
+    std::vector<TraceBuilder> tb(n, TraceBuilder(AddrMap(p.proto)));
     std::vector<PhaseSchedule> sched(n); // emptied by each emit()
     for (unsigned it = 0; it < iters; ++it) {
         for (unsigned q = 0; q < n; ++q)
@@ -112,7 +112,7 @@ makeMoldyn(const AppParams &p)
     w.name = "moldyn";
     w.netJitter = 40; // consumer acks race
     for (unsigned q = 0; q < n; ++q)
-        w.traces.push_back(tb[q].take());
+        tb[q].appendTo(w);
     return w;
 }
 

@@ -54,7 +54,7 @@ makeOcean(const AppParams &p)
     const Region sum = layout.allocAt(NodeId(0), 1);
 
     Rng rng(p.seed);
-    std::vector<TraceBuilder> tb(n);
+    std::vector<TraceBuilder> tb(n, TraceBuilder(AddrMap(p.proto)));
 
     // Cold start: private data is touched once and never communicates
     // again; read-only data is only ever read.
@@ -137,7 +137,7 @@ makeOcean(const AppParams &p)
     w.name = "ocean";
     w.netJitter = 30; // moderate queueing: corner acks can race
     for (unsigned q = 0; q < n; ++q)
-        w.traces.push_back(tb[q].take());
+        tb[q].appendTo(w);
     return w;
 }
 

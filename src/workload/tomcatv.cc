@@ -36,7 +36,7 @@ makeTomcatv(const AppParams &p)
         region[q] =
             layout.allocAt(NodeId((q + n / 2) % n), blocks_per_proc);
 
-    std::vector<TraceBuilder> tb(n);
+    std::vector<TraceBuilder> tb(n, TraceBuilder(AddrMap(p.proto)));
     for (unsigned it = 0; it < iters; ++it) {
         for (unsigned q = 0; q < n; ++q)
             tb[q].barrier();
@@ -84,7 +84,7 @@ makeTomcatv(const AppParams &p)
     w.name = "tomcatv";
     w.netJitter = 8; // single consumer: nothing to re-order
     for (unsigned q = 0; q < n; ++q)
-        w.traces.push_back(tb[q].take());
+        tb[q].appendTo(w);
     return w;
 }
 

@@ -45,7 +45,7 @@ makeUnstructured(const AppParams &p)
         red[h] = layout.allocAt(NodeId(h), chunk);
 
     Rng rng(p.seed);
-    std::vector<TraceBuilder> tb(n);
+    std::vector<TraceBuilder> tb(n, TraceBuilder(AddrMap(p.proto)));
     std::vector<PhaseSchedule> sched(n); // emptied by each emit()
 
     for (unsigned it = 0; it < iters; ++it) {
@@ -123,7 +123,7 @@ makeUnstructured(const AppParams &p)
     w.name = "unstructured";
     w.netJitter = 40; // wide sharing: heavy queueing and races
     for (unsigned q = 0; q < n; ++q)
-        w.traces.push_back(tb[q].take());
+        tb[q].appendTo(w);
     return w;
 }
 

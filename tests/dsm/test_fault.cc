@@ -148,14 +148,14 @@ TEST(Fault, RecoveredMachineStateIsCoherent)
                              {70000, 3, FaultKind::Restart}};
         cfg.faults.replicateShards = replicate;
         DsmSystem sys(cfg);
-        const RunResult r = sys.run(w.traces);
+        const RunResult r = sys.run(w);
         ASSERT_EQ(r.status, RunStatus::Completed);
 
         std::set<Addr> addrs;
-        for (const Trace &t : w.traces)
-            for (const TraceOp &op : t)
-                if (op.kind() == OpKind::Read || op.kind() == OpKind::Write)
-                    addrs.insert(op.addr());
+        for (const PackedTrace &t : w.ops)
+            for (const CompiledOp &op : t)
+                if (op.isAccess())
+                    addrs.insert(op.block() * w.blockSize);
         std::size_t live = 0;
         for (const Addr a : addrs) {
             const BlockId blk = sys.blockOf(a);
@@ -209,15 +209,15 @@ TEST(Fault, FailBackRecordsOnlyLiveHolders)
                              {62000, 6, FaultKind::Restart}};
         cfg.faults.replicateShards = true;
         DsmSystem sys(cfg);
-        const RunResult r = sys.run(w.traces);
+        const RunResult r = sys.run(w);
         ASSERT_EQ(r.status, RunStatus::TickLimit);
         ASSERT_EQ(r.fault.failbacks, 3u);
 
         std::set<BlockId> blocks;
-        for (const Trace &t : w.traces)
-            for (const TraceOp &op : t)
-                if (op.kind() == OpKind::Read || op.kind() == OpKind::Write)
-                    blocks.insert(sys.blockOf(op.addr()));
+        for (const PackedTrace &t : w.ops)
+            for (const CompiledOp &op : t)
+                if (op.isAccess())
+                    blocks.insert(sys.blockOf(op.block() * w.blockSize));
         const Directory &dir = sys.directory(3);
         std::size_t recorded = 0;
         for (const BlockId blk : blocks) {
@@ -290,7 +290,7 @@ TEST(Fault, KilledNodesPredictorHoldsNoState)
     cfg.spec = SpecMode::SwiFirstRead;
     cfg.faults.events = {{40000, 3, FaultKind::Kill}};
     DsmSystem sys(cfg);
-    const RunResult r = sys.run(w.traces);
+    const RunResult r = sys.run(w);
     EXPECT_EQ(r.status, RunStatus::TickLimit);
     EXPECT_EQ(r.fault.killTick, 40000u);
     EXPECT_GT(r.fault.opsAtEnd, r.fault.opsAtKill);

@@ -28,7 +28,7 @@ TEST(Harness, BuildWorkloadAppliesIterationOverride)
     e4.iterations = 4;
     const Workload w2 = buildWorkload("em3d", e2);
     const Workload w4 = buildWorkload("em3d", e4);
-    EXPECT_GT(w4.traces[0].size(), w2.traces[0].size());
+    EXPECT_GT(w4.ops[0].size(), w2.ops[0].size());
 }
 
 TEST(Harness, BuildWorkloadUsesAppDefaultsWhenZero)
@@ -36,7 +36,7 @@ TEST(Harness, BuildWorkloadUsesAppDefaultsWhenZero)
     ExperimentConfig ec = tiny();
     ec.iterations = 0;
     const Workload w = buildWorkload("barnes", ec);
-    EXPECT_FALSE(w.traces[0].empty());
+    EXPECT_FALSE(w.ops[0].empty());
 }
 
 TEST(Harness, AccuracyRunAttachesThreeObservers)

@@ -1,13 +1,15 @@
-/** @file Trace compilation: packed-op round trips across the whole
- * app suite, compute fusion and prefix folding, and the packed layout
- * itself. */
+/** @file Trace compilation: the packed layout itself, compute fusion
+ * and prefix folding at emit time, the renumbering pass, round trips
+ * across the whole app suite, and a golden pin of the front end. */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 
 #include "workload/compiled_trace.hh"
+#include "workload/layout.hh"
 #include "workload/suite.hh"
 
 using namespace mspdsm;
@@ -172,9 +174,10 @@ TEST(CompiledTrace, PrefixFoldStopsAtDelayMax)
 }
 
 /**
- * The block field's edge: with 1024 nodes of 4096 blocks a page, home
- * 1023's 4096th block is dense id 2^22 - 1 and home 0's 4097th is
- * 2^22, the first id the packed access cannot hold.
+ * The block field's edge is the source id: with 1024 nodes of 4096
+ * blocks a page, home 1023's 4096th block is source (and dense) id
+ * 2^22 - 1, and a source id of 2^22 panics even when its dense id
+ * would fit -- the builder never truncates one.
  */
 TEST(CompiledTrace, BlockIdsUpToBlockMaxCompile)
 {
@@ -191,13 +194,62 @@ TEST(CompiledTrace, BlockIdsUpToBlockMaxCompile)
     EXPECT_EQ(ok.trace(0)[4095].block(), CompiledOp::blockMax);
     EXPECT_EQ(decodeTrace(ok, 0), last);
 
-    Trace over;
-    for (Addr b = 0; b < 4096; ++b)
-        over.push_back(TraceOp::read(b * cfg.blockSize));
-    over.push_back(TraceOp::read(1024 * page));
-    ASSERT_EQ(map.blockAt(0, 4096), BlockId{CompiledOp::blockMax} + 1);
+    // Alone, source id 2^22 would be home 0's first block, dense id 0.
+    const Trace over{TraceOp::read(1024 * page)};
+    ASSERT_EQ(map.blockOf(1024 * page), BlockId{CompiledOp::blockMax} + 1);
     EXPECT_DEATH(CompiledWorkload(std::vector<Trace>{over}, map),
                  "block id 4194304 overflows the packed op");
+    TraceBuilder tb(map);
+    EXPECT_DEATH(tb.write(1024 * page),
+                 "block id 4194304 overflows the packed op");
+}
+
+/**
+ * A workload holds source ids for one block size; compiling it for
+ * another would silently mean other blocks.
+ */
+TEST(CompiledTrace, BlockSizeMismatchIsFatal)
+{
+    const AppParams p = params(0.25, 1);
+    const Workload w = makeEm3d(p);
+    ASSERT_EQ(w.blockSize, p.proto.blockSize);
+    ProtoConfig other = p.proto;
+    other.blockSize = 2 * p.proto.blockSize;
+    EXPECT_DEATH(CompiledWorkload(w, AddrMap(other)),
+                 "workload generated for 32-byte blocks, compiled for "
+                 "64");
+}
+
+/**
+ * The builder counts every op it is handed, the figure perfbench
+ * divides by; the packed form drops zero delays and folds the rest.
+ */
+TEST(CompiledTrace, BuilderCountsSourceOps)
+{
+    const AddrMap map((ProtoConfig{}));
+    TraceBuilder tb(map);
+    tb.compute(0).compute(5).compute(7).read(64).barrier().write(96);
+    EXPECT_EQ(tb.sourceOps(), 5u); // compute(0) emits nothing
+    tb.add(TraceOp::compute(0)).add(TraceOp::compute(300));
+    EXPECT_EQ(tb.sourceOps(), 7u); // a hand-written zero op counts
+    Workload w;
+    tb.appendTo(w);
+    EXPECT_EQ(tb.sourceOps(), 0u);
+    EXPECT_EQ(w.sourceOps, 7u);
+    EXPECT_EQ(w.blockSize, map.blockSizeBytes());
+    ASSERT_EQ(w.ops.size(), 1u);
+    const PackedTrace want{CompiledOp::access(OpKind::Read, 2, 12),
+                           CompiledOp::make(OpKind::Barrier, 0),
+                           CompiledOp::access(OpKind::Write, 3, 0),
+                           CompiledOp::make(OpKind::Compute, 300)};
+    EXPECT_EQ(w.ops[0], want);
+
+    // The bare-trace compile takes the same count.
+    const Trace t{TraceOp::compute(0), TraceOp::read(64),
+                  TraceOp::compute(0)};
+    const CompiledWorkload cw(std::vector<Trace>{t}, map);
+    EXPECT_EQ(cw.sourceOps(), 3u);
+    EXPECT_EQ(cw.totalOps(), 1u);
 }
 
 TEST(CompiledTrace, OversizedComputeDelaysPanicEvenWhenFused)
@@ -228,10 +280,13 @@ TEST(CompiledTrace, OversizedComputeDelaysPanicEvenWhenFused)
 
 /**
  * The packed op's headroom: every app at the node cap and the largest
- * scale CI runs compiles without truncating a field (the round trip
- * holds), the largest block stays 64x below blockMax and the largest
+ * scale CI runs compiles without truncating a field (each compiled op
+ * is its source op renumbered), the largest dense block stays 64x
+ * below blockMax and never above the largest source id, the largest
  * compute far below payloadMax, and the fold is complete: no Compute
- * the fold could hold is left standing before an access.
+ * the fold could hold is left standing before an access. Source ids
+ * are the binding limit: ocean's multi-page regions reach 1,936,351
+ * here, 2.2x below blockMax.
  */
 TEST(CompiledTrace, LargestSuiteConfigFitsThePackedOp)
 {
@@ -242,7 +297,7 @@ TEST(CompiledTrace, LargestSuiteConfigFitsThePackedOp)
     for (const AppInfo &info : appSuite()) {
         const Workload w = info.make(p);
         const CompiledWorkload cw(w, map);
-        BlockId largestBlock = 0;
+        BlockId largestBlock = 0, largestRaw = 0;
         std::uint32_t largestCompute = 0;
         for (std::size_t i = 0; i < cw.numTraces(); ++i) {
             const CompiledTrace t = cw.trace(i);
@@ -261,24 +316,69 @@ TEST(CompiledTrace, LargestSuiteConfigFitsThePackedOp)
                     largestBlock = std::max(largestBlock, t[k].block());
                 }
             }
-            ASSERT_EQ(decodeTrace(cw, i), canonicalTrace(w.traces[i], map))
-                << info.name << " proc " << i;
+            // The compile only renumbers: each op is its source op
+            // with the block swapped for one the raw table inverts.
+            const PackedTrace &src = w.ops[i];
+            ASSERT_EQ(t.size(), src.size()) << info.name;
+            for (std::size_t k = 0; k < t.size(); ++k) {
+                if (!src[k].isAccess()) {
+                    ASSERT_EQ(t[k], src[k]) << info.name;
+                    continue;
+                }
+                largestRaw = std::max(largestRaw, src[k].block());
+                ASSERT_EQ(t[k], CompiledOp::access(src[k].kind(),
+                                                   t[k].block(),
+                                                   src[k].delay()));
+                ASSERT_EQ(cw.rawBlock(t[k].block()), src[k].block())
+                    << info.name << " proc " << i << " op " << k;
+            }
         }
         EXPECT_GT(largestBlock, 0u) << info.name;
         EXPECT_LE(largestBlock, CompiledOp::blockMax / 64) << info.name;
+        EXPECT_LE(largestBlock, largestRaw) << info.name;
+        EXPECT_LE(largestRaw, CompiledOp::blockMax / 2) << info.name;
         EXPECT_GT(largestCompute, 0u) << info.name;
         EXPECT_LE(largestCompute, CompiledOp::payloadMax / 1024)
             << info.name;
     }
 }
 
+namespace
+{
+
+/** Expect @p a and @p b to hold the same arena, word for word, and
+ * the same dense -> raw table under @p map. */
+void
+expectSameWorkload(const CompiledWorkload &a, const CompiledWorkload &b,
+                   const AddrMap &map, const std::string &what)
+{
+    ASSERT_EQ(a.numTraces(), b.numTraces()) << what;
+    ASSERT_EQ(a.totalOps(), b.totalOps()) << what;
+    for (std::size_t i = 0; i < a.numTraces(); ++i) {
+        const CompiledTrace ta = a.trace(i), tb = b.trace(i);
+        ASSERT_EQ(ta.size(), tb.size()) << what << " proc " << i;
+        for (std::size_t k = 0; k < ta.size(); ++k)
+            ASSERT_EQ(ta[k], tb[k]) << what << " proc " << i << " op " << k;
+    }
+    for (unsigned h = 0; h < map.numNodes(); ++h) {
+        const NodeId home = NodeId(h);
+        ASSERT_EQ(a.blocksAt(home), b.blocksAt(home)) << what;
+        for (std::size_t j = 0; j < a.blocksAt(home); ++j)
+            ASSERT_EQ(a.rawBlock(map.blockAt(home, j)),
+                      b.rawBlock(map.blockAt(home, j)))
+                << what;
+    }
+}
+
+} // namespace
+
 /**
- * The satellite round-trip guarantee: decode(compile(t)) equals the
- * canonical form of t for every generator in the suite, and for the
- * repo's generators (block-aligned addresses, no zero delays) the
- * canonical form is operation-for-operation timing-identical to the
- * original: same op sequence with compute runs merged, identical
- * total compute cycles, identical memory/barrier ops.
+ * One compile path: for every generator, the decoded TraceOp form of
+ * its compiled workload is canonical (fusion and folding are already
+ * complete), and feeding it back through the bare-trace constructor
+ * -- a TraceBuilder, then the renumbering pass -- gives the same
+ * arena and the same dense -> raw table word for word. Decoding also
+ * keeps every compute cycle and every access of the packed source.
  */
 TEST(CompiledTrace, RoundTripAcrossAppSuiteAtTwoScales)
 {
@@ -292,30 +392,32 @@ TEST(CompiledTrace, RoundTripAcrossAppSuiteAtTwoScales)
             }());
             const AddrMap map(p.proto);
             const CompiledWorkload cw(w, map);
-            ASSERT_EQ(cw.numTraces(), w.traces.size()) << info.name;
-            for (std::size_t i = 0; i < w.traces.size(); ++i) {
-                const Trace decoded = decodeTrace(cw, i);
-                const Trace canon = canonicalTrace(w.traces[i], map);
-                ASSERT_EQ(decoded, canon)
+            ASSERT_EQ(cw.numTraces(), w.ops.size()) << info.name;
+            std::vector<Trace> decoded;
+            for (std::size_t i = 0; i < w.ops.size(); ++i) {
+                decoded.push_back(decodeTrace(cw, i));
+                const Trace &d = decoded.back();
+                ASSERT_EQ(canonicalTrace(d, map), d)
                     << info.name << " proc " << i << " scale " << scale;
 
-                // Timing equivalence of canonicalization itself:
-                // cycles and op multiset are preserved.
-                Tick cyc_orig = 0, cyc_canon = 0;
-                std::size_t mem_orig = 0, mem_canon = 0;
-                for (const TraceOp &op : w.traces[i]) {
-                    cyc_orig += op.cycles();
-                    mem_orig += op.kind() == OpKind::Read ||
-                                op.kind() == OpKind::Write;
+                Tick cyc_src = 0, cyc_dec = 0;
+                std::size_t mem_src = 0, mem_dec = 0;
+                for (const CompiledOp &op : w.ops[i]) {
+                    cyc_src += op.kind() == OpKind::Compute
+                                   ? op.payload()
+                                   : op.isAccess() ? op.delay() : 0;
+                    mem_src += op.isAccess();
                 }
-                for (const TraceOp &op : canon) {
-                    cyc_canon += op.cycles();
-                    mem_canon += op.kind() == OpKind::Read ||
-                                 op.kind() == OpKind::Write;
+                for (const TraceOp &op : d) {
+                    cyc_dec += op.cycles();
+                    mem_dec += op.kind() == OpKind::Read ||
+                               op.kind() == OpKind::Write;
                 }
-                EXPECT_EQ(cyc_orig, cyc_canon) << info.name;
-                EXPECT_EQ(mem_orig, mem_canon) << info.name;
+                EXPECT_EQ(cyc_src, cyc_dec) << info.name;
+                EXPECT_EQ(mem_src, mem_dec) << info.name;
             }
+            const CompiledWorkload again(decoded, map);
+            expectSameWorkload(cw, again, map, info.name);
         }
     }
 }
@@ -363,17 +465,13 @@ TEST(CompiledTrace, DenseNumberingKeepsHomesAcrossSuite)
                 std::vector<std::set<std::uint64_t>> locals(procs);
                 for (std::size_t i = 0; i < cw.numTraces(); ++i) {
                     const CompiledTrace t = cw.trace(i);
-                    const Trace &src = w.traces[i];
-                    std::size_t k = 0; // next source memory op
-                    for (const CompiledOp &op : t) {
-                        if (op.kind() != OpKind::Read &&
-                            op.kind() != OpKind::Write)
+                    const PackedTrace &src = w.ops[i];
+                    ASSERT_EQ(t.size(), src.size()) << info.name;
+                    for (std::size_t k = 0; k < t.size(); ++k) {
+                        if (!t[k].isAccess())
                             continue;
-                        while (src[k].kind() != OpKind::Read &&
-                               src[k].kind() != OpKind::Write)
-                            ++k;
-                        const BlockId raw = map.blockOf(src[k++].addr());
-                        const BlockId blk = op.block();
+                        const BlockId raw = src[k].block();
+                        const BlockId blk = t[k].block();
                         ASSERT_EQ(map.geometricHomeOf(blk),
                                   map.geometricHomeOf(raw))
                             << info.name << " procs " << procs;
@@ -414,4 +512,78 @@ TEST(CompiledTrace, BlockOfFindsTouchedAddressesOnly)
     EXPECT_EQ(cw.blockOf(a), map.blockAt(3, 1));
     EXPECT_EQ(cw.blockOf(a + cfg.blockSize), invalidBlock);
     EXPECT_EQ(cw.rawBlock(cw.blockOf(a)), map.blockOf(a));
+}
+
+namespace
+{
+
+std::uint64_t
+fnv1a(std::uint64_t h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+} // namespace
+
+/**
+ * Golden pin of the whole front end (generation, fusion, folding and
+ * renumbering): an FNV-1a hash over every arena word, the dense ->
+ * raw table, sourceOps() and totalOps() of each app at its default
+ * iterations, at 16 processors and scale 0.5 and at the 61-node cap
+ * and scale 0.25. A front-end change that moves one word fails here;
+ * the op counts are pinned on their own so such a failure says which
+ * of them moved. sourceOps() is perfbench's throughput numerator.
+ */
+TEST(CompiledTrace, FrontEndGoldenHashes)
+{
+    struct Pin
+    {
+        unsigned procs;
+        double scale;
+        const char *app;
+        std::size_t sourceOps, totalOps;
+        std::uint64_t hash;
+    };
+    static const Pin pins[] = {
+        {16, 0.5, "appbt", 37648, 18448, 0xf26f89142cbcf384ull},
+        {16, 0.5, "barnes", 10168, 7437, 0xcc2b2f35c530fadaull},
+        {16, 0.5, "em3d", 29136, 15376, 0xa1eaa700e8d199baull},
+        {16, 0.5, "moldyn", 21376, 12496, 0x19db161d532646a8ull},
+        {16, 0.5, "ocean", 18656, 10368, 0x21a999ad55ae6d38ull},
+        {16, 0.5, "tomcatv", 18960, 9808, 0xac282428d68b7ae1ull},
+        {16, 0.5, "unstructured", 21757, 12292, 0x5f338dac6046aa2full},
+        {61, 0.25, "appbt", 77653, 41053, 0xaeedadc7757e4fa3ull},
+        {61, 0.25, "barnes", 6730, 6137, 0x5eb1c446e95997b6ull},
+        {61, 0.25, "em3d", 59841, 33001, 0xb65551bde801676cull},
+        {61, 0.25, "moldyn", 72346, 43066, 0x838c0f8491c99c57ull},
+        {61, 0.25, "ocean", 54595, 30195, 0xb4b1f24d7cfff9f8ull},
+        {61, 0.25, "tomcatv", 38613, 20557, 0xbc4c86dd49cffd1aull},
+        {61, 0.25, "unstructured", 58542, 34686, 0xb2db4502e5f05fc0ull},
+    };
+    for (const Pin &pin : pins) {
+        AppParams p;
+        p.numProcs = pin.procs;
+        p.proto.numNodes = pin.procs;
+        p.scale = pin.scale;
+        const AddrMap map(p.proto);
+        const CompiledWorkload cw(makeApp(pin.app, p), map);
+        std::uint64_t h = 0xcbf29ce484222325ull;
+        for (std::size_t i = 0; i < cw.numTraces(); ++i)
+            for (const CompiledOp &op : cw.trace(i))
+                h = fnv1a(h, op.bits);
+        for (unsigned home = 0; home < pin.procs; ++home)
+            for (std::size_t j = 0; j < cw.blocksAt(NodeId(home)); ++j)
+                h = fnv1a(h, cw.rawBlock(map.blockAt(NodeId(home), j)));
+        h = fnv1a(h, cw.sourceOps());
+        h = fnv1a(h, cw.totalOps());
+        EXPECT_EQ(cw.sourceOps(), pin.sourceOps)
+            << pin.app << " at " << pin.procs;
+        EXPECT_EQ(cw.totalOps(), pin.totalOps)
+            << pin.app << " at " << pin.procs;
+        EXPECT_EQ(h, pin.hash) << pin.app << " at " << pin.procs;
+    }
 }

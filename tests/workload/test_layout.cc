@@ -79,24 +79,51 @@ TEST(Layout, MultiPageHomedRegionKeepsOneHomeAndItsPages)
                 << "page " << o.addr(i) / cfg.pageSize << " reused";
 }
 
+namespace
+{
+
+/** The default geometry: 32-byte blocks. */
+const AddrMap defaultMap((ProtoConfig{}));
+
+/** @p tb's packed trace; @p sourceOps gets its source op count. */
+PackedTrace
+take(TraceBuilder &tb, std::size_t *sourceOps = nullptr)
+{
+    Workload w;
+    tb.appendTo(w);
+    if (sourceOps)
+        *sourceOps = w.sourceOps;
+    return w.ops.at(0);
+}
+
+} // namespace
+
 TEST(TraceBuilder, AccumulatesOps)
 {
-    TraceBuilder tb;
+    TraceBuilder tb(defaultMap);
     tb.compute(10).read(0x100).write(0x200).barrier();
-    const Trace t = tb.take();
-    ASSERT_EQ(t.size(), 4u);
-    EXPECT_EQ(t[0].kind(), OpKind::Compute);
-    EXPECT_EQ(t[1].kind(), OpKind::Read);
-    EXPECT_EQ(t[1].addr(), 0x100u);
-    EXPECT_EQ(t[2].kind(), OpKind::Write);
-    EXPECT_EQ(t[3].kind(), OpKind::Barrier);
+    std::size_t src = 0;
+    const PackedTrace t = take(tb, &src);
+    EXPECT_EQ(src, 4u);
+    // The compute folds into the read as its prefix.
+    ASSERT_EQ(t.size(), 3u);
+    EXPECT_EQ(t[0].kind(), OpKind::Read);
+    EXPECT_EQ(t[0].block(), 0x100u / 32);
+    EXPECT_EQ(t[0].delay(), 10u);
+    EXPECT_EQ(t[1].kind(), OpKind::Write);
+    EXPECT_EQ(t[1].block(), 0x200u / 32);
+    EXPECT_EQ(t[1].delay(), 0u);
+    EXPECT_EQ(t[2].kind(), OpKind::Barrier);
 }
 
 TEST(TraceBuilder, ZeroComputeIsElided)
 {
-    TraceBuilder tb;
+    TraceBuilder tb(defaultMap);
     tb.compute(0).read(0x40);
-    EXPECT_EQ(tb.size(), 1u);
+    EXPECT_EQ(tb.sourceOps(), 1u);
+    const PackedTrace t = take(tb);
+    ASSERT_EQ(t.size(), 1u);
+    EXPECT_EQ(t[0].delay(), 0u);
 }
 
 TEST(PhaseSchedule, EmitsInTimeOrderWithGaps)
@@ -104,16 +131,16 @@ TEST(PhaseSchedule, EmitsInTimeOrderWithGaps)
     PhaseSchedule sched;
     sched.at(100, TraceOp::read(0x40));
     sched.at(20, TraceOp::write(0x80));
-    TraceBuilder tb;
+    TraceBuilder tb(defaultMap);
     sched.emit(tb);
-    const Trace t = tb.take();
-    ASSERT_EQ(t.size(), 4u);
-    EXPECT_EQ(t[0].kind(), OpKind::Compute);
-    EXPECT_EQ(t[0].cycles(), 20u);
-    EXPECT_EQ(t[1].kind(), OpKind::Write);
-    EXPECT_EQ(t[2].kind(), OpKind::Compute);
-    EXPECT_EQ(t[2].cycles(), 80u);
-    EXPECT_EQ(t[3].kind(), OpKind::Read);
+    std::size_t src = 0;
+    const PackedTrace t = take(tb, &src);
+    EXPECT_EQ(src, 4u); // two gaps and two accesses
+    ASSERT_EQ(t.size(), 2u);
+    EXPECT_EQ(t[0].kind(), OpKind::Write);
+    EXPECT_EQ(t[0].delay(), 20u);
+    EXPECT_EQ(t[1].kind(), OpKind::Read);
+    EXPECT_EQ(t[1].delay(), 80u);
 }
 
 TEST(PhaseSchedule, StableForEqualTimes)
@@ -122,36 +149,41 @@ TEST(PhaseSchedule, StableForEqualTimes)
     sched.at(50, TraceOp::read(0x1 * 32));
     sched.at(50, TraceOp::read(0x2 * 32));
     sched.at(50, TraceOp::read(0x3 * 32));
-    TraceBuilder tb;
+    TraceBuilder tb(defaultMap);
     sched.emit(tb);
-    const Trace t = tb.take();
-    ASSERT_EQ(t.size(), 4u); // compute + three reads
-    EXPECT_EQ(t[1].addr(), 0x1u * 32);
-    EXPECT_EQ(t[2].addr(), 0x2u * 32);
-    EXPECT_EQ(t[3].addr(), 0x3u * 32);
+    const PackedTrace t = take(tb);
+    ASSERT_EQ(t.size(), 3u); // three reads, the first after the gap
+    EXPECT_EQ(t[0].delay(), 50u);
+    EXPECT_EQ(t[0].block(), 0x1u);
+    EXPECT_EQ(t[1].block(), 0x2u);
+    EXPECT_EQ(t[2].block(), 0x3u);
 
     // Three ties alone do not pin stability: below 16 items an
     // unstable std::sort falls back to insertion sort, which keeps
     // ties in order too. 64 ties do.
     for (unsigned i = 0; i < 64; ++i)
         sched.at(50, TraceOp::read(Addr{i} * 32));
-    TraceBuilder many;
+    TraceBuilder many(defaultMap);
     sched.emit(many);
-    const Trace m = many.take();
-    ASSERT_EQ(m.size(), 65u);
+    const PackedTrace m = take(many);
+    ASSERT_EQ(m.size(), 64u);
     for (unsigned i = 0; i < 64; ++i)
-        EXPECT_EQ(m[i + 1].addr(), Addr{i} * 32) << i;
+        EXPECT_EQ(m[i].block(), BlockId{i}) << i;
 }
 
 TEST(PhaseSchedule, EmitResetsForReuse)
 {
     PhaseSchedule sched;
     sched.at(10, TraceOp::read(0x40));
-    TraceBuilder tb;
+    TraceBuilder tb(defaultMap);
     sched.emit(tb);
     sched.at(5, TraceOp::write(0x80));
     sched.emit(tb);
-    const Trace t = tb.take();
-    ASSERT_EQ(t.size(), 4u);
-    EXPECT_EQ(t[3].kind(), OpKind::Write);
+    std::size_t src = 0;
+    const PackedTrace t = take(tb, &src);
+    EXPECT_EQ(src, 4u);
+    ASSERT_EQ(t.size(), 2u);
+    EXPECT_EQ(t[0].kind(), OpKind::Read);
+    EXPECT_EQ(t[1].kind(), OpKind::Write);
+    EXPECT_EQ(t[1].delay(), 5u);
 }

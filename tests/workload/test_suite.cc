@@ -21,32 +21,21 @@ smallParams()
     return p;
 }
 
-/** Count ops by kind across all traces. */
+/** Count packed accesses and barriers across all traces. */
 struct OpCounts
 {
-    std::uint64_t reads = 0, writes = 0, computes = 0, barriers = 0;
+    std::uint64_t reads = 0, writes = 0, barriers = 0;
 };
 
 OpCounts
 count(const Workload &w)
 {
     OpCounts c;
-    for (const Trace &t : w.traces) {
-        for (const TraceOp &op : t) {
-            switch (op.kind()) {
-              case OpKind::Read:
-                ++c.reads;
-                break;
-              case OpKind::Write:
-                ++c.writes;
-                break;
-              case OpKind::Compute:
-                ++c.computes;
-                break;
-              case OpKind::Barrier:
-                ++c.barriers;
-                break;
-            }
+    for (const PackedTrace &t : w.ops) {
+        for (const CompiledOp &op : t) {
+            c.reads += op.kind() == OpKind::Read;
+            c.writes += op.kind() == OpKind::Write;
+            c.barriers += op.kind() == OpKind::Barrier;
         }
     }
     return c;
@@ -93,8 +82,8 @@ TEST(Suite, EveryAppGeneratesOneTracePerProcessor)
         for (const AppInfo &info : appSuite()) {
             const Workload w = makeApp(info.name, p);
             EXPECT_EQ(w.name, info.name);
-            EXPECT_EQ(w.traces.size(), procs) << info.name;
-            for (const Trace &t : w.traces)
+            EXPECT_EQ(w.ops.size(), procs) << info.name;
+            for (const PackedTrace &t : w.ops)
                 EXPECT_FALSE(t.empty()) << info.name << " " << procs;
         }
     }
@@ -106,9 +95,9 @@ TEST(Suite, BarrierCountsMatchAcrossProcessors)
     for (const AppInfo &info : appSuite()) {
         const Workload w = makeApp(info.name, smallParams());
         std::uint64_t expected = ~0ull;
-        for (const Trace &t : w.traces) {
+        for (const PackedTrace &t : w.ops) {
             std::uint64_t n = 0;
-            for (const TraceOp &op : t)
+            for (const CompiledOp &op : t)
                 n += op.kind() == OpKind::Barrier;
             if (expected == ~0ull)
                 expected = n;
@@ -132,16 +121,12 @@ TEST(Suite, DeterministicForFixedSeed)
     for (const AppInfo &info : appSuite()) {
         const Workload a = makeApp(info.name, smallParams());
         const Workload b = makeApp(info.name, smallParams());
-        ASSERT_EQ(a.traces.size(), b.traces.size());
-        for (std::size_t q = 0; q < a.traces.size(); ++q) {
-            ASSERT_EQ(a.traces[q].size(), b.traces[q].size())
-                << info.name;
-            for (std::size_t i = 0; i < a.traces[q].size(); ++i) {
-                EXPECT_EQ(a.traces[q][i].kind(), b.traces[q][i].kind());
-                EXPECT_EQ(a.traces[q][i].addr(), b.traces[q][i].addr());
-                EXPECT_EQ(a.traces[q][i].cycles(),
-                          b.traces[q][i].cycles());
-            }
+        EXPECT_EQ(a.sourceOps, b.sourceOps) << info.name;
+        ASSERT_EQ(a.ops.size(), b.ops.size());
+        for (std::size_t q = 0; q < a.ops.size(); ++q) {
+            ASSERT_EQ(a.ops[q].size(), b.ops[q].size()) << info.name;
+            for (std::size_t i = 0; i < a.ops[q].size(); ++i)
+                EXPECT_EQ(a.ops[q][i].bits, b.ops[q][i].bits);
         }
     }
 }
@@ -156,8 +141,8 @@ TEST(Suite, SeedChangesRandomizedApps)
         const Workload a = makeApp(name, p1);
         const Workload b = makeApp(name, p2);
         bool differ = false;
-        for (std::size_t q = 0; q < a.traces.size() && !differ; ++q)
-            differ = a.traces[q] != b.traces[q];
+        for (std::size_t q = 0; q < a.ops.size() && !differ; ++q)
+            differ = a.ops[q] != b.ops[q];
         EXPECT_TRUE(differ) << name;
     }
 }
@@ -168,19 +153,17 @@ TEST(Suite, ScaleGrowsFootprint)
     AppParams big = smallParams();
     big.scale = 1.0;
     for (const AppInfo &info : appSuite()) {
-        std::set<Addr> saddr, baddr;
+        std::set<BlockId> saddr, baddr;
         const Workload ws = makeApp(info.name, small);
         const Workload wb = makeApp(info.name, big);
-        for (const Trace &t : ws.traces)
-            for (const TraceOp &op : t)
-                if (op.kind() == OpKind::Read ||
-                    op.kind() == OpKind::Write)
-                    saddr.insert(op.addr() / 32);
-        for (const Trace &t : wb.traces)
-            for (const TraceOp &op : t)
-                if (op.kind() == OpKind::Read ||
-                    op.kind() == OpKind::Write)
-                    baddr.insert(op.addr() / 32);
+        for (const PackedTrace &t : ws.ops)
+            for (const CompiledOp &op : t)
+                if (op.isAccess())
+                    saddr.insert(op.block());
+        for (const PackedTrace &t : wb.ops)
+            for (const CompiledOp &op : t)
+                if (op.isAccess())
+                    baddr.insert(op.block());
         EXPECT_GT(baddr.size(), saddr.size()) << info.name;
     }
 }
@@ -191,10 +174,10 @@ TEST(Suite, Em3dProducersOwnTheirRegions)
     // layout property SWI relies on).
     ProtoConfig proto;
     const Workload w = makeApp("em3d", smallParams());
-    for (unsigned q = 0; q < w.traces.size(); ++q) {
-        for (const TraceOp &op : w.traces[q]) {
+    for (unsigned q = 0; q < w.ops.size(); ++q) {
+        for (const CompiledOp &op : w.ops[q]) {
             if (op.kind() == OpKind::Write) {
-                EXPECT_EQ(proto.homeOf(proto.blockOf(op.addr())), q);
+                EXPECT_EQ(proto.homeOf(op.block()), q);
             }
         }
     }
