@@ -26,19 +26,20 @@ Workload
 makeTreeExchange(const ProtoConfig &proto, unsigned rounds)
 {
     const unsigned n = proto.numNodes;
-    Layout layout(proto);
+    Workload w;
+    Layout layout(proto, w);
     std::vector<Region> cell(n);
     for (unsigned q = 0; q < n; ++q)
         cell[q] = layout.allocAt(NodeId(q), 4);
 
-    std::vector<TraceBuilder> tb(n, TraceBuilder(AddrMap(proto)));
+    std::vector<TraceBuilder> tb(n);
     for (unsigned r = 0; r < rounds; ++r) {
         for (unsigned level = 1; level < 8; level <<= 1) {
             for (unsigned q = 0; q < n; ++q)
                 tb[q].barrier();
             for (unsigned q = 0; q < n; ++q) {
                 for (unsigned i = 0; i < 4; ++i) {
-                    tb[q].write(cell[q].addr(i));
+                    tb[q].write(cell[q].block(i));
                     tb[q].compute(8);
                 }
             }
@@ -48,7 +49,7 @@ makeTreeExchange(const ProtoConfig &proto, unsigned rounds)
                 const unsigned partner = q ^ level;
                 if (partner < n) {
                     for (unsigned i = 0; i < 4; ++i) {
-                        tb[q].read(cell[partner].addr(i));
+                        tb[q].read(cell[partner].block(i));
                         tb[q].compute(8);
                     }
                 }
@@ -56,7 +57,6 @@ makeTreeExchange(const ProtoConfig &proto, unsigned rounds)
             }
         }
     }
-    Workload w;
     for (unsigned q = 0; q < n; ++q)
         tb[q].appendTo(w);
     return w;

@@ -28,18 +28,19 @@ makeMessageBuffers(const ProtoConfig &proto, unsigned rounds)
 {
     const unsigned n = proto.numNodes;
     const unsigned blocks = 12;
-    Layout layout(proto);
+    Workload w;
+    Layout layout(proto, w);
     std::vector<Region> buf(n);
     for (unsigned q = 0; q < n; ++q)
         buf[q] = layout.allocAt(NodeId(q), blocks);
 
-    std::vector<TraceBuilder> tb(n, TraceBuilder(AddrMap(proto)));
+    std::vector<TraceBuilder> tb(n);
     for (unsigned r = 0; r < rounds; ++r) {
         for (unsigned q = 0; q < n; ++q)
             tb[q].barrier();
         for (unsigned q = 0; q < n; ++q) {
             for (unsigned i = 0; i < blocks; ++i) {
-                tb[q].write(buf[q].addr(i));
+                tb[q].write(buf[q].block(i));
                 tb[q].compute(10);
             }
         }
@@ -49,14 +50,13 @@ makeMessageBuffers(const ProtoConfig &proto, unsigned rounds)
             for (unsigned q = 0; q < n; ++q) {
                 const unsigned prod = (q + n - rank - 1) % n;
                 for (unsigned i = 0; i < blocks; ++i) {
-                    tb[q].read(buf[prod].addr(i));
+                    tb[q].read(buf[prod].block(i));
                     tb[q].compute(8);
                 }
                 tb[q].compute(600);
             }
         }
     }
-    Workload w;
     for (unsigned q = 0; q < n; ++q)
         tb[q].appendTo(w);
     return w;

@@ -32,13 +32,18 @@ std::uint64_t
 Rng::bounded(std::uint64_t n)
 {
     panic_if(n == 0, "Rng::bounded: empty range");
-    // Rejection sampling over the top of the range to remove modulo
-    // bias; the rejection region is < 1/2 of the space for any n.
-    const std::uint64_t threshold = (0 - n) % n;
+    // Rejection sampling over the bottom of the range to remove
+    // modulo bias: a draw below the threshold 2^64 mod n is redrawn,
+    // and the rejection region is < 1/2 of the space for any n. The
+    // threshold is below n, so a draw of at least n is accepted
+    // without it and only a draw below n pays its divide; such a
+    // draw is its own remainder. Either way, one divide per draw.
     for (;;) {
-        std::uint64_t r = next();
-        if (r >= threshold)
+        const std::uint64_t r = next();
+        if (r >= n) [[likely]]
             return r % n;
+        if (r >= (0 - n) % n)
+            return r;
     }
 }
 

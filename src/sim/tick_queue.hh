@@ -36,6 +36,13 @@ class TickQueue
     /** One queued payload and the tick it is keyed by. */
     struct Item
     {
+        /** The payload built in place from @p args, so emplace()
+         * constructs it in its slot rather than copying a temporary. */
+        template <class... Args>
+        Item(Tick t, std::piecewise_construct_t, Args &&...args)
+            : tick(t), val{std::forward<Args>(args)...}
+        {}
+
         Tick tick;
         T val;
     };
@@ -70,9 +77,11 @@ class TickQueue
             const auto first = begin();
             while (it != first && tick < std::prev(it)->tick)
                 --it;
-            q_.emplace(it, tick, T{std::forward<Args>(args)...});
+            q_.emplace(it, tick, std::piecewise_construct,
+                       std::forward<Args>(args)...);
         } else {
-            q_.emplace_back(tick, T{std::forward<Args>(args)...});
+            q_.emplace_back(tick, std::piecewise_construct,
+                            std::forward<Args>(args)...);
         }
     }
 

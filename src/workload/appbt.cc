@@ -39,7 +39,8 @@ makeAppbt(const AppParams &p)
     const unsigned edge =
         std::max(2u, static_cast<unsigned>(8 * p.scale));
 
-    Layout layout(p.proto);
+    Workload w;
+    Layout layout(p.proto, w);
     std::vector<Region> faceR(n), edgeR(n);
     for (unsigned q = 0; q < n; ++q) {
         faceR[q] = layout.allocAt(NodeId((q + n / 2) % n), face);
@@ -47,8 +48,8 @@ makeAppbt(const AppParams &p)
             layout.allocAt(NodeId((q + n / 2 + 1) % n), edge);
     }
 
-    std::vector<TraceBuilder> tb(n, TraceBuilder(AddrMap(p.proto)));
-    for (unsigned it = 0; it < iters; ++it) {
+    std::vector<TraceBuilder> tb(n);
+    emitPeriodic(tb, iters, [&](unsigned) {
         for (unsigned phase = 0; phase < 2; ++phase) {
             for (unsigned q = 0; q < n; ++q)
                 tb[q].barrier();
@@ -64,17 +65,17 @@ makeAppbt(const AppParams &p)
                     for (unsigned i = 0; i < count; ++i) {
                         if (i >= 2) {
                             tb[q].compute(60);
-                            tb[q].read(r.addr(i - 2));
+                            tb[q].read(r.block(i - 2));
                             tb[q].compute(2);
                         }
-                        tb[q].read(r.addr(i));
+                        tb[q].read(r.block(i));
                         tb[q].compute(4);
-                        tb[q].write(r.addr(i));
+                        tb[q].write(r.block(i));
                         tb[q].compute(6);
                     }
                     for (unsigned i = count - std::min(count, 2u);
                          i < count; ++i) {
-                        tb[q].read(r.addr(i));
+                        tb[q].read(r.block(i));
                         tb[q].compute(2);
                     }
                 };
@@ -91,23 +92,22 @@ makeAppbt(const AppParams &p)
             for (unsigned q = 0; q < n; ++q) {
                 const unsigned fprod = (q + n - 1) % n;
                 for (unsigned i = 0; i < face; ++i) {
-                    tb[q].read(faceR[fprod].addr(i));
+                    tb[q].read(faceR[fprod].block(i));
                     tb[q].compute(6);
                 }
                 const unsigned off = (phase % 2 == 0) ? 1 : 2;
                 const unsigned eprod = (q + n - off) % n;
                 for (unsigned i = 0; i < edge; ++i) {
-                    tb[q].read(edgeR[eprod].addr(i));
+                    tb[q].read(edgeR[eprod].block(i));
                     tb[q].compute(6);
                 }
                 tb[q].compute(42000); // subcube interior elimination
             }
         }
-    }
+    });
     for (unsigned q = 0; q < n; ++q)
         tb[q].barrier();
 
-    Workload w;
     w.name = "appbt";
     w.netJitter = 8;
     for (unsigned q = 0; q < n; ++q)

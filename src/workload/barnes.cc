@@ -42,7 +42,8 @@ makeBarnes(const AppParams &p)
     const unsigned wobble_cells = cells * 3 / 20;   // 15%
     // remaining 30% churn
 
-    Layout layout(p.proto);
+    Workload w;
+    Layout layout(p.proto, w);
     std::vector<Region> cell(cells);
     for (unsigned c = 0; c < cells; ++c)
         cell[c] = layout.allocAt(NodeId(c % n), 1);
@@ -70,7 +71,7 @@ makeBarnes(const AppParams &p)
         }
     }
 
-    std::vector<TraceBuilder> tb(n, TraceBuilder(AddrMap(p.proto)));
+    std::vector<TraceBuilder> tb(n);
     std::vector<PhaseSchedule> sched(n); // emptied by each emit()
     for (unsigned it = 0; it < iters; ++it) {
         for (unsigned q = 0; q < n; ++q)
@@ -86,14 +87,13 @@ makeBarnes(const AppParams &p)
         }
         for (unsigned c = 0; c < cells; ++c) {
             const Tick t = rng.uniform(0, 4000);
-            sched[writer[c]].at(t,
-                                TraceOp::write(cell[c].addr(0)));
+            sched[writer[c]].write(t, cell[c].block(0));
             // Tree construction touches a cell repeatedly as
             // children are inserted: a silent re-write in the
             // base system, but the multiple-writes behaviour
             // that defeats SWI (Section 7.4).
-            sched[writer[c]].at(t + 600 + rng.uniform(0, 400),
-                                TraceOp::write(cell[c].addr(0)));
+            sched[writer[c]].write(t + 600 + rng.uniform(0, 400),
+                                   cell[c].block(0));
         }
         for (unsigned q = 0; q < n; ++q)
             sched[q].emit(tb[q]);
@@ -107,16 +107,14 @@ makeBarnes(const AppParams &p)
                 // Stable arrival order: rank stagger dominates.
                 unsigned rank = 0;
                 for (unsigned q : fixed_readers[c]) {
-                    sched[q].at(1 + rank * 1200 +
-                                    rng.uniform(0, 200),
-                                TraceOp::read(cell[c].addr(0)));
+                    sched[q].read(1 + rank * 1200 + rng.uniform(0, 200),
+                                  cell[c].block(0));
                     ++rank;
                 }
             } else if (c < fixed_end) {
                 // Same readers, workload-dependent order.
                 for (unsigned q : fixed_readers[c]) {
-                    sched[q].at(rng.uniform(0, 9000),
-                                TraceOp::read(cell[c].addr(0)));
+                    sched[q].read(rng.uniform(0, 9000), cell[c].block(0));
                 }
             } else {
                 // Rebuilt subtree: fresh reader subset.
@@ -127,8 +125,7 @@ makeBarnes(const AppParams &p)
                         rng.uniform(0, n - 1));
                     if (q == writer[c])
                         q = (q + 1) % n;
-                    sched[q].at(rng.uniform(0, 9000),
-                                TraceOp::read(cell[c].addr(0)));
+                    sched[q].read(rng.uniform(0, 9000), cell[c].block(0));
                 }
             }
         }
@@ -142,7 +139,6 @@ makeBarnes(const AppParams &p)
     for (unsigned q = 0; q < n; ++q)
         tb[q].barrier();
 
-    Workload w;
     w.name = "barnes";
     w.netJitter = 0; // "minimal queueing": acks arrive in order
     for (unsigned q = 0; q < n; ++q)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <new>
+#include <unordered_map>
 
 #include "base/logging.hh"
 #include "workload/layout.hh"
@@ -12,17 +13,31 @@ namespace mspdsm
 namespace
 {
 
-/** Feed each op of @p traces through a TraceBuilder. */
+/**
+ * Feed each op of @p traces through a TraceBuilder, each block taking
+ * the next ordinal the first time it is seen.
+ */
 Workload
 build(const std::vector<Trace> &traces, const AddrMap &map)
 {
     Workload w;
     w.netJitter = 0;
     w.blockSize = map.blockSizeBytes();
-    TraceBuilder tb(map);
+    std::unordered_map<BlockId, BlockId> ordinal; // source id -> ordinal
+    TraceBuilder tb;
     for (const Trace &t : traces) {
-        for (const TraceOp &op : t)
-            tb.add(op);
+        for (const TraceOp &op : t) {
+            BlockId blk = 0;
+            if (op.kind() == OpKind::Read || op.kind() == OpKind::Write) {
+                const BlockId raw = map.blockOf(op.addr());
+                const auto [at, fresh] =
+                    ordinal.try_emplace(raw, w.blocks.size());
+                if (fresh)
+                    w.addBlock(raw);
+                blk = at->second;
+            }
+            tb.add(op, blk);
+        }
         tb.appendTo(w);
     }
     return w;
@@ -52,33 +67,32 @@ CompiledWorkload::CompiledWorkload(const Workload &w, const AddrMap &map)
 
     // Dense renumbering, in first-touch order over the traces: the
     // j-th block homed at h becomes blockAt(h, j), so its geometric
-    // home is unchanged and its local index is j. Source ids fit the
-    // block field, so a direct table over them maps each to its dense
-    // id with one indexed load (a hash map probe made the whole
-    // compile measurably slower), and a dense id never exceeds the
-    // largest source id of its home, so it fits the field as well.
-    // homeStart_[h + 1] counts home h's blocks until the prefix sum
-    // below turns the counts into offsets.
+    // home is unchanged and its local index is j. The table from
+    // ordinal to dense id has one entry per allocated block, so the
+    // renumbering is one indexed load per access, and the home and
+    // the field check are paid once per block. homeStart_[h + 1]
+    // counts home h's blocks until the prefix sum below turns the
+    // counts into offsets.
     constexpr std::uint32_t none = ~std::uint32_t{0};
-    std::vector<std::uint32_t> dense;
-    std::vector<BlockId> firstTouch; // source ids in first-touch order
+    std::vector<std::uint32_t> dense(w.blocks.size(), none);
+    std::vector<std::uint32_t> firstTouch; // ordinals, first touch first
     CompiledOp *out = arena_.get();
     for (const PackedTrace &t : w.ops) {
         spans_.push_back(
             Span{static_cast<std::uint64_t>(out - arena_.get()), t.size()});
         for (CompiledOp op : t) {
             if (op.isAccess()) {
-                const BlockId raw = op.block();
-                if (raw >= dense.size())
-                    dense.resize(std::max<std::size_t>(
-                                     {raw + 1, 2 * dense.size(), 4096}),
-                                 none);
-                std::uint32_t &id = dense[raw];
+                const BlockId ord = op.block();
+                panic_if(ord >= dense.size(), "block ordinal ", ord,
+                         " was never allocated");
+                std::uint32_t &id = dense[ord];
                 if (id == none) {
-                    const NodeId h = map_.geometricHomeOf(raw);
-                    id = static_cast<std::uint32_t>(
-                        map_.blockAt(h, homeStart_[h + 1]++));
-                    firstTouch.push_back(raw);
+                    const NodeId h = map_.geometricHomeOf(w.blocks[ord]);
+                    const BlockId blk = map_.blockAt(h, homeStart_[h + 1]++);
+                    panic_if(blk > CompiledOp::blockMax, "dense block id ",
+                             blk, " overflows the packed op");
+                    id = static_cast<std::uint32_t>(blk);
+                    firstTouch.push_back(static_cast<std::uint32_t>(ord));
                 }
                 op = CompiledOp::access(op.kind(), id, op.delay());
             }
@@ -89,9 +103,9 @@ CompiledWorkload::CompiledWorkload(const Workload &w, const AddrMap &map)
     for (std::size_t h = 1; h < homeStart_.size(); ++h)
         homeStart_[h] += homeStart_[h - 1];
     rawOf_.resize(firstTouch.size());
-    for (const BlockId raw : firstTouch) {
-        const AddrMap::ShardSlot at = map_.shardSlotOf(dense[raw]);
-        rawOf_[homeStart_[at.home] + at.local] = raw;
+    for (const std::uint32_t ord : firstTouch) {
+        const AddrMap::ShardSlot at = map_.shardSlotOf(dense[ord]);
+        rawOf_[homeStart_[at.home] + at.local] = w.blocks[ord];
     }
 }
 

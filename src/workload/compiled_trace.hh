@@ -7,9 +7,10 @@
  * (workload/layout.hh), which already does everything an op stream
  * needs at emit time:
  *
- *  - each access carries its source BlockId (address / blockSize),
- *    so the per-access address-to-block mapping never reaches the
- *    hot loop;
+ *  - each access carries its block *ordinal*, the index Layout gave
+ *    the block when it allocated it (Workload::blocks maps it back to
+ *    the source id, address / blockSize), so no address mapping
+ *    reaches the hot loop;
  *  - consecutive Compute ops are fused into a single delay -- a pure
  *    timing transformation, since back-to-back delays touch no state
  *    the rest of the machine can observe between them;
@@ -25,21 +26,25 @@
  * single exact-size arena and *renumbers* the blocks densely per
  * home: the j-th distinct block homed at h (in first-touch order over
  * the processors' traces) gets the id ((j / bpp) * N + h) * bpp +
- * j mod bpp, for N nodes and bpp blocks per page. The geometric home
- * of every block is unchanged (so are all routes and re-homes), and
- * the local index AddrMap::shardSlotOf() gives a renumbered block is
- * exactly j, so every per-block table on the message path is an
- * array per home (proto/shard_table.hh). The workload keeps the
- * dense -> raw table for decoding, traces and diagnostics.
+ * j mod bpp, for N nodes and bpp blocks per page. The ordinal -> dense
+ * table has one entry per allocated block, so its size tracks the
+ * workload, not its address range. The geometric home of every block
+ * is unchanged (so are all routes and re-homes), and the local index
+ * AddrMap::shardSlotOf() gives a renumbered block is exactly j, so
+ * every per-block table on the message path is an array per home
+ * (proto/shard_table.hh). The workload keeps the dense -> raw table
+ * for decoding, traces and diagnostics.
  *
- * Hand-written TraceOp lists take the same path: each op is fed
- * through a TraceBuilder, then renumbered. A round-trip decoder
- * reconstructs the TraceOp stream: decode(compile(t)) ==
- * canonicalTrace(t), where the canonical form differs from the
- * original only by compute fusion and block alignment of addresses,
- * both timing-invariant (every generator emits block-aligned
- * addresses already). Folding is not visible in the canonical form:
- * the decoder expands each prefix back into its Compute op.
+ * Hand-written TraceOp lists take the same path: each block takes the
+ * next ordinal the first time it is seen (Workload::addBlock, as in
+ * Layout), each op is fed through a TraceBuilder, then renumbered. A
+ * round-trip decoder reconstructs the TraceOp stream:
+ * decode(compile(t)) == canonicalTrace(t), where the canonical form
+ * differs from the original only by compute fusion and block
+ * alignment of addresses, both timing-invariant (every generator
+ * emits whole blocks already). Folding is not visible in the
+ * canonical form: the decoder expands each prefix back into its
+ * Compute op.
  */
 
 #ifndef MSPDSM_WORKLOAD_COMPILED_TRACE_HH
@@ -86,13 +91,15 @@ class CompiledWorkload
   public:
     /**
      * Renumber @p w with the run's address mapping. Fatal if @p w was
-     * generated for another block size.
+     * generated for another block size; panics on an ordinal outside
+     * its block table or a dense id too large for the block field.
      */
     CompiledWorkload(const Workload &w, const AddrMap &map);
 
     /**
-     * Build bare traces through a TraceBuilder and renumber them (no
-     * name/jitter; tests and direct runs).
+     * Number the blocks of bare traces at first sight, build them
+     * through a TraceBuilder and renumber them (no name/jitter; tests
+     * and direct runs).
      */
     CompiledWorkload(const std::vector<Trace> &traces,
                      const AddrMap &map);

@@ -28,7 +28,8 @@ makeEm3d(const AppParams &p)
     const unsigned blocks_per_proc =
         std::max(4u, static_cast<unsigned>(24 * p.scale));
 
-    Layout layout(p.proto);
+    Workload w;
+    Layout layout(p.proto, w);
     std::vector<Region> region(n);
     for (unsigned q = 0; q < n; ++q)
         region[q] = layout.allocAt(NodeId(q), blocks_per_proc);
@@ -39,8 +40,8 @@ makeEm3d(const AppParams &p)
     // matching the paper's em3d FR coverage.
     auto degree = [](unsigned i) { return 2u + (i & 1u); };
 
-    std::vector<TraceBuilder> tb(n, TraceBuilder(AddrMap(p.proto)));
-    for (unsigned it = 0; it < iters; ++it) {
+    std::vector<TraceBuilder> tb(n);
+    emitPeriodic(tb, iters, [&](unsigned) {
         for (unsigned q = 0; q < n; ++q)
             tb[q].barrier();
 
@@ -49,7 +50,7 @@ makeEm3d(const AppParams &p)
         // SWI early-write-invalidate table).
         for (unsigned q = 0; q < n; ++q) {
             for (unsigned i = 0; i < blocks_per_proc; ++i) {
-                tb[q].write(region[q].addr(i));
+                tb[q].write(region[q].block(i));
                 tb[q].compute(8);
             }
             tb[q].compute(150);
@@ -67,7 +68,7 @@ makeEm3d(const AppParams &p)
                 const unsigned prod = (q + n - rank - 1) % n;
                 for (unsigned i = 0; i < blocks_per_proc; ++i) {
                     if (degree(i) > rank) {
-                        tb[q].read(region[prod].addr(i));
+                        tb[q].read(region[prod].block(i));
                         tb[q].compute(6);
                     }
                 }
@@ -77,11 +78,10 @@ makeEm3d(const AppParams &p)
 
         for (unsigned q = 0; q < n; ++q)
             tb[q].compute(52000); // local graph update per iteration
-    }
+    });
     for (unsigned q = 0; q < n; ++q)
         tb[q].barrier();
 
-    Workload w;
     w.name = "em3d";
     w.netJitter = 40; // concurrent invalidations race (Section 7.1)
     for (unsigned q = 0; q < n; ++q)

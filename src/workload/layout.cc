@@ -1,6 +1,9 @@
 #include "workload/layout.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <utility>
 
 #include "base/logging.hh"
 
@@ -8,15 +11,17 @@ namespace mspdsm
 {
 
 Region
-Layout::take(std::uint64_t first, unsigned nblocks,
-             std::uint64_t stride) const
+Layout::take(std::uint64_t first, unsigned nblocks, std::uint64_t stride)
 {
-    Region r;
-    r.base = first * static_cast<Addr>(cfg_.pageSize);
-    r.blocks = nblocks;
-    r.blockSize = cfg_.blockSize;
-    r.blocksPerPage = cfg_.blocksPerPage();
-    r.pageStride = stride * static_cast<Addr>(cfg_.pageSize);
+    const Region r{w_.blocks.size(), nblocks};
+    const unsigned bpp = cfg_.blocksPerPage();
+    unsigned left = nblocks;
+    for (std::uint64_t page = first; left > 0; page += stride) {
+        const unsigned on = std::min(left, bpp);
+        for (unsigned k = 0; k < on; ++k)
+            w_.addBlock(page * bpp + k);
+        left -= on;
+    }
     return r;
 }
 
@@ -44,37 +49,44 @@ Layout::allocAt(NodeId home, unsigned nblocks)
 void
 PhaseSchedule::emit(TraceBuilder &trace)
 {
-    std::stable_sort(items_.begin(), items_.end(),
-                     [](const Item &a, const Item &b) {
-                         return a.t < b.t;
-                     });
-    Tick now = 0;
-    for (const Item &it : items_) {
-        if (it.t > now) {
-            trace.compute(it.t - now);
-            now = it.t;
-        }
-        switch (it.op.kind()) {
-          case OpKind::Compute:
-            trace.compute(it.op.cycles());
-            now += it.op.cycles();
-            break;
-          case OpKind::Read:
-            trace.read(it.op.addr());
-            break;
-          case OpKind::Write:
-            trace.write(it.op.addr());
-            break;
-          case OpKind::Barrier:
-            trace.barrier();
-            break;
-        }
+    // Stable LSD radix sort, a byte of the offset per pass, only as
+    // many passes as the largest offset has bytes. Keys start in
+    // registration order, so equal offsets keep it.
+    std::uint64_t any = 0;
+    for (const std::uint64_t k : keys_)
+        any |= k;
+    const unsigned top = 32 + std::bit_width(any >> 32);
+    spare_.resize(keys_.size());
+    for (unsigned shift = 32; shift < top; shift += 8) {
+        std::array<std::uint32_t, 256> at{};
+        for (const std::uint64_t k : keys_)
+            ++at[k >> shift & 0xff];
+        std::uint32_t sum = 0;
+        for (std::uint32_t &c : at)
+            sum += std::exchange(c, sum);
+        for (const std::uint64_t k : keys_)
+            spare_[at[k >> shift & 0xff]++] = k;
+        keys_.swap(spare_);
     }
-    items_.clear();
+
+    Tick now = 0;
+    for (const std::uint64_t k : keys_) {
+        const Tick t = k >> 32;
+        if (t > now) {
+            trace.compute(t - now);
+            now = t;
+        }
+        const CompiledOp op{static_cast<std::uint32_t>(k)};
+        if (op.kind() == OpKind::Read)
+            trace.read(op.block());
+        else
+            trace.write(op.block());
+    }
+    keys_.clear();
 }
 
 TraceBuilder &
-TraceBuilder::add(TraceOp op)
+TraceBuilder::add(TraceOp op, BlockId blk)
 {
     switch (op.kind()) {
       case OpKind::Compute:
@@ -82,13 +94,30 @@ TraceBuilder::add(TraceOp op)
             ++sourceOps_;
         return compute(op.cycles());
       case OpKind::Read:
-        return read(op.addr());
+        return read(blk);
       case OpKind::Write:
-        return write(op.addr());
+        return write(blk);
       case OpKind::Barrier:
         return barrier();
     }
     return *this;
+}
+
+void
+TraceBuilder::repeatSince(const Mark &m)
+{
+    panic_if(pending_ != m.pending, "repeated period starts with ",
+             m.pending, " pending cycles but ends with ", pending_);
+    const std::size_t at = ops_.size(), len = at - m.ops;
+    // Grow by doubling, as appending the ops one by one would: the
+    // peak RSS of a whole run depends on the malloc heap's layout,
+    // and reserving each trace's final size at once raised
+    // mesh-faults' by 4%.
+    if (at + len > ops_.capacity())
+        ops_.reserve(std::max(2 * ops_.capacity(), at + len));
+    ops_.resize(at + len);
+    std::copy_n(ops_.data() + m.ops, len, ops_.data() + at);
+    sourceOps_ += sourceOps_ - m.sourceOps;
 }
 
 void
@@ -97,7 +126,6 @@ TraceBuilder::appendTo(Workload &w)
     flush();
     w.ops.push_back(std::move(ops_));
     w.sourceOps += sourceOps_;
-    w.blockSize = map_.blockSizeBytes();
     ops_.clear();
     sourceOps_ = 0;
 }

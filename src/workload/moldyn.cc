@@ -35,7 +35,8 @@ makeMoldyn(const AppParams &p)
         std::max(2u, static_cast<unsigned>(5 * p.scale));
     const unsigned hops = 4; // processors visited per migratory block
 
-    Layout layout(p.proto);
+    Workload w;
+    Layout layout(p.proto, w);
     std::vector<Region> forceR(n);
     for (unsigned q = 0; q < n; ++q)
         forceR[q] = layout.allocAt(NodeId((q + n / 2) % n), force);
@@ -43,9 +44,9 @@ makeMoldyn(const AppParams &p)
     for (unsigned h = 0; h < n; ++h)
         mig[h] = layout.allocAt(NodeId(h), chunk);
 
-    std::vector<TraceBuilder> tb(n, TraceBuilder(AddrMap(p.proto)));
+    std::vector<TraceBuilder> tb(n);
     std::vector<PhaseSchedule> sched(n); // emptied by each emit()
-    for (unsigned it = 0; it < iters; ++it) {
+    emitPeriodic(tb, iters, [&](unsigned) {
         for (unsigned q = 0; q < n; ++q)
             tb[q].barrier();
 
@@ -55,12 +56,12 @@ makeMoldyn(const AppParams &p)
         // misspeculation trigger.
         for (unsigned q = 0; q < n; ++q) {
             for (unsigned i = 0; i < force; ++i) {
-                tb[q].write(forceR[q].addr(i));
+                tb[q].write(forceR[q].block(i));
                 tb[q].compute(6);
             }
             tb[q].compute(40);
             for (unsigned i = 0; i < force; ++i) {
-                tb[q].read(forceR[q].addr(i));
+                tb[q].read(forceR[q].block(i));
                 tb[q].compute(4);
             }
         }
@@ -73,7 +74,7 @@ makeMoldyn(const AppParams &p)
             for (unsigned q = 0; q < n; ++q) {
                 const unsigned prod = (q + n - rank - 1) % n;
                 for (unsigned i = 0; i < force; ++i) {
-                    tb[q].read(forceR[prod].addr(i));
+                    tb[q].read(forceR[prod].block(i));
                     tb[q].compute(6);
                 }
                 tb[q].compute(700);
@@ -94,9 +95,8 @@ makeMoldyn(const AppParams &p)
                 const unsigned q = (h + j * 3) % n;
                 for (unsigned k = 0; k < chunk; ++k) {
                     const Tick t = Tick(j) * 1600 + k * 120;
-                    sched[q].at(t, TraceOp::read(mig[h].addr(k)));
-                    sched[q].at(t + 30,
-                                TraceOp::write(mig[h].addr(k)));
+                    sched[q].read(t, mig[h].block(k));
+                    sched[q].write(t + 30, mig[h].block(k));
                 }
             }
         }
@@ -104,11 +104,10 @@ makeMoldyn(const AppParams &p)
             sched[q].emit(tb[q]);
             tb[q].compute(32000); // bonded-forces local work
         }
-    }
+    });
     for (unsigned q = 0; q < n; ++q)
         tb[q].barrier();
 
-    Workload w;
     w.name = "moldyn";
     w.netJitter = 40; // consumer acks race
     for (unsigned q = 0; q < n; ++q)

@@ -40,7 +40,8 @@ makeOcean(const AppParams &p)
     // read-modify-write and the consumer's read pay remote latency).
     // Private interior and read-only coefficient blocks are
     // first-touch local.
-    Layout layout(p.proto);
+    Workload w;
+    Layout layout(p.proto, w);
     std::vector<Region> bnd(n), cor(n), innr(n), ro(n);
     for (unsigned q = 0; q < n; ++q) {
         bnd[q] = layout.allocAt(NodeId((q + n / 2) % n), boundary);
@@ -54,17 +55,17 @@ makeOcean(const AppParams &p)
     const Region sum = layout.allocAt(NodeId(0), 1);
 
     Rng rng(p.seed);
-    std::vector<TraceBuilder> tb(n, TraceBuilder(AddrMap(p.proto)));
+    std::vector<TraceBuilder> tb(n);
 
     // Cold start: private data is touched once and never communicates
     // again; read-only data is only ever read.
     for (unsigned q = 0; q < n; ++q) {
         for (unsigned i = 0; i < interior; ++i) {
-            tb[q].read(innr[q].addr(i));
-            tb[q].write(innr[q].addr(i));
+            tb[q].read(innr[q].block(i));
+            tb[q].write(innr[q].block(i));
         }
         for (unsigned i = 0; i < readonly; ++i)
-            tb[q].read(ro[q].addr(i));
+            tb[q].read(ro[q].block(i));
     }
 
     for (unsigned it = 0; it < iters; ++it) {
@@ -78,16 +79,16 @@ makeOcean(const AppParams &p)
             const unsigned right = (q + 1) % n;
             if (it > 0) {
                 for (unsigned i = 0; i < boundary; ++i) {
-                    tb[q].read(bnd[left].addr(i));
+                    tb[q].read(bnd[left].block(i));
                     tb[q].compute(6);
                 }
                 for (unsigned i = 0; i < corner; ++i) {
-                    tb[q].read(cor[left].addr(i));
+                    tb[q].read(cor[left].block(i));
                     tb[q].compute(6);
                 }
                 tb[q].compute(260); // second corner reader lags
                 for (unsigned i = 0; i < corner; ++i) {
-                    tb[q].read(cor[right].addr(i));
+                    tb[q].read(cor[right].block(i));
                     tb[q].compute(6);
                 }
             }
@@ -102,15 +103,15 @@ makeOcean(const AppParams &p)
         for (unsigned sweep = 0; sweep < 2; ++sweep) {
             for (unsigned q = 0; q < n; ++q) {
                 for (unsigned i = 0; i < boundary; ++i) {
-                    tb[q].read(bnd[q].addr(i));
+                    tb[q].read(bnd[q].block(i));
                     tb[q].compute(4);
-                    tb[q].write(bnd[q].addr(i));
+                    tb[q].write(bnd[q].block(i));
                     tb[q].compute(8);
                 }
                 for (unsigned i = 0; i < corner; ++i) {
-                    tb[q].read(cor[q].addr(i));
+                    tb[q].read(cor[q].block(i));
                     tb[q].compute(4);
-                    tb[q].write(cor[q].addr(i));
+                    tb[q].write(cor[q].block(i));
                     tb[q].compute(8);
                 }
                 tb[q].compute(5600); // interior sweep (cache hits)
@@ -125,15 +126,14 @@ makeOcean(const AppParams &p)
         for (unsigned slot = 0; slot < n; ++slot) {
             const unsigned q = order[slot];
             tb[q].compute(1 + slot * 1300);
-            tb[q].read(sum.addr(0));
+            tb[q].read(sum.block(0));
             tb[q].compute(20);
-            tb[q].write(sum.addr(0));
+            tb[q].write(sum.block(0));
         }
     }
     for (unsigned q = 0; q < n; ++q)
         tb[q].barrier();
 
-    Workload w;
     w.name = "ocean";
     w.netJitter = 30; // moderate queueing: corner acks can race
     for (unsigned q = 0; q < n; ++q)

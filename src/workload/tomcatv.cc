@@ -30,14 +30,15 @@ makeTomcatv(const AppParams &p)
     // homes a producer's row-set away from the producer, so both the
     // producer's read-before-write and the consumer's read are remote
     // (the configuration the paper's FR numbers imply).
-    Layout layout(p.proto);
+    Workload w;
+    Layout layout(p.proto, w);
     std::vector<Region> region(n);
     for (unsigned q = 0; q < n; ++q)
         region[q] =
             layout.allocAt(NodeId((q + n / 2) % n), blocks_per_proc);
 
-    std::vector<TraceBuilder> tb(n, TraceBuilder(AddrMap(p.proto)));
-    for (unsigned it = 0; it < iters; ++it) {
+    std::vector<TraceBuilder> tb(n);
+    emitPeriodic(tb, iters, [&](unsigned it) {
         for (unsigned q = 0; q < n; ++q)
             tb[q].barrier();
 
@@ -47,7 +48,7 @@ makeTomcatv(const AppParams &p)
             const unsigned left = (q + n - 1) % n;
             if (it > 0) {
                 for (unsigned i = 0; i < blocks_per_proc; ++i) {
-                    tb[q].read(region[left].addr(i));
+                    tb[q].read(region[left].block(i));
                     tb[q].compute(6);
                 }
             }
@@ -58,9 +59,9 @@ makeTomcatv(const AppParams &p)
         // boundary blocks ("the producer first reads then writes").
         for (unsigned q = 0; q < n; ++q) {
             for (unsigned i = 0; i < blocks_per_proc; ++i) {
-                tb[q].read(region[q].addr(i));
+                tb[q].read(region[q].block(i));
                 tb[q].compute(4);
-                tb[q].write(region[q].addr(i));
+                tb[q].write(region[q].block(i));
                 tb[q].compute(10);
             }
         }
@@ -71,16 +72,15 @@ makeTomcatv(const AppParams &p)
             tb[q].compute(200);
             for (unsigned i = blocks_per_proc / 2;
                  i < blocks_per_proc; ++i) {
-                tb[q].write(region[q].addr(i));
+                tb[q].write(region[q].block(i));
                 tb[q].compute(10);
             }
             tb[q].compute(36000); // interior sweep (all cache hits)
         }
-    }
+    });
     for (unsigned q = 0; q < n; ++q)
         tb[q].barrier();
 
-    Workload w;
     w.name = "tomcatv";
     w.netJitter = 8; // single consumer: nothing to re-order
     for (unsigned q = 0; q < n; ++q)

@@ -12,11 +12,15 @@
  * A CompiledOp is the packed 4-byte op the processors execute, and
  * the form a Workload holds: generators emit straight into it through
  * TraceBuilder (workload/layout.hh), which fuses compute runs and
- * folds short delays into the next access as it goes. A TraceOp is
- * the readable 8-byte form (a byte address or a cycle count) used for
- * hand-written traces, PhaseSchedule items and decodeTrace()'s output
+ * folds short delays into the next access as it goes. An access names
+ * its block by *ordinal*, the block's index in the order the
+ * generator's Layout allocated it; Workload::blocks maps ordinals
+ * back to source block ids (address / blockSize). A TraceOp is the
+ * readable 8-byte form (a byte address or a cycle count) used for
+ * hand-written traces and decodeTrace()'s output
  * (workload/compiled_trace.hh); a list of them is fed through the
- * same builder before it runs.
+ * same builder before it runs, each block taking the next ordinal the
+ * first time it is seen.
  */
 
 #ifndef MSPDSM_WORKLOAD_TRACE_HH
@@ -102,17 +106,17 @@ using Trace = std::vector<TraceOp>;
 /**
  * One packed trace operation: 2 bits of kind and 30 bits of payload.
  * A Compute's payload is its fused cycle count and a Barrier's is 0;
- * a Read/Write splits it into a 22-bit BlockId (low bits) and an
+ * a Read/Write splits it into a 22-bit block number (low bits) and an
  * 8-bit compute prefix (high bits), the delay the processor waits
  * out before it issues the access. The processors stream billions of
  * these and every cached workload holds its whole arena, so the
  * layout is a single 32-bit word: one load, a mask, and a shift per
- * decoded field. A generated workload's accesses carry source block
- * ids (address / blockSize); a compiled one's carry dense ids, which
- * never exceed the source ids they replace. The largest source id
- * the suite produces is far below blockMax, and barnes' 200,000-cycle
- * force phase far below payloadMax; TraceBuilder panics on anything
- * above either.
+ * decoded field. A generated workload's accesses carry block
+ * ordinals, so the field bounds the distinct blocks a workload
+ * allocates (Workload::addBlock checks), not how far apart they lie;
+ * a compiled one's carry dense ids, checked again as they are
+ * assigned. barnes' 200,000-cycle force phase is far below
+ * payloadMax; TraceBuilder panics on any delay above it.
  */
 struct CompiledOp
 {
@@ -189,16 +193,33 @@ using PackedTrace = std::vector<CompiledOp>;
 
 /**
  * A complete generated workload: one packed trace per processor over
- * source block ids, plus identification used by the harness and
- * reports. CompiledWorkload renumbers it for a run.
+ * block ordinals, the ordinal -> source id table, plus identification
+ * used by the harness and reports. CompiledWorkload renumbers it for
+ * a run.
  */
 struct Workload
 {
     std::string name;             //!< e.g. "em3d"
     std::vector<PackedTrace> ops; //!< one per processor
+    std::vector<BlockId> blocks;  //!< source id of each block ordinal
     std::size_t sourceOps = 0;    //!< ops emitted before fusion/folding
     unsigned blockSize = 0;       //!< bytes per block of the source ids
     Tick netJitter = 8;           //!< per-app queueing/contention level
+
+    /**
+     * Give source block @p raw the next ordinal and return it. Panics
+     * once the ordinals outgrow the packed op's block field: the one
+     * check on the number of distinct blocks, made per block as it is
+     * allocated.
+     */
+    BlockId
+    addBlock(BlockId raw)
+    {
+        panic_if(blocks.size() > CompiledOp::blockMax, "block ordinal ",
+                 blocks.size(), " overflows the packed op");
+        blocks.push_back(raw);
+        return blocks.size() - 1;
+    }
 };
 
 } // namespace mspdsm

@@ -36,7 +36,8 @@ makeUnstructured(const AppParams &p)
     const unsigned chunk =
         std::max(2u, static_cast<unsigned>(8 * p.scale));
 
-    Layout layout(p.proto);
+    Workload w;
+    Layout layout(p.proto, w);
     std::vector<Region> pc(n);
     for (unsigned q = 0; q < n; ++q)
         pc[q] = layout.allocAt(NodeId(q), pc_blocks);
@@ -45,7 +46,7 @@ makeUnstructured(const AppParams &p)
         red[h] = layout.allocAt(NodeId(h), chunk);
 
     Rng rng(p.seed);
-    std::vector<TraceBuilder> tb(n, TraceBuilder(AddrMap(p.proto)));
+    std::vector<TraceBuilder> tb(n);
     std::vector<PhaseSchedule> sched(n); // emptied by each emit()
 
     for (unsigned it = 0; it < iters; ++it) {
@@ -55,7 +56,7 @@ makeUnstructured(const AppParams &p)
         // Produce: one write per block per iteration (SWI-friendly).
         for (unsigned q = 0; q < n; ++q) {
             for (unsigned i = 0; i < pc_blocks; ++i) {
-                tb[q].write(pc[q].addr(i));
+                tb[q].write(pc[q].block(i));
                 tb[q].compute(8);
             }
             tb[q].compute(150);
@@ -74,8 +75,7 @@ makeUnstructured(const AppParams &p)
                     const unsigned reader = (q + r) % n;
                     const Tick t = Tick(r) * 150 +
                                    rng.uniform(0, 700);
-                    sched[reader].at(
-                        t, TraceOp::read(pc[q].addr(i)));
+                    sched[reader].read(t, pc[q].block(i));
                 }
             }
         }
@@ -102,10 +102,8 @@ makeUnstructured(const AppParams &p)
                 for (unsigned k = 0; k < chunk; ++k) {
                     const Tick t =
                         Tick(slot) * 1600 + k * 120;
-                    sched[q].at(t,
-                                TraceOp::read(red[h].addr(k)));
-                    sched[q].at(t + 30,
-                                TraceOp::write(red[h].addr(k)));
+                    sched[q].read(t, red[h].block(k));
+                    sched[q].write(t + 30, red[h].block(k));
                 }
                 ++slot;
             }
@@ -119,7 +117,6 @@ makeUnstructured(const AppParams &p)
     for (unsigned q = 0; q < n; ++q)
         tb[q].barrier();
 
-    Workload w;
     w.name = "unstructured";
     w.netJitter = 40; // wide sharing: heavy queueing and races
     for (unsigned q = 0; q < n; ++q)

@@ -141,6 +141,34 @@ TEST(Rng, ZeroSeedIsUsable)
     EXPECT_GT(seen.size(), 14u);
 }
 
+/**
+ * bounded() pays one divide per draw, and draws the same stream as
+ * the plain rejection loop that computes the threshold 2^64 mod n on
+ * every draw, for ranges small, odd, just past 32 bits and just past
+ * half the 64-bit space (where half the draws are redrawn).
+ */
+TEST(Rng, BoundedMatchesTwoDivideReference)
+{
+    const std::uint64_t ns[] = {1,
+                                2,
+                                3,
+                                7,
+                                1000,
+                                (std::uint64_t{1} << 32) + 1,
+                                (std::uint64_t{1} << 63) + 5};
+    for (const std::uint64_t n : ns) {
+        Rng r(n), ref(n);
+        for (int i = 0; i < 100000; ++i) {
+            const std::uint64_t threshold = (0 - n) % n;
+            std::uint64_t want;
+            do {
+                want = ref.next();
+            } while (want < threshold);
+            ASSERT_EQ(r.uniform(0, n - 1), want % n) << n << " draw " << i;
+        }
+    }
+}
+
 // Parameterized: every seed yields an unbiased-looking small range.
 class RngBias : public ::testing::TestWithParam<std::uint64_t>
 {

@@ -155,7 +155,7 @@ TEST(Fault, RecoveredMachineStateIsCoherent)
         for (const PackedTrace &t : w.ops)
             for (const CompiledOp &op : t)
                 if (op.isAccess())
-                    addrs.insert(op.block() * w.blockSize);
+                    addrs.insert(w.blocks.at(op.block()) * w.blockSize);
         std::size_t live = 0;
         for (const Addr a : addrs) {
             const BlockId blk = sys.blockOf(a);
@@ -217,7 +217,8 @@ TEST(Fault, FailBackRecordsOnlyLiveHolders)
         for (const PackedTrace &t : w.ops)
             for (const CompiledOp &op : t)
                 if (op.isAccess())
-                    blocks.insert(sys.blockOf(op.block() * w.blockSize));
+                    blocks.insert(sys.blockOf(w.blocks.at(op.block()) *
+                                              w.blockSize));
         const Directory &dir = sys.directory(3);
         std::size_t recorded = 0;
         for (const BlockId blk : blocks) {

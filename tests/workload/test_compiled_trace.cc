@@ -174,10 +174,12 @@ TEST(CompiledTrace, PrefixFoldStopsAtDelayMax)
 }
 
 /**
- * The block field's edge is the source id: with 1024 nodes of 4096
- * blocks a page, home 1023's 4096th block is source (and dense) id
- * 2^22 - 1, and a source id of 2^22 panics even when its dense id
- * would fit -- the builder never truncates one.
+ * The block field bounds distinct blocks, not how far apart they lie.
+ * A Layout numbers 2^22 blocks, ordinals 0 .. blockMax, and panics on
+ * the next; a source id far past the field compiles. Dense ids are
+ * checked as they are assigned: with 1024 nodes of 4096 blocks a
+ * page, home 1023's 4096th block is dense id 2^22 - 1, and a 4097th
+ * block there panics although the workload has only 4097 blocks.
  */
 TEST(CompiledTrace, BlockIdsUpToBlockMaxCompile)
 {
@@ -187,21 +189,62 @@ TEST(CompiledTrace, BlockIdsUpToBlockMaxCompile)
     const AddrMap map(cfg);
     const Addr page = cfg.pageSize;
 
+    Workload w;
+    Layout layout(cfg, w);
+    const Region all = layout.alloc(CompiledOp::blockMax + 1);
+    EXPECT_EQ(all.block(CompiledOp::blockMax), CompiledOp::blockMax);
+    EXPECT_EQ(w.blocks.size(), std::size_t{CompiledOp::blockMax} + 1);
+    EXPECT_DEATH(layout.alloc(1),
+                 "block ordinal 4194304 overflows the packed op");
+    TraceBuilder tb;
+    EXPECT_DEATH(tb.write(BlockId{CompiledOp::blockMax} + 1),
+                 "block ordinal 4194304 overflows the packed op");
+
+    const Trace far{TraceOp::read(Addr{1} << 40)};
+    const CompiledWorkload farOk(std::vector<Trace>{far}, map);
+    EXPECT_EQ(farOk.rawBlock(farOk.trace(0)[0].block()),
+              (Addr{1} << 40) / cfg.blockSize);
+    EXPECT_EQ(decodeTrace(farOk, 0), far);
+
     Trace last;
     for (Addr b = 0; b < 4096; ++b)
         last.push_back(TraceOp::read(1023 * page + b * cfg.blockSize));
     const CompiledWorkload ok(std::vector<Trace>{last}, map);
     EXPECT_EQ(ok.trace(0)[4095].block(), CompiledOp::blockMax);
     EXPECT_EQ(decodeTrace(ok, 0), last);
-
-    // Alone, source id 2^22 would be home 0's first block, dense id 0.
-    const Trace over{TraceOp::read(1024 * page)};
-    ASSERT_EQ(map.blockOf(1024 * page), BlockId{CompiledOp::blockMax} + 1);
+    Trace over = last;
+    over.push_back(TraceOp::read((1023 + 1024) * page));
     EXPECT_DEATH(CompiledWorkload(std::vector<Trace>{over}, map),
-                 "block id 4194304 overflows the packed op");
-    TraceBuilder tb(map);
-    EXPECT_DEATH(tb.write(1024 * page),
-                 "block id 4194304 overflows the packed op");
+                 "dense block id 8384512 overflows the packed op");
+}
+
+/**
+ * Ocean at the node cap past the source-id cap: at --scale 23 its
+ * 61-node layout reaches source ids beyond the block field, which
+ * the block ordinals never see. It compiles, and every allocated
+ * block it touches round-trips.
+ */
+TEST(CompiledTrace, OceanAtTheNodeCapCompilesPastSourceIdCap)
+{
+    AppParams p = params(23.0, 1);
+    p.numProcs = 61;
+    p.proto.numNodes = 61;
+    const AddrMap map(p.proto);
+    const Workload w = makeApp("ocean", p);
+    EXPECT_EQ(w.blocks.size(), 162749u);
+    EXPECT_GT(*std::max_element(w.blocks.begin(), w.blocks.end()),
+              BlockId{CompiledOp::blockMax});
+    const CompiledWorkload cw(w, map);
+    std::size_t blocks = 0;
+    for (unsigned h = 0; h < 61; ++h) {
+        for (std::size_t j = 0; j < cw.blocksAt(NodeId(h)); ++j) {
+            const BlockId blk = map.blockAt(NodeId(h), j);
+            ASSERT_LE(blk, CompiledOp::blockMax);
+            ASSERT_EQ(map.geometricHomeOf(cw.rawBlock(blk)), h);
+            ++blocks;
+        }
+    }
+    EXPECT_EQ(blocks, w.blocks.size());
 }
 
 /**
@@ -227,16 +270,15 @@ TEST(CompiledTrace, BlockSizeMismatchIsFatal)
 TEST(CompiledTrace, BuilderCountsSourceOps)
 {
     const AddrMap map((ProtoConfig{}));
-    TraceBuilder tb(map);
-    tb.compute(0).compute(5).compute(7).read(64).barrier().write(96);
+    TraceBuilder tb;
+    tb.compute(0).compute(5).compute(7).read(2).barrier().write(3);
     EXPECT_EQ(tb.sourceOps(), 5u); // compute(0) emits nothing
-    tb.add(TraceOp::compute(0)).add(TraceOp::compute(300));
+    tb.add(TraceOp::compute(0), 0).add(TraceOp::compute(300), 0);
     EXPECT_EQ(tb.sourceOps(), 7u); // a hand-written zero op counts
     Workload w;
     tb.appendTo(w);
     EXPECT_EQ(tb.sourceOps(), 0u);
     EXPECT_EQ(w.sourceOps, 7u);
-    EXPECT_EQ(w.blockSize, map.blockSizeBytes());
     ASSERT_EQ(w.ops.size(), 1u);
     const PackedTrace want{CompiledOp::access(OpKind::Read, 2, 12),
                            CompiledOp::make(OpKind::Barrier, 0),
@@ -284,9 +326,9 @@ TEST(CompiledTrace, OversizedComputeDelaysPanicEvenWhenFused)
  * is its source op renumbered), the largest dense block stays 64x
  * below blockMax and never above the largest source id, the largest
  * compute far below payloadMax, and the fold is complete: no Compute
- * the fold could hold is left standing before an access. Source ids
- * are the binding limit: ocean's multi-page regions reach 1,936,351
- * here, 2.2x below blockMax.
+ * the fold could hold is left standing before an access. With blocks
+ * numbered by ordinal the field bounds distinct blocks, and those
+ * stay 64x below blockMax too: ocean allocates the most, 56,609 here.
  */
 TEST(CompiledTrace, LargestSuiteConfigFitsThePackedOp)
 {
@@ -325,18 +367,20 @@ TEST(CompiledTrace, LargestSuiteConfigFitsThePackedOp)
                     ASSERT_EQ(t[k], src[k]) << info.name;
                     continue;
                 }
-                largestRaw = std::max(largestRaw, src[k].block());
+                const BlockId raw = w.blocks.at(src[k].block());
+                largestRaw = std::max(largestRaw, raw);
                 ASSERT_EQ(t[k], CompiledOp::access(src[k].kind(),
                                                    t[k].block(),
                                                    src[k].delay()));
-                ASSERT_EQ(cw.rawBlock(t[k].block()), src[k].block())
+                ASSERT_EQ(cw.rawBlock(t[k].block()), raw)
                     << info.name << " proc " << i << " op " << k;
             }
         }
         EXPECT_GT(largestBlock, 0u) << info.name;
         EXPECT_LE(largestBlock, CompiledOp::blockMax / 64) << info.name;
         EXPECT_LE(largestBlock, largestRaw) << info.name;
-        EXPECT_LE(largestRaw, CompiledOp::blockMax / 2) << info.name;
+        EXPECT_LE(w.blocks.size(), CompiledOp::blockMax / 64)
+            << info.name;
         EXPECT_GT(largestCompute, 0u) << info.name;
         EXPECT_LE(largestCompute, CompiledOp::payloadMax / 1024)
             << info.name;
@@ -470,7 +514,7 @@ TEST(CompiledTrace, DenseNumberingKeepsHomesAcrossSuite)
                     for (std::size_t k = 0; k < t.size(); ++k) {
                         if (!t[k].isAccess())
                             continue;
-                        const BlockId raw = src[k].block();
+                        const BlockId raw = w.blocks.at(src[k].block());
                         const BlockId blk = t[k].block();
                         ASSERT_EQ(map.geometricHomeOf(blk),
                                   map.geometricHomeOf(raw))

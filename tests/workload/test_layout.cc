@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
+
+#include "base/random.hh"
 
 #include "workload/layout.hh"
 
@@ -12,58 +15,76 @@ using namespace mspdsm;
 TEST(Layout, AllocAtPlacesRegionOnRequestedHome)
 {
     ProtoConfig cfg;
-    Layout layout(cfg);
+    Workload w;
+    Layout layout(cfg, w);
     for (NodeId home : {NodeId(0), NodeId(5), NodeId(15), NodeId(3)}) {
         const Region r = layout.allocAt(home, 16);
         for (unsigned i = 0; i < r.blocks; ++i)
-            EXPECT_EQ(cfg.homeOf(cfg.blockOf(r.addr(i))), home);
+            EXPECT_EQ(cfg.homeOf(w.blocks.at(r.block(i))), home);
     }
+}
+
+TEST(Layout, NumbersBlocksInAllocationOrder)
+{
+    ProtoConfig cfg;
+    Workload w;
+    Layout layout(cfg, w);
+    EXPECT_EQ(w.blockSize, cfg.blockSize);
+    const Region a = layout.allocAt(2, 8);
+    const Region b = layout.alloc(3);
+    EXPECT_EQ(a.first, 0u);
+    EXPECT_EQ(b.first, 8u);
+    EXPECT_EQ(b.block(2), 10u);
+    EXPECT_EQ(w.blocks.size(), 11u);
 }
 
 TEST(Layout, RegionsNeverOverlap)
 {
     ProtoConfig cfg;
-    Layout layout(cfg);
+    Workload w;
+    Layout layout(cfg, w);
     const Region a = layout.allocAt(2, 8);
     const Region b = layout.allocAt(2, 8);
-    EXPECT_GE(b.base, a.base + cfg.pageSize);
+    EXPECT_GE(w.blocks[b.block(0)] * cfg.blockSize,
+              w.blocks[a.block(0)] * cfg.blockSize + cfg.pageSize);
 }
 
 TEST(Layout, AddressesAreBlockAligned)
 {
+    // A source id is a block number, so the address it stands for is
+    // block-aligned; a one-page region's blocks are consecutive.
     ProtoConfig cfg;
-    Layout layout(cfg);
+    Workload w;
+    Layout layout(cfg, w);
     const Region r = layout.allocAt(1, 4);
-    for (unsigned i = 0; i < 4; ++i) {
-        EXPECT_EQ(r.addr(i) % cfg.blockSize, 0u);
-        EXPECT_EQ(cfg.blockOf(r.addr(i)),
-                  cfg.blockOf(r.addr(0)) + i);
-    }
+    for (unsigned i = 0; i < 4; ++i)
+        EXPECT_EQ(w.blocks[r.block(i)], w.blocks[r.block(0)] + i);
 }
 
 TEST(Layout, AllocSpreadsWithoutConstraint)
 {
     ProtoConfig cfg;
-    Layout layout(cfg);
+    Workload w;
+    Layout layout(cfg, w);
     const Region r = layout.alloc(cfg.blocksPerPage() * 3);
     EXPECT_EQ(r.blocks, cfg.blocksPerPage() * 3);
     // Spans three pages and therefore three homes.
-    EXPECT_NE(cfg.homeOf(cfg.blockOf(r.addr(0))),
-              cfg.homeOf(cfg.blockOf(
-                  r.addr(cfg.blocksPerPage()))));
+    EXPECT_NE(cfg.homeOf(w.blocks[r.block(0)]),
+              cfg.homeOf(w.blocks[r.block(cfg.blocksPerPage())]));
 }
 
 TEST(Layout, MultiPageHomedRegionKeepsOneHomeAndItsPages)
 {
     ProtoConfig cfg;
-    Layout layout(cfg);
+    Workload w;
+    Layout layout(cfg, w);
     const unsigned bpp = cfg.blocksPerPage();
+    const auto pageOf = [&](BlockId ord) { return w.blocks[ord] / bpp; };
     const Region r = layout.allocAt(2, 2 * bpp + 5); // three pages
     std::set<std::uint64_t> pages;
     for (unsigned i = 0; i < r.blocks; ++i) {
-        EXPECT_EQ(cfg.homeOf(cfg.blockOf(r.addr(i))), 2) << i;
-        EXPECT_EQ(r.addr(i) % cfg.blockSize, 0u);
-        pages.insert(r.addr(i) / cfg.pageSize);
+        EXPECT_EQ(cfg.homeOf(w.blocks[r.block(i)]), 2) << i;
+        pages.insert(pageOf(r.block(i)));
     }
     ASSERT_EQ(pages.size(), 3u);
 
@@ -75,15 +96,12 @@ TEST(Layout, MultiPageHomedRegionKeepsOneHomeAndItsPages)
     later.push_back(layout.alloc(3 * bpp));
     for (const Region &o : later)
         for (unsigned i = 0; i < o.blocks; ++i)
-            EXPECT_EQ(pages.count(o.addr(i) / cfg.pageSize), 0u)
-                << "page " << o.addr(i) / cfg.pageSize << " reused";
+            EXPECT_EQ(pages.count(pageOf(o.block(i))), 0u)
+                << "page " << pageOf(o.block(i)) << " reused";
 }
 
 namespace
 {
-
-/** The default geometry: 32-byte blocks. */
-const AddrMap defaultMap((ProtoConfig{}));
 
 /** @p tb's packed trace; @p sourceOps gets its source op count. */
 PackedTrace
@@ -100,26 +118,26 @@ take(TraceBuilder &tb, std::size_t *sourceOps = nullptr)
 
 TEST(TraceBuilder, AccumulatesOps)
 {
-    TraceBuilder tb(defaultMap);
-    tb.compute(10).read(0x100).write(0x200).barrier();
+    TraceBuilder tb;
+    tb.compute(10).read(8).write(16).barrier();
     std::size_t src = 0;
     const PackedTrace t = take(tb, &src);
     EXPECT_EQ(src, 4u);
     // The compute folds into the read as its prefix.
     ASSERT_EQ(t.size(), 3u);
     EXPECT_EQ(t[0].kind(), OpKind::Read);
-    EXPECT_EQ(t[0].block(), 0x100u / 32);
+    EXPECT_EQ(t[0].block(), 8u);
     EXPECT_EQ(t[0].delay(), 10u);
     EXPECT_EQ(t[1].kind(), OpKind::Write);
-    EXPECT_EQ(t[1].block(), 0x200u / 32);
+    EXPECT_EQ(t[1].block(), 16u);
     EXPECT_EQ(t[1].delay(), 0u);
     EXPECT_EQ(t[2].kind(), OpKind::Barrier);
 }
 
 TEST(TraceBuilder, ZeroComputeIsElided)
 {
-    TraceBuilder tb(defaultMap);
-    tb.compute(0).read(0x40);
+    TraceBuilder tb;
+    tb.compute(0).read(2);
     EXPECT_EQ(tb.sourceOps(), 1u);
     const PackedTrace t = take(tb);
     ASSERT_EQ(t.size(), 1u);
@@ -129,9 +147,9 @@ TEST(TraceBuilder, ZeroComputeIsElided)
 TEST(PhaseSchedule, EmitsInTimeOrderWithGaps)
 {
     PhaseSchedule sched;
-    sched.at(100, TraceOp::read(0x40));
-    sched.at(20, TraceOp::write(0x80));
-    TraceBuilder tb(defaultMap);
+    sched.read(100, 2);
+    sched.write(20, 4);
+    TraceBuilder tb;
     sched.emit(tb);
     std::size_t src = 0;
     const PackedTrace t = take(tb, &src);
@@ -146,10 +164,10 @@ TEST(PhaseSchedule, EmitsInTimeOrderWithGaps)
 TEST(PhaseSchedule, StableForEqualTimes)
 {
     PhaseSchedule sched;
-    sched.at(50, TraceOp::read(0x1 * 32));
-    sched.at(50, TraceOp::read(0x2 * 32));
-    sched.at(50, TraceOp::read(0x3 * 32));
-    TraceBuilder tb(defaultMap);
+    sched.read(50, 1);
+    sched.read(50, 2);
+    sched.read(50, 3);
+    TraceBuilder tb;
     sched.emit(tb);
     const PackedTrace t = take(tb);
     ASSERT_EQ(t.size(), 3u); // three reads, the first after the gap
@@ -162,8 +180,8 @@ TEST(PhaseSchedule, StableForEqualTimes)
     // unstable std::sort falls back to insertion sort, which keeps
     // ties in order too. 64 ties do.
     for (unsigned i = 0; i < 64; ++i)
-        sched.at(50, TraceOp::read(Addr{i} * 32));
-    TraceBuilder many(defaultMap);
+        sched.read(50, i);
+    TraceBuilder many;
     sched.emit(many);
     const PackedTrace m = take(many);
     ASSERT_EQ(m.size(), 64u);
@@ -174,10 +192,10 @@ TEST(PhaseSchedule, StableForEqualTimes)
 TEST(PhaseSchedule, EmitResetsForReuse)
 {
     PhaseSchedule sched;
-    sched.at(10, TraceOp::read(0x40));
-    TraceBuilder tb(defaultMap);
+    sched.read(10, 2);
+    TraceBuilder tb;
     sched.emit(tb);
-    sched.at(5, TraceOp::write(0x80));
+    sched.write(5, 4);
     sched.emit(tb);
     std::size_t src = 0;
     const PackedTrace t = take(tb, &src);
@@ -186,4 +204,103 @@ TEST(PhaseSchedule, EmitResetsForReuse)
     EXPECT_EQ(t[0].kind(), OpKind::Read);
     EXPECT_EQ(t[1].kind(), OpKind::Write);
     EXPECT_EQ(t[1].delay(), 5u);
+}
+
+/**
+ * The radix emit against a std::stable_sort reference: random phases
+ * with many ties, offsets past 2^16 (a third radix byte) and up to
+ * offsetMax, and empty phases, through one reused schedule.
+ */
+TEST(PhaseSchedule, MatchesStableSortReference)
+{
+    struct Item
+    {
+        Tick t;
+        bool write;
+        BlockId blk;
+    };
+    Rng rng(7);
+    PhaseSchedule sched;
+    for (int phase = 0; phase < 200; ++phase) {
+        const unsigned n = static_cast<unsigned>(rng.uniform(0, 300));
+        const Tick span = phase % 4 == 0   ? 16
+                          : phase % 4 == 1 ? 9000
+                          : phase % 4 == 2 ? Tick{1} << 17
+                                           : PhaseSchedule::offsetMax;
+        std::vector<Item> items;
+        for (unsigned i = 0; i < n; ++i) {
+            const Item it{rng.uniform(0, span), rng.chance(0.5),
+                          rng.uniform(0, CompiledOp::blockMax)};
+            items.push_back(it);
+            if (it.write)
+                sched.write(it.t, it.blk);
+            else
+                sched.read(it.t, it.blk);
+        }
+        TraceBuilder got;
+        sched.emit(got);
+
+        std::stable_sort(items.begin(), items.end(),
+                         [](const Item &a, const Item &b) {
+                             return a.t < b.t;
+                         });
+        TraceBuilder want;
+        Tick now = 0;
+        for (const Item &it : items) {
+            want.compute(it.t - now);
+            now = it.t;
+            if (it.write)
+                want.write(it.blk);
+            else
+                want.read(it.blk);
+        }
+        std::size_t gotSrc = 0, wantSrc = 0;
+        ASSERT_EQ(take(got, &gotSrc), take(want, &wantSrc))
+            << "phase " << phase << " of " << n;
+        EXPECT_EQ(gotSrc, wantSrc);
+    }
+    EXPECT_DEATH(sched.read(PhaseSchedule::offsetMax + 1, 0),
+                 "phase offset 1073741824 out of range");
+}
+
+/**
+ * A repeated period appends the ops re-issuing its calls would, with
+ * their source ops, however often it is repeated.
+ */
+TEST(TraceBuilder, RepeatSinceCopiesThePeriod)
+{
+    const auto period = [](TraceBuilder &tb) {
+        tb.barrier().read(3).compute(40).write(5).compute(300);
+    };
+    TraceBuilder once, repeated;
+    for (TraceBuilder *tb : {&once, &repeated})
+        tb->read(1).compute(7);
+    for (int i = 0; i < 5; ++i)
+        period(once);
+    period(repeated);
+    TraceBuilder::Mark m = repeated.mark();
+    period(repeated);
+    for (int i = 0; i < 3; ++i) {
+        const TraceBuilder::Mark last = repeated.mark();
+        repeated.repeatSince(m);
+        m = last;
+    }
+    EXPECT_EQ(repeated.sourceOps(), once.sourceOps());
+    std::size_t onceSrc = 0, repeatedSrc = 0;
+    EXPECT_EQ(take(repeated, &repeatedSrc), take(once, &onceSrc));
+    EXPECT_EQ(repeatedSrc, onceSrc);
+}
+
+/** A period whose pending delay differs at its two ends would not
+ * repeat exactly, so it panics. */
+TEST(TraceBuilder, RepeatSincePanicsOnPendingMismatch)
+{
+    TraceBuilder tb;
+    const TraceBuilder::Mark m = tb.mark(); // nothing pending
+    tb.read(1).compute(12);
+    EXPECT_DEATH(tb.repeatSince(m),
+                 "starts with 0 pending cycles but ends with 12");
+    tb.write(2); // the period now ends with nothing pending
+    tb.repeatSince(m);
+    EXPECT_EQ(take(tb).size(), 4u);
 }

@@ -177,7 +177,7 @@ TEST(Suite, Em3dProducersOwnTheirRegions)
     for (unsigned q = 0; q < w.ops.size(); ++q) {
         for (const CompiledOp &op : w.ops[q]) {
             if (op.kind() == OpKind::Write) {
-                EXPECT_EQ(proto.homeOf(op.block()), q);
+                EXPECT_EQ(proto.homeOf(w.blocks.at(op.block())), q);
             }
         }
     }
